@@ -52,7 +52,7 @@ fn main() {
     // observations.
     let bench = Workbench::new(8, 64).expect("8x64 cluster");
     let study = bench
-        .on_demand_study(|| Drift::new(2048, 64, period), total, 4, 0.4, 0.25)
+        .on_demand_study(|| Drift::new(2048, 64, period), total, 4, 400_000, 0.25)
         .expect("study");
     println!("=== when to re-track (window = 4 iterations) ===");
     println!("{study}\n");

@@ -14,23 +14,14 @@
 //! | `figure2` | Passive information-gathering per migration round |
 //! | `figure3` | 32-thread FFT free-zone maps on 4/8 nodes + randomized |
 //!
-//! Artifacts (CSV, PGM, TXT) land in `./results/`. Criterion micro-benches
-//! for the engine, tracking, analysis, and placement live in `benches/`.
+//! Artifacts (CSV, PGM, TXT) land in `./results/`. Wall-clock timing of
+//! the three pipelines, end to end and per layer, is the `benchmark` bin's
+//! job (see `BENCHMARK.json` at the repository root).
 
 use acorr::dsm::DsmError;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-/// Wall-clock measurement of one call to `f`, returning its result and the
-/// elapsed time. The criterion micro-benches stay behind the `criterion`
-/// feature; this plain harness is what the offline `perf` binary and the
-/// PR-gating speedup checks use.
-pub fn time_fn<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let start = Instant::now();
-    let result = f();
-    (result, start.elapsed())
-}
 
 /// Runs `f` once to warm up, then `reps` measured times, returning the best
 /// (minimum) wall-clock duration — the standard noise-resistant estimator
@@ -43,7 +34,11 @@ pub fn best_of(reps: usize, mut f: impl FnMut()) -> Duration {
     assert!(reps > 0, "need at least one measured rep");
     f(); // warm-up: page in code and data, fill allocator pools
     (0..reps)
-        .map(|_| time_fn(&mut f).1)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        })
         .min()
         .expect("reps > 0")
 }
@@ -113,9 +108,8 @@ pub fn try_write_artifact(name: &str, contents: &str) -> Result<(), DsmError> {
 
 /// Writes an artifact under `results/`, warning on stderr and continuing if
 /// the write fails — a bench run on a read-only checkout still prints its
-/// tables; only the on-disk copy is lost. Binaries whose exit code *gates*
-/// on the artifact (the perf trajectory) use [`try_write_artifact`] and
-/// fail loudly instead.
+/// tables; only the on-disk copy is lost. Binaries that must report a
+/// failed write themselves use [`try_write_artifact`] instead.
 pub fn write_artifact(name: &str, contents: &str) {
     if let Err(e) = try_write_artifact(name, contents) {
         eprintln!("  warning: skipping artifact {name}: {e}");
@@ -315,13 +309,6 @@ mod tests {
     fn arg_parsing_falls_back_to_default() {
         assert_eq!(arg_usize("--definitely-not-passed", 42), 42);
         assert_eq!(arg_str("--also-not-passed", "fallback"), "fallback");
-    }
-
-    #[test]
-    fn time_fn_returns_result_and_duration() {
-        let (value, elapsed) = time_fn(|| 6 * 7);
-        assert_eq!(value, 42);
-        assert!(elapsed.as_nanos() > 0 || elapsed.is_zero());
     }
 
     #[test]

@@ -15,13 +15,13 @@
 
 use acorr_dsm::{Dsm, DsmConfig, DsmError, IterStats, OracleReport, Program};
 use acorr_mem::AccessMatrix;
-use acorr_obs::{ObsConfig, Observation};
+use acorr_obs::{ObsConfig, Observation, PhaseDetector};
 use acorr_place::{min_cost, place, Strategy};
 use acorr_sim::{
     linear_fit, par_map_indexed, par_map_range, ClusterConfig, DetRng, FaultPlan, LinearFit,
     Mapping, SimDuration,
 };
-use acorr_track::{cut_cost, has_shifted, sharing_degree, AgedCorrelation, CorrelationMatrix};
+use acorr_track::{cut_cost, sharing_degree, AgedCorrelation, CorrelationMatrix};
 use std::fmt;
 
 /// A configured experiment environment: cluster shape + DSM cost models.
@@ -604,9 +604,12 @@ impl Workbench {
     ///   `check_every` iterations, unconditionally;
     /// * **drift-triggered** — run each window with cheap passive tracking
     ///   on; re-track actively only when the passive correlation snapshot
-    ///   diverges from the previous window's by more than `threshold`
-    ///   (normalized L1, see
-    ///   [`correlation_delta`](acorr_track::correlation_delta)).
+    ///   diverges from the previous window's by at least `threshold_ppm`
+    ///   parts-per-million (normalized L1, see
+    ///   [`correlation_delta`](acorr_track::correlation_delta)). The
+    ///   decision is a [`PhaseDetector`] with one-unit windows and no
+    ///   baseline memory (decay 0), so its baseline is exactly the previous
+    ///   passive snapshot.
     ///
     /// Passive snapshots are biased (first local toucher only), but
     /// *consistently* biased, so window-over-window divergence is a clean
@@ -624,7 +627,7 @@ impl Workbench {
         factory: F,
         total_iterations: usize,
         check_every: usize,
-        threshold: f64,
+        threshold_ppm: u64,
         decay: f64,
     ) -> Result<OnDemandStudy, DsmError>
     where
@@ -652,7 +655,17 @@ impl Workbench {
             aged.observe(&CorrelationMatrix::from_access(&access));
             dsm.migrate_to(min_cost(&aged.snapshot(), &self.cluster))?;
         }
-        let mut previous_passive: Option<CorrelationMatrix> = None;
+        let detector = || {
+            PhaseDetector::with_thresholds(
+                self.cluster.num_threads(),
+                1,
+                threshold_ppm,
+                threshold_ppm,
+                0.0,
+            )
+        };
+        // A fresh detector's first window only calibrates its baseline.
+        let mut drift = detector();
         while done < total_iterations {
             let window = check_every.min(total_iterations - done);
             dsm.enable_passive_tracking();
@@ -661,11 +674,9 @@ impl Workbench {
             let observed = dsm
                 .take_passive_observations()
                 .expect("passive tracking was enabled");
-            let passive_corr = CorrelationMatrix::from_access(&observed);
-            let shifted = match &previous_passive {
-                None => false, // baseline calibration window
-                Some(prev) => has_shifted(prev, &passive_corr, threshold),
-            };
+            let shifted = drift
+                .observe(&CorrelationMatrix::from_access(&observed))
+                .is_some();
             if shifted && done < total_iterations {
                 let (tracked, access) = dsm.run_tracked_iteration()?;
                 stats += tracked;
@@ -674,9 +685,7 @@ impl Workbench {
                 aged.observe(&CorrelationMatrix::from_access(&access));
                 let target = min_cost(&aged.snapshot(), &self.cluster);
                 dsm.migrate_to(target)?;
-                previous_passive = None; // recalibrate under the new mapping
-            } else {
-                previous_passive = Some(passive_corr);
+                drift = detector(); // recalibrate under the new mapping
             }
         }
         Ok(OnDemandStudy {

@@ -231,7 +231,7 @@ impl CoherenceOracle {
     /// local copy until finalization; single-writer: immediately global).
     pub fn on_write(&mut self, node: usize, thread: usize, span: PageSpan) {
         if span.start == span.end {
-            return; // zero-length stores leave no trace (mirrors RangeSet)
+            return; // zero-length stores leave no trace (mirrors DirtyMask)
         }
         let token = self.token(thread);
         let num_pages = self.num_pages;

@@ -11,10 +11,9 @@
 //!   permission-check predicate that classifies faults.
 //! * [`bitset`] — fixed-width bitsets; one per thread serves as the paper's
 //!   *access bitmap*.
-//! * [`ranges`] — merged dirty-range sets within a page, the representation
-//!   behind multi-writer *diffs*: the byte-wise [`RangeSet`] reference and
-//!   the word-chunked [`DirtyMask`] hot path, byte-identical by
-//!   construction.
+//! * [`ranges`] — the word-chunked [`DirtyMask`] of dirty bytes within a
+//!   page, the representation behind multi-writer *diffs*, pinned
+//!   byte-for-byte against a merged-range reference in its tests.
 //! * [`arena`] — a bump arena for per-interval protocol records, reset once
 //!   per barrier interval.
 //! * [`layout`] — a page-aligned bump allocator laying out an application's
@@ -55,6 +54,6 @@ pub use bitset::FixedBitset;
 pub use layout::{Segment, SharedLayout};
 pub use page::{page_of, pages_for, span_pages, PageId, PageSpan, PageTable, PAGE_SIZE};
 pub use prot::{AccessKind, Protection};
-pub use ranges::{DirtyMask, RangeSet};
+pub use ranges::DirtyMask;
 pub use vclock::{HbRaceDetector, Race, RaceKind, RaceReport, VectorClock};
 pub use visible::{write_token, VisibleImage};

@@ -9,15 +9,14 @@
 //!
 //! Two representations share that contract:
 //!
-//! * [`RangeSet`] — sorted disjoint `(start, end)` pairs. Inserts are
-//!   `O(log n)` searches plus `Vec` shifts; this is the byte-wise
-//!   *reference* the equivalence tests pin against.
 //! * [`DirtyMask`] — one bit per page byte, packed into 64 `u64` words.
 //!   Inserting a span is a handful of word-masked ORs, the diff length is
 //!   64 popcounts, and the fragment count is a rising-edge scan — the
-//!   engine's hot path. Both report **byte-identical** lengths and
-//!   fragment counts for the same inserts, so swapping them changes no
-//!   golden table.
+//!   engine's hot path.
+//! * `RangeSet` (test builds only) — sorted disjoint `(start, end)` pairs,
+//!   the byte-wise *reference* the equivalence tests below pin the mask
+//!   against: both must report **byte-identical** lengths and fragment
+//!   counts for the same inserts.
 
 use crate::page::PAGE_SIZE;
 use std::fmt;
@@ -26,22 +25,14 @@ use std::fmt;
 ///
 /// Inserting overlapping or adjacent ranges merges them, mirroring how a
 /// word-level diff would coalesce.
-///
-/// ```
-/// use acorr_mem::RangeSet;
-/// let mut set = RangeSet::new();
-/// set.insert(0, 8);
-/// set.insert(16, 24);
-/// set.insert(8, 16); // bridges the gap
-/// assert_eq!(set.total_len(), 24);
-/// assert_eq!(set.iter().count(), 1);
-/// ```
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RangeSet {
     // Sorted, non-overlapping, non-adjacent (start, end) pairs.
     ranges: Vec<(u16, u16)>,
 }
 
+#[cfg(test)]
 impl RangeSet {
     /// Creates an empty set.
     pub fn new() -> Self {
@@ -113,6 +104,7 @@ impl RangeSet {
     }
 }
 
+#[cfg(test)]
 impl fmt::Display for RangeSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
@@ -131,9 +123,9 @@ const MASK_WORDS: usize = PAGE_SIZE / 64;
 
 /// A page-wide dirty-byte mask: one bit per byte, packed into `u64` words.
 ///
-/// The drop-in fast path for [`RangeSet`] on the engine's twin/diff hot
-/// loop. [`DirtyMask::total_len`] and [`DirtyMask::fragment_count`] are
-/// byte-exact matches for the range set's answers on the same inserts —
+/// The engine's twin/diff hot-loop representation of a diff.
+/// [`DirtyMask::total_len`] and [`DirtyMask::fragment_count`] are byte-exact
+/// matches for the reference range set's answers on the same inserts —
 /// the diff-size formula (`dirty_len + 8 * fragments + 16`) is golden-table
 /// load-bearing, so the representations must never diverge.
 ///
@@ -232,7 +224,8 @@ impl DirtyMask {
     }
 
     /// Iterates over the disjoint dirty `(start, end)` runs, ascending —
-    /// the same sequence [`RangeSet::iter`] yields for equivalent inserts.
+    /// the same sequence the reference range set yields for equivalent
+    /// inserts.
     pub fn iter(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
         let mut b = 0usize;
         std::iter::from_fn(move || {

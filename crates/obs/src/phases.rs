@@ -22,8 +22,8 @@
 
 use acorr_track::{AgedStore, CorrelationMatrix, CorrelationStore};
 
-/// Default firing threshold: delta ≥ 0.35 (see `has_shifted`'s guidance
-/// that structural rotations land well above 0.3).
+/// Default firing threshold: delta ≥ 0.35. Intensity wiggle stays below
+/// 0.3; a structural rotation lands well above it.
 pub const DEFAULT_THRESHOLD_PPM: u64 = 350_000;
 /// Default re-arm threshold: delta ≤ 0.15 means the pattern has settled.
 pub const DEFAULT_REARM_PPM: u64 = 150_000;

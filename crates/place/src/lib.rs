@@ -56,8 +56,8 @@ pub mod weighted;
 pub use anneal::{anneal, AnnealConfig};
 pub use jarvis_patrick::jarvis_patrick;
 pub use migrate::{interchange_migration, plan_migration, MigrationCostModel, MigrationPolicy};
-pub use mincost::{min_cost, refine_kl, refine_kl_reference, DegreeCache};
-pub use multilevel::{multilevel_place, multilevel_place_with, MultilevelConfig};
+pub use mincost::{min_cost, refine_kl, DegreeCache};
+pub use multilevel::multilevel_place;
 pub use optimal::optimal;
 pub use strategy::{place, Strategy};
 pub use synth::power_law_affinity;

@@ -24,9 +24,9 @@
 //! Kernighan-Lin *D-values* in a [`DegreeCache`] — each thread's
 //! connectivity to every node — updated in O(n) per accepted swap, making a
 //! refinement pass O(n²) instead of O(n³). The cached kernels are
-//! selection-for-selection identical to the direct implementations (kept as
-//! [`refine_kl_reference`] for equivalence tests and offline timing), so
-//! they return bit-identical mappings.
+//! selection-for-selection identical to the direct O(n³) implementation
+//! (kept as the oracle in `tests/kl_equivalence.rs`), so they return
+//! bit-identical mappings.
 
 use acorr_sim::{ClusterConfig, Mapping, NodeId};
 use acorr_track::{CorrelationMatrix, CorrelationStore};
@@ -221,12 +221,13 @@ fn greedy_seed(corr: &CorrelationMatrix, cluster: &ClusterConfig) -> Mapping {
 /// preserved).
 ///
 /// Gains are read from a [`DegreeCache`] maintained incrementally (O(1) per
-/// candidate pair, O(n) per accepted swap), so one pass is O(n²) where the
-/// direct [`refine_kl_reference`] pays O(n³). The scan order, strict-`>`
-/// selection and termination condition are identical, so the two return
-/// **bit-identical** mappings. Generic over the correlation backend: the
-/// gains are integer sums either way, so dense and sparse stores holding
-/// the same data refine to the same mapping.
+/// candidate pair, O(n) per accepted swap), so one pass is O(n²) where
+/// recomputing every gain directly pays O(n³). The scan order, strict-`>`
+/// selection and termination condition match that direct kernel, so the
+/// two return **bit-identical** mappings (`tests/kl_equivalence.rs`).
+/// Generic over the correlation backend: the gains are integer sums either
+/// way, so dense and sparse stores holding the same data refine to the
+/// same mapping.
 pub fn refine_kl<C: CorrelationStore>(corr: &C, mut mapping: Mapping) -> Mapping {
     let n = corr.num_threads();
     let mut cache = DegreeCache::new(corr, &mapping);
@@ -256,70 +257,6 @@ pub fn refine_kl<C: CorrelationStore>(corr: &C, mut mapping: Mapping) -> Mapping
             None => return mapping,
         }
     }
-}
-
-/// The pre-cache refinement kernel: identical selection logic to
-/// [`refine_kl`] but recomputing every gain from scratch with
-/// [`swap_gain`], O(n³) per pass. Kept as the equivalence-test oracle and
-/// the "before" side of the `perf` timing harness.
-pub fn refine_kl_reference(corr: &CorrelationMatrix, mut mapping: Mapping) -> Mapping {
-    let n = corr.num_threads();
-    loop {
-        let mut best_gain = 0i64;
-        let mut best_pair: Option<(usize, usize)> = None;
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if mapping.node_of(a) == mapping.node_of(b) {
-                    continue;
-                }
-                let gain = swap_gain(corr, &mapping, a, b);
-                if gain > best_gain {
-                    best_gain = gain;
-                    best_pair = Some((a, b));
-                }
-            }
-        }
-        match best_pair {
-            Some((a, b)) => {
-                let na = mapping.node_of(a);
-                let nb = mapping.node_of(b);
-                mapping.set_node_of(a, nb);
-                mapping.set_node_of(b, na);
-            }
-            None => return mapping,
-        }
-    }
-}
-
-/// The (unordered) cut reduction from swapping threads `a` and `b`, which
-/// must be on different nodes: `D_a + D_b - 2*c(a,b)` with
-/// `D_x = external(x) - internal(x)`.
-fn swap_gain(corr: &CorrelationMatrix, mapping: &Mapping, a: usize, b: usize) -> i64 {
-    let na = mapping.node_of(a);
-    let nb = mapping.node_of(b);
-    let mut d_a = 0i64;
-    let mut d_b = 0i64;
-    for t in 0..corr.num_threads() {
-        if t != a {
-            let v = corr.get(a, t) as i64;
-            if mapping.node_of(t) == nb {
-                d_a += v; // becomes internal
-            } else if mapping.node_of(t) == na {
-                d_a -= v; // becomes external
-            }
-        }
-        if t != b {
-            let v = corr.get(b, t) as i64;
-            if mapping.node_of(t) == na {
-                d_b += v;
-            } else if mapping.node_of(t) == nb {
-                d_b -= v;
-            }
-        }
-    }
-    // The (a,b) edge stays cut after the swap but was counted as a gain in
-    // both D terms.
-    d_a + d_b - 2 * corr.get(a, b) as i64
 }
 
 #[cfg(test)]
@@ -445,81 +382,5 @@ mod tests {
         let m = min_cost(&corr, &cluster);
         assert_eq!(cut_cost(&corr, &m), 0);
         assert!(m.is_balanced());
-    }
-
-    #[test]
-    fn swap_gain_matches_cut_delta() {
-        let mut rng = DetRng::new(3);
-        let n = 10;
-        let mut corr = CorrelationMatrix::zeros(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                corr.set(a, b, rng.next_below(9));
-            }
-        }
-        let cluster = ClusterConfig::new(2, n).unwrap();
-        let m = Mapping::stretch(&cluster);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if m.node_of(a) == m.node_of(b) {
-                    continue;
-                }
-                let gain = swap_gain(&corr, &m, a, b);
-                let mut swapped = m.clone();
-                let (na, nb) = (m.node_of(a), m.node_of(b));
-                swapped.set_node_of(a, nb);
-                swapped.set_node_of(b, na);
-                let delta = cut_cost(&corr, &m) as i64 - cut_cost(&corr, &swapped) as i64;
-                // cut_cost uses the ordered (doubled) convention.
-                assert_eq!(delta, 2 * gain, "pair ({a},{b})");
-            }
-        }
-    }
-
-    #[test]
-    fn cached_gain_matches_direct_gain() {
-        let mut rng = DetRng::new(11);
-        let n = 12;
-        let mut corr = CorrelationMatrix::zeros(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                corr.set(a, b, rng.next_below(13));
-            }
-        }
-        let cluster = ClusterConfig::new(3, n).unwrap();
-        let m = Mapping::random_balanced(&cluster, &mut rng);
-        let cache = DegreeCache::new(&corr, &m);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if m.node_of(a) == m.node_of(b) {
-                    continue;
-                }
-                assert_eq!(
-                    cache.gain(&corr, &m, a, b),
-                    swap_gain(&corr, &m, a, b),
-                    "pair ({a},{b})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_refine_matches_reference() {
-        let rng = DetRng::new(23);
-        for seed in 0..8 {
-            let n = 14;
-            let mut r = rng.fork(seed);
-            let mut corr = CorrelationMatrix::zeros(n);
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    corr.set(a, b, r.next_below(17));
-                }
-            }
-            let cluster = ClusterConfig::new(2, n).unwrap();
-            let start = Mapping::random_balanced(&cluster, &mut r);
-            let fast = refine_kl(&corr, start.clone());
-            let slow = refine_kl_reference(&corr, start);
-            assert_eq!(fast, slow, "seed {seed}: mappings must be bit-identical");
-        }
     }
 }

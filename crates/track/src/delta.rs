@@ -5,7 +5,8 @@
 //! pattern is stable and lags when it shifts. This module quantifies how
 //! far two correlation matrices diverge, so a runtime can re-track (and
 //! re-place) only when cheap passive observations stop resembling the last
-//! active snapshot.
+//! active snapshot. The firing decision on top of it (threshold and
+//! hysteresis) is acorr-obs's `PhaseDetector`.
 
 use crate::correlation::CorrelationMatrix;
 
@@ -47,19 +48,6 @@ pub fn correlation_delta(a: &CorrelationMatrix, b: &CorrelationMatrix) -> f64 {
     }
 }
 
-/// Decides whether the sharing pattern has shifted enough to justify
-/// re-tracking: true when [`correlation_delta`] exceeds `threshold`.
-///
-/// A threshold around 0.3-0.5 works well in practice: intensity wiggle
-/// stays below it, a structural rotation exceeds it.
-pub fn has_shifted(
-    reference: &CorrelationMatrix,
-    current: &CorrelationMatrix,
-    threshold: f64,
-) -> bool {
-    correlation_delta(reference, current) > threshold
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,7 +62,6 @@ mod tests {
     fn identical_matrices_have_zero_delta() {
         let m = pair(4, 0, 1, 7);
         assert_eq!(correlation_delta(&m, &m), 0.0);
-        assert!(!has_shifted(&m, &m, 0.1));
     }
 
     #[test]
@@ -82,7 +69,6 @@ mod tests {
         let a = pair(4, 0, 1, 7);
         let b = pair(4, 2, 3, 7);
         assert_eq!(correlation_delta(&a, &b), 1.0);
-        assert!(has_shifted(&a, &b, 0.5));
     }
 
     #[test]
@@ -92,7 +78,6 @@ mod tests {
         let b = pair(4, 0, 1, 12);
         let d = correlation_delta(&a, &b);
         assert!(d < 0.1, "{d}");
-        assert!(!has_shifted(&a, &b, 0.3));
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod structure;
 pub use aging::AgedCorrelation;
 pub use correlation::CorrelationMatrix;
 pub use cut::{cut_cost, internal_cost, pair_is_cut};
-pub use delta::{correlation_delta, has_shifted};
+pub use delta::correlation_delta;
 pub use estimate::MissModel;
 pub use map::{render_ascii, render_csv, render_pgm, render_svg, MapStyle};
 pub use pages::{

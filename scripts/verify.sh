@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # The full PR gate, identical to .github/workflows/ci.yml — run before
 # pushing. Uses only the default feature set (zero external dependencies,
-# works offline); proptest/criterion extras need a networked machine and
-# the commented dev-dependencies restored (see the workspace Cargo.toml).
+# works offline); the proptest extras need a networked machine and the
+# commented dev-dependencies restored (see the workspace Cargo.toml).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -52,15 +52,22 @@ done
 grep -q "^failure_token=s1!1$" "$mc_dir/injected.log"
 rm -rf "$mc_dir"
 
-echo "==> scale smoke (100k-thread multilevel placement, pinned digest)"
-# The assignment digest is a pure function of (threads, nodes, degree,
-# seed) — machine-independent — so any behaviour drift in the sparse
-# store, the synthetic generator or the multilevel partitioner trips this
-# grep. The 120 s ceiling is ~200x the reference wall time: it only
-# catches catastrophic slowdowns, the perf9 gate tracks the real numbers.
+echo "==> scale smoke (100k- and 1M-thread multilevel placement, pinned digests)"
+# The assignment digest and cut are pure functions of (threads, nodes,
+# degree, seed) — machine-independent — so any behaviour drift in the
+# sparse store, the synthetic generator or the multilevel partitioner
+# trips these greps. The timeouts only catch catastrophic slowdowns; the
+# benchmark (BENCHMARK.json) tracks the real numbers.
 scale_out="$(timeout 120 ./target/release/acorr place --scale 100000x256)"
 echo "$scale_out" | grep -q "digest: fnv1a:e1285098d3c4cfcd" || {
     echo "error: 100000x256 placement digest drifted from the pinned value:" >&2
+    echo "$scale_out" >&2
+    exit 1
+}
+scale_out="$(timeout 300 ./target/release/acorr place --scale 1000000x1000)"
+echo "$scale_out" | grep -q "digest: fnv1a:abcdd71d87d9eced" &&
+    echo "$scale_out" | grep -q "cut 39910110 " || {
+    echo "error: 1000000x1000 placement digest or cut drifted from the pinned values:" >&2
     echo "$scale_out" >&2
     exit 1
 }
@@ -80,9 +87,6 @@ echo "$serve_out" | grep -q "timeline digest: fnv1a:f2e8753835019d00" || {
     exit 1
 }
 rm -rf "$serve_dir"
-
-echo "==> perf regression gate (scripts/check_perf.sh)"
-sh scripts/check_perf.sh
 
 # Opt-in property tests: needs a networked machine and the proptest
 # dev-dependency restored first (scripts/enable_proptest.sh).

@@ -82,7 +82,7 @@ fn drift_triggered_retracking_spends_fewer_tracked_iterations() {
     let bench = Workbench::new(4, 16).unwrap();
     let period = 12; // three checking windows per phase
     let study = bench
-        .on_demand_study(|| Drift::new(512, 16, period), 4 * period, 4, 0.4, 0.25)
+        .on_demand_study(|| Drift::new(512, 16, period), 4 * period, 4, 400_000, 0.25)
         .unwrap();
     assert!(
         study.on_demand_tracks < study.scheduled_tracks,
@@ -110,7 +110,7 @@ fn drift_detector_stays_quiet_on_static_apps() {
     // repeat and the detector must never trigger again.
     let bench = Workbench::new(4, 16).unwrap();
     let study = bench
-        .on_demand_study(|| Sor::new(256, 256, 16), 24, 4, 0.4, 0.25)
+        .on_demand_study(|| Sor::new(256, 256, 16), 24, 4, 400_000, 0.25)
         .unwrap();
     assert!(
         study.on_demand_tracks <= 1,

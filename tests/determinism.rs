@@ -4,7 +4,7 @@
 //! order (see `acorr_sim::pool`).
 
 use active_correlation_tracking::apps;
-use active_correlation_tracking::experiment::Workbench;
+use active_correlation_tracking::experiment::{scale_placement_study, Workbench};
 use active_correlation_tracking::place::Strategy;
 
 fn bench(jobs: usize) -> Workbench {
@@ -41,6 +41,19 @@ fn passive_study_is_bit_identical_across_worker_counts() {
     let par = bench(4).passive_study(app, 3).unwrap();
     assert_eq!(seq.completeness, par.completeness);
     assert_eq!(seq.moves, par.moves);
+}
+
+#[test]
+fn scale_placement_is_pinned_at_every_worker_count() {
+    // 10k threads on 64 nodes through the sparse generator and the
+    // multilevel partitioner: the mapping digest and cut are pure
+    // functions of (threads, nodes, degree, seed), whatever `jobs` the
+    // generator runs on.
+    for jobs in [1, 4, 8] {
+        let row = scale_placement_study(10_000, 64, 8, 42, jobs).unwrap();
+        assert_eq!(row.digest, "fnv1a:c8b9583da5ea3075", "jobs={jobs}");
+        assert_eq!(row.cut, 525_364, "jobs={jobs}");
+    }
 }
 
 // ---------------------------------------------------------------------
