@@ -80,7 +80,12 @@ impl AgedCorrelation {
     }
 
     /// The aged value for one pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
     pub fn get(&self, a: usize, b: usize) -> f64 {
+        assert!(a < self.n && b < self.n, "index out of range");
         self.vals[a * self.n + b]
     }
 
@@ -176,6 +181,14 @@ mod tests {
     #[should_panic(expected = "thread counts differ")]
     fn mismatched_observation_rejected() {
         AgedCorrelation::new(2, 0.5).observe(&CorrelationMatrix::zeros(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of range")]
+    fn get_out_of_range_panics() {
+        let mut aged = AgedCorrelation::new(4, 0.5);
+        aged.observe(&pair(4, 1, 0, 9));
+        aged.get(0, 4);
     }
 
     #[test]

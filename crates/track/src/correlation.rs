@@ -112,6 +112,7 @@ impl CorrelationMatrix {
     ///
     /// Panics if an index is out of range.
     pub fn get(&self, a: usize, b: usize) -> u64 {
+        assert!(a < self.n && b < self.n, "index out of range");
         self.vals[a * self.n + b]
     }
 
@@ -121,6 +122,7 @@ impl CorrelationMatrix {
     ///
     /// Panics if an index is out of range.
     pub fn set(&mut self, a: usize, b: usize, v: u64) {
+        assert!(a < self.n && b < self.n, "index out of range");
         self.vals[a * self.n + b] = v;
         self.vals[b * self.n + a] = v;
     }
@@ -233,6 +235,20 @@ mod tests {
         c.set(1, 3, 7);
         assert_eq!(c.get(3, 1), 7);
         assert_eq!(c.max_off_diagonal(), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of range")]
+    fn get_out_of_range_panics() {
+        let mut c = CorrelationMatrix::zeros(4);
+        c.set(1, 0, 9);
+        c.get(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of range")]
+    fn set_out_of_range_panics() {
+        CorrelationMatrix::zeros(4).set(0, 4, 9);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   the adaptation mechanism prior systems used and the paper's future-work
 //!   hook for dynamic applications.
 //! * [`store`] / [`sparse`] — the [`CorrelationStore`] abstraction and the
-//!   [`SparseCorrelation`] backend: `O(T + E)` adjacency storage with
+//!   [`SparseCorrelation`] backend: `O(T + E)` flat CSR storage with
 //!   aging-aware compaction, bit-identical to the dense matrix on the same
 //!   data, for the ROADMAP's 10⁵–10⁶-thread scale.
 //! * [`structure`] — machine classification of a map's dominant sharing

@@ -3,9 +3,19 @@
 //! The dense [`CorrelationMatrix`] spends `8·T²` bytes whether threads share
 //! or not — 8 TB at a million threads. Real correlation structure is sparse
 //! (the paper's apps share along chains, blocks and a few hot pages), so
-//! [`SparseCorrelation`] stores only the non-zero pairs as symmetric sorted
-//! adjacency lists plus a dense diagonal, giving `O(T + E)` memory and
-//! `O(deg)` neighbor iteration for the multilevel partitioner.
+//! [`SparseCorrelation`] stores only the non-zero pairs, mirrored on both
+//! endpoints, plus a dense diagonal, giving `O(T + E)` memory and `O(deg)`
+//! neighbor iteration for the multilevel partitioner.
+//!
+//! Both sparse stores keep their pairs as flat CSR rows: one `offsets`
+//! array of `T + 1` row starts and one `entries` array of `(partner, value)`
+//! pairs, each row sorted by partner, coalesced, free of zero values and
+//! without gaps. A store is two allocations however many threads it covers.
+//! Per-thread lists cost one allocation per thread, and in the serve loop,
+//! which builds, merges, ages, snapshots and frees a 10⁵-thread store every
+//! step, that allocation was most of the step's time. Every construction
+//! path yields the same canonical layout, so the derived equality compares
+//! contents.
 //!
 //! Determinism and equivalence contracts (tested against the dense matrix):
 //!
@@ -17,17 +27,136 @@
 //! * [`SparseAged`] applies the exact per-pair `f64` sequence of
 //!   [`AgedCorrelation`](crate::AgedCorrelation) (`val·decay + round`);
 //!   pairs absent from both sides are exact zeros under that recurrence, so
-//!   dropping them — the aging-aware compaction — is lossless. An edge only
-//!   leaves the accumulator when decay underflows it to exactly `0.0`;
-//!   [`SparseAged::compact`] offers an explicit thresholded drop for
-//!   bounded-memory long runs, documented as an approximation.
+//!   dropping them is lossless. An edge only leaves the accumulator when
+//!   decay underflows it to exactly `0.0`.
 
 use crate::correlation::CorrelationMatrix;
 use crate::store::{AgedStore, CorrelationStore};
 use std::fmt;
 
-/// A symmetric sparse correlation store: per-thread sorted adjacency lists
-/// of non-zero partners, plus a dense diagonal (own page counts).
+/// Flat CSR rows: row `t` is `entries[offsets[t]..offsets[t + 1]]`, sorted
+/// by partner, one entry per partner, no zero values, and mirrored — `u`
+/// sits in row `t` exactly when `t` sits in row `u`, with the same value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Rows<V> {
+    offsets: Vec<usize>,
+    entries: Vec<(u32, V)>,
+}
+
+impl<V: Copy> Rows<V> {
+    /// `n` empty rows.
+    fn empty(n: usize) -> Self {
+        Rows {
+            offsets: vec![0; n + 1],
+            entries: Vec::new(),
+        }
+    }
+
+    fn row(&self, t: usize) -> &[(u32, V)] {
+        &self.entries[self.offsets[t]..self.offsets[t + 1]]
+    }
+
+    /// Every row in order; cheaper per row than [`row`](Rows::row).
+    fn iter(&self) -> impl Iterator<Item = &[(u32, V)]> {
+        self.offsets.windows(2).map(|w| &self.entries[w[0]..w[1]])
+    }
+
+    /// The value held for partner `b` in row `a`.
+    fn find(&self, a: usize, b: usize) -> Option<V> {
+        let row = self.row(a);
+        let pos = row.binary_search_by_key(&(b as u32), |e| e.0).ok()?;
+        Some(row[pos].1)
+    }
+
+    /// Number of unordered pairs held (each pair sits in two rows).
+    fn pairs(&self) -> usize {
+        self.entries.len() / 2
+    }
+
+    /// Sets row `a`'s entry for partner `b`, removing it on `None`, and
+    /// shifts every later row start: `O(E)`, which only the element-wise
+    /// `set`/`add` path pays.
+    fn splice(&mut self, a: usize, b: usize, v: Option<V>) {
+        let start = self.offsets[a];
+        let found = self.row(a).binary_search_by_key(&(b as u32), |e| e.0);
+        match (found, v) {
+            (Ok(i), Some(v)) => self.entries[start + i].1 = v,
+            (Ok(i), None) => {
+                self.entries.remove(start + i);
+                self.offsets[a + 1..].iter_mut().for_each(|o| *o -= 1);
+            }
+            (Err(i), Some(v)) => {
+                self.entries.insert(start + i, (b as u32, v));
+                self.offsets[a + 1..].iter_mut().for_each(|o| *o += 1);
+            }
+            (Err(_), None) => {}
+        }
+    }
+
+    /// The one row merge behind every bulk rebuild: writes a new entries
+    /// array whose row `t` holds, for each partner in the sorted union of
+    /// both stores' row `t`, `f(mine, theirs)`, skipping partners where `f`
+    /// returns `None`. `f` sees each pair from both of its rows with the
+    /// same inputs, so mirrored inputs give mirrored output.
+    fn merge_with<W: Copy, U>(
+        &self,
+        other: &Rows<W>,
+        mut f: impl FnMut(Option<V>, Option<W>) -> Option<U>,
+    ) -> Rows<U> {
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        // The union is about as large as the larger input in the serve loop;
+        // reserving for the sum of both raised its peak memory by half.
+        let mut entries = Vec::with_capacity(self.entries.len().max(other.entries.len()));
+        offsets.push(0);
+        for (mine, theirs) in self.iter().zip(other.iter()) {
+            for_each_union(mine, theirs, |u, mine, theirs| {
+                if let Some(v) = f(mine, theirs) {
+                    entries.push((u, v));
+                }
+            });
+            offsets.push(entries.len());
+        }
+        Rows { offsets, entries }
+    }
+}
+
+/// The part of row `t` whose partners exceed `t`.
+fn upper<V>(row: &[(u32, V)], t: usize) -> &[(u32, V)] {
+    &row[row.partition_point(|e| (e.0 as usize) <= t)..]
+}
+
+/// Calls `f(partner, mine, theirs)` for every partner in the sorted union
+/// of two rows, ascending.
+fn for_each_union<A: Copy, B: Copy>(
+    mine: &[(u32, A)],
+    theirs: &[(u32, B)],
+    mut f: impl FnMut(u32, Option<A>, Option<B>),
+) {
+    let (mut i, mut j) = (0, 0);
+    while i < mine.len() && j < theirs.len() {
+        let ((a, va), (b, vb)) = (mine[i], theirs[j]);
+        if a == b {
+            f(a, Some(va), Some(vb));
+            i += 1;
+            j += 1;
+        } else if a < b {
+            f(a, Some(va), None);
+            i += 1;
+        } else {
+            f(b, None, Some(vb));
+            j += 1;
+        }
+    }
+    for &(a, va) in &mine[i..] {
+        f(a, Some(va), None);
+    }
+    for &(b, vb) in &theirs[j..] {
+        f(b, None, Some(vb));
+    }
+}
+
+/// A symmetric sparse correlation store: flat CSR rows of each thread's
+/// non-zero partners, plus a dense diagonal (own page counts).
 ///
 /// ```
 /// use acorr_track::{CorrelationStore, SparseCorrelation};
@@ -40,40 +169,7 @@ use std::fmt;
 pub struct SparseCorrelation {
     n: usize,
     diag: Vec<u64>,
-    /// `adj[t]` lists `(partner, value)` sorted by partner, values > 0,
-    /// mirrored on both endpoints.
-    adj: Vec<Vec<(u32, u64)>>,
-}
-
-fn list_get(list: &[(u32, u64)], key: u32) -> u64 {
-    match list.binary_search_by_key(&key, |e| e.0) {
-        Ok(pos) => list[pos].1,
-        Err(_) => 0,
-    }
-}
-
-fn list_set(list: &mut Vec<(u32, u64)>, key: u32, v: u64) {
-    match list.binary_search_by_key(&key, |e| e.0) {
-        Ok(pos) => {
-            if v == 0 {
-                list.remove(pos);
-            } else {
-                list[pos].1 = v;
-            }
-        }
-        Err(pos) => {
-            if v > 0 {
-                list.insert(pos, (key, v));
-            }
-        }
-    }
-}
-
-fn list_add(list: &mut Vec<(u32, u64)>, key: u32, v: u64) {
-    match list.binary_search_by_key(&key, |e| e.0) {
-        Ok(pos) => list[pos].1 += v,
-        Err(pos) => list.insert(pos, (key, v)),
-    }
+    rows: Rows<u64>,
 }
 
 impl SparseCorrelation {
@@ -87,7 +183,7 @@ impl SparseCorrelation {
         SparseCorrelation {
             n,
             diag: vec![0; n],
-            adj: vec![Vec::new(); n],
+            rows: Rows::empty(n),
         }
     }
 
@@ -101,87 +197,77 @@ impl SparseCorrelation {
     /// Panics if an endpoint is out of range.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32, u64)>) -> Self {
         let mut s = SparseCorrelation::zeros(n);
-        // Two passes over a flat buffer so every adjacency list is
-        // allocated exactly once at its final (pre-coalesce) size —
-        // incremental `Vec` growth across millions of lists is what
-        // dominated the 10⁶-thread generation profile otherwise.
+        // Counting sort into one buffer: count each row's entries, turn the
+        // counts into row ends, then fill every row backwards from its end,
+        // which leaves `offsets[t]` at the row's start.
         let flat: Vec<(u32, u32, u64)> = edges.into_iter().collect();
-        let mut deg = vec![0u32; n];
+        let offsets = &mut s.rows.offsets;
         for &(a, b, v) in &flat {
             let (a, b) = (a as usize, b as usize);
             assert!(a < n && b < n, "edge endpoint out of range");
             if v != 0 && a != b {
-                deg[a] += 1;
-                deg[b] += 1;
+                offsets[a] += 1;
+                offsets[b] += 1;
             }
         }
-        for (list, &d) in s.adj.iter_mut().zip(&deg) {
-            list.reserve_exact(d as usize);
+        let mut total = 0;
+        for o in offsets.iter_mut() {
+            total += *o;
+            *o = total;
         }
+        let mut entries = vec![(0u32, 0u64); total];
         for &(a, b, v) in &flat {
-            let (a, b) = (a as usize, b as usize);
             if v == 0 {
                 continue;
             }
             if a == b {
-                s.diag[a] += v;
+                s.diag[a as usize] += v;
             } else {
-                s.adj[a].push((b as u32, v));
-                s.adj[b].push((a as u32, v));
+                offsets[a as usize] -= 1;
+                entries[offsets[a as usize]] = (b, v);
+                offsets[b as usize] -= 1;
+                entries[offsets[b as usize]] = (a, v);
             }
         }
-        for list in &mut s.adj {
-            list.sort_unstable_by_key(|e| e.0);
-            // Coalesce duplicates in place (sums are order-independent).
-            let mut out = 0;
-            for i in 0..list.len() {
-                if out > 0 && list[out - 1].0 == list[i].0 {
-                    list[out - 1].1 += list[i].1;
+        drop(flat);
+        // Sort each row and coalesce duplicates (sums are order-independent),
+        // shifting the rows left over the gaps coalescing leaves.
+        let mut out = 0;
+        for t in 0..n {
+            let (start, end) = (offsets[t], offsets[t + 1]);
+            offsets[t] = out;
+            entries[start..end].sort_unstable_by_key(|e| e.0);
+            for i in start..end {
+                if out > offsets[t] && entries[out - 1].0 == entries[i].0 {
+                    entries[out - 1].1 += entries[i].1;
                 } else {
-                    list[out] = list[i];
+                    entries[out] = entries[i];
                     out += 1;
                 }
             }
-            list.truncate(out);
-            list.shrink_to_fit();
         }
+        offsets[n] = out;
+        entries.truncate(out);
+        entries.shrink_to_fit();
+        s.rows.entries = entries;
         s
     }
 
     /// Converts a dense matrix (drops zero pairs, keeps the diagonal).
     pub fn from_dense(m: &CorrelationMatrix) -> Self {
         let n = m.num_threads();
-        let mut s = SparseCorrelation::zeros(n);
-        for t in 0..n {
-            s.diag[t] = m.get(t, t);
-        }
-        for (a, b, v) in m.pairs() {
-            if v > 0 {
-                s.adj[a].push((b as u32, v));
-                s.adj[b].push((a as u32, v));
-            }
-        }
-        // `pairs()` ascends lexicographically, so each list needs one sort
-        // only for the lower-partner entries interleaved with upper ones.
-        for list in &mut s.adj {
-            list.sort_unstable_by_key(|e| e.0);
-        }
-        s
+        let diag = (0..n).map(|t| (t as u32, t as u32, m.get(t, t)));
+        let pairs = m.pairs().map(|(a, b, v)| (a as u32, b as u32, v));
+        SparseCorrelation::from_edges(n, diag.chain(pairs))
     }
 
     /// Expands into a dense matrix (for small-T equivalence checks).
     pub fn to_dense(&self) -> CorrelationMatrix {
         let mut m = CorrelationMatrix::zeros(self.n);
-        for t in 0..self.n {
-            m.set(t, t, self.diag[t]);
+        for (t, &d) in self.diag.iter().enumerate() {
+            m.set(t, t, d);
         }
-        for (t, list) in self.adj.iter().enumerate() {
-            for &(u, v) in list {
-                if (u as usize) > t {
-                    m.set(t, u as usize, v);
-                }
-            }
-        }
+        CorrelationStore::for_each_edge(self, |a, b, v| m.set(a, b, v));
         m
     }
 
@@ -192,7 +278,7 @@ impl SparseCorrelation {
 
     /// The non-zero partners of `t`, sorted ascending: `(partner, value)`.
     pub fn neighbors(&self, t: usize) -> &[(u32, u64)] {
-        &self.adj[t]
+        self.rows.row(t)
     }
 
     /// The correlation of a thread pair (diagonal: own page count).
@@ -201,11 +287,11 @@ impl SparseCorrelation {
     ///
     /// Panics if an index is out of range.
     pub fn get(&self, a: usize, b: usize) -> u64 {
+        assert!(a < self.n && b < self.n, "index out of range");
         if a == b {
             self.diag[a]
         } else {
-            assert!(a < self.n && b < self.n, "index out of range");
-            list_get(&self.adj[a], b as u32)
+            self.rows.find(a, b).unwrap_or(0)
         }
     }
 
@@ -219,8 +305,9 @@ impl SparseCorrelation {
         if a == b {
             self.diag[a] = v;
         } else {
-            list_set(&mut self.adj[a], b as u32, v);
-            list_set(&mut self.adj[b], a as u32, v);
+            let v = (v > 0).then_some(v);
+            self.rows.splice(a, b, v);
+            self.rows.splice(b, a, v);
         }
     }
 
@@ -230,20 +317,14 @@ impl SparseCorrelation {
     ///
     /// Panics if an index is out of range.
     pub fn add(&mut self, a: usize, b: usize, v: u64) {
-        assert!(a < self.n && b < self.n, "index out of range");
-        if v == 0 {
-            return;
-        }
-        if a == b {
-            self.diag[a] += v;
-        } else {
-            list_add(&mut self.adj[a], b as u32, v);
-            list_add(&mut self.adj[b], a as u32, v);
+        let cur = self.get(a, b);
+        if v > 0 {
+            self.set(a, b, cur + v);
         }
     }
 
     /// Accumulates another store (elementwise sum, diagonal included) by
-    /// merging sorted lists in `O(E₁ + E₂)`.
+    /// merging sorted rows in `O(T + E₁ + E₂)`.
     ///
     /// # Panics
     ///
@@ -253,47 +334,14 @@ impl SparseCorrelation {
         for (d, o) in self.diag.iter_mut().zip(&other.diag) {
             *d += o;
         }
-        for t in 0..self.n {
-            if other.adj[t].is_empty() {
-                continue;
-            }
-            let mine = &self.adj[t];
-            let theirs = &other.adj[t];
-            let mut merged = Vec::with_capacity(mine.len() + theirs.len());
-            let (mut i, mut j) = (0, 0);
-            while i < mine.len() || j < theirs.len() {
-                match (mine.get(i), theirs.get(j)) {
-                    (Some(&(a, va)), Some(&(b, vb))) => {
-                        if a == b {
-                            merged.push((a, va + vb));
-                            i += 1;
-                            j += 1;
-                        } else if a < b {
-                            merged.push((a, va));
-                            i += 1;
-                        } else {
-                            merged.push((b, vb));
-                            j += 1;
-                        }
-                    }
-                    (Some(&e), None) => {
-                        merged.push(e);
-                        i += 1;
-                    }
-                    (None, Some(&e)) => {
-                        merged.push(e);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
-            }
-            self.adj[t] = merged;
-        }
+        self.rows = self.rows.merge_with(&other.rows, |mine, theirs| {
+            Some(mine.unwrap_or(0) + theirs.unwrap_or(0))
+        });
     }
 
     /// Number of non-zero unordered pairs.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        self.rows.pairs()
     }
 
     /// Normalized L1 divergence against `other` — bit-identical to
@@ -308,40 +356,12 @@ impl SparseCorrelation {
         assert_eq!(self.n, other.n, "stores must cover the same threads");
         let mut diff = 0u64;
         let mut mass = 0u64;
-        for t in 0..self.n {
-            // Walk the union of both upper-partner lists.
-            let mine = &self.adj[t];
-            let theirs = &other.adj[t];
-            let mut i = mine.partition_point(|e| (e.0 as usize) <= t);
-            let mut j = theirs.partition_point(|e| (e.0 as usize) <= t);
-            while i < mine.len() || j < theirs.len() {
-                let (va, vb) = match (mine.get(i), theirs.get(j)) {
-                    (Some(&(a, va)), Some(&(b, vb))) => {
-                        if a == b {
-                            i += 1;
-                            j += 1;
-                            (va, vb)
-                        } else if a < b {
-                            i += 1;
-                            (va, 0)
-                        } else {
-                            j += 1;
-                            (0, vb)
-                        }
-                    }
-                    (Some(&(_, va)), None) => {
-                        i += 1;
-                        (va, 0)
-                    }
-                    (None, Some(&(_, vb))) => {
-                        j += 1;
-                        (0, vb)
-                    }
-                    (None, None) => unreachable!(),
-                };
+        for (t, (mine, theirs)) in self.rows.iter().zip(other.rows.iter()).enumerate() {
+            for_each_union(upper(mine, t), upper(theirs, t), |_, va, vb| {
+                let (va, vb) = (va.unwrap_or(0), vb.unwrap_or(0));
                 diff += va.abs_diff(vb);
                 mass += va + vb;
-            }
+            });
         }
         if mass == 0 {
             0.0
@@ -394,16 +414,15 @@ impl CorrelationStore for SparseCorrelation {
     }
 
     fn for_each_edge(&self, mut f: impl FnMut(usize, usize, u64)) {
-        for (t, list) in self.adj.iter().enumerate() {
-            let from = list.partition_point(|e| (e.0 as usize) <= t);
-            for &(u, v) in &list[from..] {
+        for (t, row) in self.rows.iter().enumerate() {
+            for &(u, v) in upper(row, t) {
                 f(t, u as usize, v);
             }
         }
     }
 
     fn for_each_neighbor(&self, t: usize, mut f: impl FnMut(usize, u64)) {
-        for &(u, v) in &self.adj[t] {
+        for &(u, v) in self.neighbors(t) {
             f(u as usize, v);
         }
     }
@@ -421,7 +440,7 @@ pub struct SparseAged {
     decay: f64,
     rounds: usize,
     diag: Vec<f64>,
-    adj: Vec<Vec<(u32, f64)>>,
+    rows: Rows<f64>,
 }
 
 impl SparseAged {
@@ -441,7 +460,7 @@ impl SparseAged {
             decay,
             rounds: 0,
             diag: vec![0.0; n],
-            adj: vec![Vec::new(); n],
+            rows: Rows::empty(n),
         }
     }
 
@@ -456,20 +475,22 @@ impl SparseAged {
     }
 
     /// The aged value for one pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
     pub fn get(&self, a: usize, b: usize) -> f64 {
+        assert!(a < self.n && b < self.n, "index out of range");
         if a == b {
             self.diag[a]
         } else {
-            match self.adj[a].binary_search_by_key(&(b as u32), |e| e.0) {
-                Ok(pos) => self.adj[a][pos].1,
-                Err(_) => 0.0,
-            }
+            self.rows.find(a, b).unwrap_or(0.0)
         }
     }
 
-    /// Number of pairs currently held (memory proxy for compaction tests).
+    /// Number of pairs currently held.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        self.rows.pairs()
     }
 
     /// Folds in a new tracking round: per pair present on either side,
@@ -482,84 +503,41 @@ impl SparseAged {
     /// Panics if the round covers a different thread count.
     pub fn observe(&mut self, round: &SparseCorrelation) {
         assert_eq!(round.num_threads(), self.n, "thread counts differ");
-        for t in 0..self.n {
-            self.diag[t] = self.diag[t] * self.decay + round.diag[t] as f64;
-            let mine = std::mem::take(&mut self.adj[t]);
-            let theirs = round.neighbors(t);
-            let mut merged = Vec::with_capacity(mine.len().max(theirs.len()));
-            let (mut i, mut j) = (0, 0);
-            while i < mine.len() || j < theirs.len() {
-                let (key, next) = match (mine.get(i), theirs.get(j)) {
-                    (Some(&(a, va)), Some(&(b, vb))) => {
-                        if a == b {
-                            i += 1;
-                            j += 1;
-                            (a, va * self.decay + vb as f64)
-                        } else if a < b {
-                            i += 1;
-                            (a, va * self.decay)
-                        } else {
-                            j += 1;
-                            // 0.0 * decay + vb == vb exactly.
-                            (b, vb as f64)
-                        }
-                    }
-                    (Some(&(a, va)), None) => {
-                        i += 1;
-                        (a, va * self.decay)
-                    }
-                    (None, Some(&(b, vb))) => {
-                        j += 1;
-                        (b, vb as f64)
-                    }
-                    (None, None) => unreachable!(),
-                };
-                if next != 0.0 {
-                    merged.push((key, next));
-                }
-            }
-            self.adj[t] = merged;
+        let decay = self.decay;
+        for (d, &r) in self.diag.iter_mut().zip(&round.diag) {
+            *d = *d * decay + r as f64;
         }
+        self.rows = self.rows.merge_with(&round.rows, |mine, theirs| {
+            let next = match (mine, theirs) {
+                (Some(va), Some(vb)) => va * decay + vb as f64,
+                (Some(va), None) => va * decay,
+                // 0.0 * decay + vb == vb exactly.
+                (None, Some(vb)) => vb as f64,
+                (None, None) => unreachable!("union partners come from a row"),
+            };
+            (next != 0.0).then_some(next)
+        });
         self.rounds += 1;
-    }
-
-    /// Drops every pair whose aged value is below `min_value` — an explicit
-    /// **approximation** for bounded-memory long runs (snapshots may differ
-    /// from the dense accumulator by the dropped mass). The default
-    /// [`observe`](SparseAged::observe) path never needs this: it only
-    /// drops exact zeros. Returns the number of pairs dropped.
-    pub fn compact(&mut self, min_value: f64) -> usize {
-        let before: usize = self.adj.iter().map(Vec::len).sum();
-        for list in &mut self.adj {
-            list.retain(|&(_, v)| v >= min_value);
-        }
-        let after: usize = self.adj.iter().map(Vec::len).sum();
-        (before - after) / 2
     }
 
     /// Rounds the aged values into a [`SparseCorrelation`] usable by the
     /// placement heuristics — same normalization and rounding as
     /// [`AgedCorrelation::snapshot`](crate::AgedCorrelation::snapshot).
     pub fn snapshot(&self) -> SparseCorrelation {
-        let mut s = SparseCorrelation::zeros(self.n);
         let weight: f64 = (0..self.rounds).map(|r| self.decay.powi(r as i32)).sum();
         let scale = if weight > 0.0 { 1.0 / weight } else { 0.0 };
-        for t in 0..self.n {
-            s.diag[t] = (self.diag[t] * scale).round() as u64;
+        let rounded = |v: f64| (v * scale).round() as u64;
+        SparseCorrelation {
+            n: self.n,
+            diag: self.diag.iter().map(|&d| rounded(d)).collect(),
+            // Both halves of a pair hold the same aged value, so rounding
+            // each row on its own keeps the rows mirrored.
+            rows: self
+                .rows
+                .merge_with(&Rows::<u64>::empty(self.n), |mine, _| {
+                    Some(rounded(mine?)).filter(|&v| v > 0)
+                }),
         }
-        for t in 0..self.n {
-            let from = self.adj[t].partition_point(|e| (e.0 as usize) <= t);
-            for &(u, v) in &self.adj[t][from..] {
-                let sv = (v * scale).round() as u64;
-                if sv > 0 {
-                    // Lower partners of `u` arrive in ascending `t` before
-                    // `u`'s own upper partners: both lists stay sorted.
-                    s.adj[t].push((u, sv));
-                    s.adj[u as usize].push((t as u32, sv));
-                }
-            }
-        }
-        s
     }
 }
 
@@ -603,7 +581,7 @@ mod tests {
     use acorr_sim::DetRng;
 
     /// Mirrors a random operation stream into dense and sparse stores and
-    /// checks byte-equal results at every step.
+    /// checks byte-equal results and the canonical layout at every step.
     fn random_equivalence(seed: u64, n: usize, steps: usize) {
         let mut rng = DetRng::new(seed);
         let mut dense = CorrelationMatrix::zeros(n);
@@ -661,6 +639,11 @@ mod tests {
                 }
             }
             assert_eq!(sparse.to_dense(), dense, "stores diverged");
+            assert_eq!(
+                sparse,
+                SparseCorrelation::from_dense(&dense),
+                "layout not canonical"
+            );
         }
         // Aged accumulators agree bit-for-bit, value by value.
         assert_eq!(dense_aged.rounds(), sparse_aged.rounds());
@@ -674,6 +657,10 @@ mod tests {
             }
         }
         assert_eq!(sparse_aged.snapshot().to_dense(), dense_aged.snapshot());
+        assert_eq!(
+            sparse_aged.snapshot(),
+            SparseCorrelation::from_dense(&dense_aged.snapshot())
+        );
     }
 
     #[test]
@@ -709,6 +696,33 @@ mod tests {
     }
 
     #[test]
+    fn from_edges_layout_equals_set_on_duplicates_self_edges_and_zeros() {
+        let edges = vec![
+            (2, 0, 3),
+            (0, 2, 4),
+            (1, 1, 5),
+            (3, 1, 0),
+            (4, 3, 6),
+            (1, 1, 2),
+            (3, 4, 1),
+            (0, 4, 0),
+            (2, 0, 1),
+            (4, 4, 0),
+        ];
+        let built = SparseCorrelation::from_edges(5, edges.clone());
+        let mut set = SparseCorrelation::zeros(5);
+        set.set(0, 2, 8);
+        set.set(1, 1, 7);
+        set.set(3, 4, 7);
+        assert_eq!(built, set);
+        let mut added = SparseCorrelation::zeros(5);
+        for (a, b, v) in edges {
+            added.add(a as usize, b as usize, v);
+        }
+        assert_eq!(built, added);
+    }
+
+    #[test]
     fn dense_round_trip() {
         let mut m = CorrelationMatrix::zeros(6);
         m.set(0, 3, 4);
@@ -720,7 +734,7 @@ mod tests {
     }
 
     #[test]
-    fn aged_compaction_drops_decayed_edges() {
+    fn aged_keeps_decayed_edges() {
         let mut aged = SparseAged::new(4, 0.5);
         let mut round = SparseCorrelation::zeros(4);
         round.set(0, 1, 100);
@@ -731,9 +745,6 @@ mod tests {
         }
         assert_eq!(aged.edge_count(), 1, "still decaying, still held");
         assert!(aged.get(0, 1) > 0.0);
-        assert_eq!(aged.compact(1e-3), 1);
-        assert_eq!(aged.edge_count(), 0);
-        assert_eq!(aged.get(0, 1), 0.0);
     }
 
     #[test]
@@ -749,6 +760,12 @@ mod tests {
         aged.observe(&SparseCorrelation::zeros(2));
         assert_eq!(aged.edge_count(), 0);
         assert_eq!(aged.get(0, 1), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of range")]
+    fn aged_get_out_of_range_panics() {
+        SparseAged::new(4, 0.5).get(0, 99);
     }
 
     #[test]

@@ -72,7 +72,7 @@ echo "$scale_out" | grep -q "digest: fnv1a:abcdd71d87d9eced" &&
     exit 1
 }
 
-echo "==> serve smoke (online placement service, pinned decision timeline)"
+echo "==> serve smoke (online placement service, pinned timelines at 64 and 100k threads)"
 # The hotspot decision timeline is a pure function of (seed, scenario,
 # jobs) — the digest grep trips on any drift in the traffic driver, the
 # phase detector, the candidate placement, or the migration gate.
@@ -87,6 +87,18 @@ echo "$serve_out" | grep -q "timeline digest: fnv1a:f2e8753835019d00" || {
     exit 1
 }
 rm -rf "$serve_dir"
+# The 100k-thread churn run exercises what the hotspot smoke does not: the
+# sparse stores at serve scale and the multilevel candidate. Both digests
+# are pure functions of the same inputs; the timeout only catches a
+# catastrophic slowdown.
+serve_out="$(timeout 120 ./target/release/acorr serve --scenario churn \
+    --threads 100000 --nodes 256 --steps 60 --seed 42)"
+echo "$serve_out" | grep -q "timeline digest: fnv1a:7fb11872e6be710e" &&
+    echo "$serve_out" | grep -q "final mapping digest: fnv1a:b1b76bcb81765175" || {
+    echo "error: 100000x256 churn serve digests drifted from the pinned values:" >&2
+    echo "$serve_out" >&2
+    exit 1
+}
 
 # Opt-in property tests: needs a networked machine and the proptest
 # dev-dependency restored first (scripts/enable_proptest.sh).
