@@ -16,6 +16,8 @@ use acorr_dsm::{LockId, Op, Program};
 use acorr_mem::SharedLayout;
 use acorr_sim::DetRng;
 
+/// Bodies in the paper input.
+pub(crate) const PAPER_BODIES: usize = 8192;
 /// Bytes per body record (mass, position, velocity, acceleration, links).
 const BODY_BYTES: u64 = 120;
 /// Pages of shared octree cells.
@@ -63,7 +65,7 @@ impl Barnes {
 
     /// The paper's input: 8192 bodies.
     pub fn paper(threads: usize) -> Self {
-        Barnes::new(8192, threads)
+        Barnes::new(PAPER_BODIES, threads)
     }
 
     fn body_addr(&self, body: usize) -> u64 {

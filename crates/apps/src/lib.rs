@@ -60,6 +60,10 @@ pub const TABLE2_NAMES: [&str; 8] = [
 ///
 /// Returns `None` for unknown names.
 ///
+/// # Panics
+///
+/// Panics if `threads` is zero or above [`max_threads`]`(name)`.
+///
 /// ```
 /// use acorr_apps::by_name;
 /// use acorr_dsm::Program;
@@ -81,6 +85,27 @@ pub fn by_name(name: &str, threads: usize) -> Option<Box<dyn Program>> {
         "Water" => Box::new(Water::paper(threads)),
         _ => return None,
     })
+}
+
+/// The most threads [`by_name`] builds `name` with: one per body, cell,
+/// grid row or molecule of the paper input, and unbounded for the other
+/// applications. Returns `None` for unknown names.
+///
+/// ```
+/// use acorr_apps::max_threads;
+/// assert_eq!(max_threads("Water"), Some(512));
+/// assert_eq!(max_threads("FFT6"), Some(usize::MAX));
+/// assert_eq!(max_threads("NotAnApp"), None);
+/// ```
+pub fn max_threads(name: &str) -> Option<usize> {
+    match name {
+        "Barnes" => Some(barnes::PAPER_BODIES),
+        "Spatial" => Some(spatial::CELLS),
+        "SOR" => Some(sor::PAPER_ROWS),
+        "Water" => Some(water::PAPER_MOLECULES),
+        _ if SUITE_NAMES.contains(&name) => Some(usize::MAX),
+        _ => None,
+    }
 }
 
 /// The full Table 1 suite at paper input sizes.
@@ -135,6 +160,20 @@ mod tests {
             validate_iteration(&app, 0).unwrap();
             validate_iteration(&app, 3).unwrap();
         }
+    }
+
+    #[test]
+    fn max_threads_is_the_bound_by_name_enforces() {
+        for name in SUITE_NAMES {
+            let max = max_threads(name).expect("suite names are known");
+            let builds = |threads| std::panic::catch_unwind(|| by_name(name, threads)).is_ok();
+            assert!(!builds(0), "{name} built with 0 threads");
+            if max < usize::MAX {
+                assert_eq!(by_name(name, max).unwrap().num_threads(), max);
+                assert!(!builds(max + 1), "{name} built above {max}");
+            }
+        }
+        assert_eq!(max_threads("Drift"), None, "Drift is not a Table 1 name");
     }
 
     #[test]

@@ -10,6 +10,8 @@ use crate::common::block_range;
 use acorr_dsm::{Op, Program};
 use acorr_mem::SharedLayout;
 
+/// Rows (and columns) of the paper grid.
+pub(crate) const PAPER_ROWS: usize = 2048;
 const ELEM_BYTES: u64 = 4; // f32
 /// Calibrated so a 64-thread, 8-node run of the 2048x2048 input takes on
 /// the order of the paper's 0.15 s per iteration.
@@ -49,7 +51,7 @@ impl Sor {
 
     /// The paper's input: a 2048x2048 grid.
     pub fn paper(threads: usize) -> Self {
-        Sor::new(2048, 2048, threads)
+        Sor::new(PAPER_ROWS, PAPER_ROWS, threads)
     }
 
     fn row_bytes(&self) -> u64 {

@@ -19,7 +19,7 @@ use acorr_mem::SharedLayout;
 
 /// Cells per axis.
 const DIM: usize = 8;
-const CELLS: usize = DIM * DIM * DIM;
+pub(crate) const CELLS: usize = DIM * DIM * DIM;
 /// One page per cell (8 molecules × 512 B).
 const CELL_BYTES: u64 = 4096;
 const LOCKS: usize = 64;

@@ -13,6 +13,8 @@ use crate::common::block_range;
 use acorr_dsm::{LockId, Op, Program};
 use acorr_mem::SharedLayout;
 
+/// Molecules in the paper input.
+pub(crate) const PAPER_MOLECULES: usize = 512;
 /// Bytes per molecule record (positions, velocities, forces, energies for a
 /// 3-site model) — sized so 512 molecules occupy the paper's 44 pages.
 const MOL_BYTES: u64 = 352;
@@ -53,7 +55,7 @@ impl Water {
 
     /// The paper's input: 512 molecules.
     pub fn paper(threads: usize) -> Self {
-        Water::new(512, threads)
+        Water::new(PAPER_MOLECULES, threads)
     }
 
     fn mol_addr(&self, mol: usize) -> u64 {

@@ -192,10 +192,25 @@ fn parse_faults(spec: &str) -> Result<FaultPlan, String> {
 fn app_factory(args: &Args) -> Result<(String, usize), String> {
     let name = args.get("app").ok_or("--app is required")?.to_owned();
     let threads = args.get_usize("threads", 64)?;
-    if name != "Drift" && apps::by_name(&name, threads).is_none() {
-        return Err(format!("unknown application `{name}` (try `acorr apps`)"));
-    }
+    check_app(&name, threads)?;
     Ok((name, threads))
+}
+
+/// Checks that [`build`] knows `name` and can build it with `threads`
+/// threads, so no application constructor panics on a bad `--threads`.
+fn check_app(name: &str, threads: usize) -> Result<(), String> {
+    let unknown = || format!("unknown application `{name}` (try `acorr apps`)");
+    let max = match name {
+        "Drift" => usize::MAX,
+        _ => apps::max_threads(name).ok_or_else(unknown)?,
+    };
+    match threads {
+        0 => Err(format!("{name} needs at least 1 thread, got --threads 0")),
+        t if t > max => Err(format!(
+            "{name} runs at most {max} threads, got --threads {t}"
+        )),
+        _ => Ok(()),
+    }
 }
 
 fn build(name: &str, threads: usize) -> Box<dyn acorr::dsm::Program> {
@@ -509,9 +524,7 @@ fn replay_manifest(
     let seed: u64 = param("seed")?
         .parse()
         .map_err(|e| format!("{path}: bad \"seed\": {e}"))?;
-    if name != "Drift" && apps::by_name(&name, threads).is_none() {
-        return Err(format!("{path}: unknown application `{name}`"));
-    }
+    check_app(&name, threads).map_err(|e| format!("{path}: {e}"))?;
     let bench = Workbench::new(nodes, threads)
         .map_err(|e| e.to_string())?
         .with_seed(seed)
@@ -630,7 +643,9 @@ fn explore(args: &Args) -> Result<String, String> {
     let threads = if racey {
         2
     } else {
-        args.get_usize("threads", 64)?
+        let threads = args.get_usize("threads", 64)?;
+        check_app(name, threads)?;
+        threads
     };
     let nodes = if racey {
         1
@@ -1132,7 +1147,7 @@ mod tests {
         let out = cli(&[
             "explore",
             "--app",
-            "sor",
+            "drift",
             "--threads",
             "8",
             "--nodes",
@@ -1141,7 +1156,7 @@ mod tests {
             "2",
         ])
         .unwrap();
-        assert!(out.contains("SOR: 2 schedule(s)"), "{out}");
+        assert!(out.contains("Drift: 2 schedule(s)"), "{out}");
         assert!(out.contains("no new races, no divergences"), "{out}");
     }
 
@@ -1184,7 +1199,7 @@ mod tests {
         let out = cli(&[
             "explore",
             "--app",
-            "sor",
+            "drift",
             "--threads",
             "8",
             "--nodes",
@@ -1210,7 +1225,7 @@ mod tests {
         let out = cli(&[
             "explore",
             "--app",
-            "sor",
+            "drift",
             "--threads",
             "8",
             "--nodes",
@@ -1230,7 +1245,7 @@ mod tests {
         let replayed = cli(&[
             "explore",
             "--app",
-            "sor",
+            "drift",
             "--threads",
             "8",
             "--nodes",
@@ -1297,6 +1312,29 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("magic"));
+    }
+
+    #[test]
+    fn thread_counts_an_app_cannot_take_are_errors() {
+        let commands = [
+            "track", "profile", "place", "run", "hot", "overhead", "verify", "serve", "explore",
+        ];
+        for command in commands {
+            let err = cli(&[command, "--app", "Water", "--threads", "0"]).unwrap_err();
+            assert!(err.contains("at least 1 thread"), "{command}: {err}");
+            let err = cli(&[command, "--app", "Water", "--threads", "600"]).unwrap_err();
+            assert!(err.contains("at most 512 threads"), "{command}: {err}");
+        }
+        for (app, max) in [("SOR", 2048), ("Barnes", 8192), ("Spatial", 512)] {
+            let over = (max + 1).to_string();
+            let err = cli(&["track", "--app", app, "--threads", &over]).unwrap_err();
+            assert!(
+                err.contains(&format!("at most {max} threads")),
+                "{app}: {err}"
+            );
+        }
+        let err = cli(&["run", "--app", "Drift", "--threads", "0"]).unwrap_err();
+        assert!(err.contains("at least 1 thread"), "{err}");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Integration tests for deterministic fault injection and the coherence
 //! conformance oracle, exercised through small hand-built programs.
 //!
-//! These run under default features (no proptest needed): fault plans are
-//! themselves deterministic, so fixed seeds give full reproducibility.
+//! Fault plans are themselves deterministic, so fixed seeds give full
+//! reproducibility. The crash/partition tests draw their plans at random
+//! through [`forall`], whose failures name a replayable case seed.
 
 use acorr_dsm::{Dsm, DsmConfig, IterStats, LockId, Op, Program, WriteMode};
 use acorr_mem::PAGE_SIZE;
-use acorr_sim::{ClusterConfig, FaultPlan, Mapping, SimDuration};
+use acorr_sim::{forall, ClusterConfig, DetRng, FaultPlan, Mapping, SimDuration};
 
 /// A program built from explicit per-thread, per-iteration scripts.
 struct Scripted {
@@ -149,6 +150,17 @@ fn run_with_plan(plan: FaultPlan, iterations: usize) -> (IterStats, u64) {
     (stats, report.bytes_compared)
 }
 
+/// Runs the lock-free program on 2 nodes under `plan`, oracle-checked.
+fn run_barrier_program(plan: FaultPlan, iterations: usize) -> IterStats {
+    let cluster = ClusterConfig::new(2, 4).unwrap();
+    let mut dsm = dsm_with(DsmConfig::new(cluster).with_faults(plan), barrier_program());
+    dsm.enable_oracle();
+    let stats = dsm.run_iterations(iterations).unwrap();
+    let violations = dsm.oracle_report().unwrap().violations;
+    assert_eq!(violations, 0, "oracle must stay clean");
+    stats
+}
+
 // ---------------------------------------------------------------------
 // Determinism and zero-fault identity
 // ---------------------------------------------------------------------
@@ -199,12 +211,7 @@ fn same_seed_and_plan_reproduce_bytes_and_retries() {
 
 #[test]
 fn different_seeds_decorrelate_outcomes() {
-    let run = |seed| {
-        let cluster = ClusterConfig::new(2, 4).unwrap();
-        let config = DsmConfig::new(cluster).with_faults(FaultPlan::heavy(seed));
-        let mut dsm = dsm_with(config, barrier_program());
-        dsm.run_iterations(5).unwrap()
-    };
+    let run = |seed| run_barrier_program(FaultPlan::heavy(seed), 5);
     let (a, b) = (run(1), run(2));
     // Same lock-free program, same counters for protocol events...
     assert_eq!(a.remote_misses, b.remote_misses);
@@ -241,19 +248,14 @@ fn heavy_plan_forces_retransmissions() {
     // Lock-free program: every protocol counter is plan-invariant, so the
     // first-send ledgers must match the clean run exactly while the
     // retransmission ledgers fill up.
-    let run = |plan| {
-        let cluster = ClusterConfig::new(2, 4).unwrap();
-        let mut dsm = dsm_with(DsmConfig::new(cluster).with_faults(plan), barrier_program());
-        dsm.run_iterations(6).unwrap()
-    };
-    let stats = run(FaultPlan::heavy(3));
+    let stats = run_barrier_program(FaultPlan::heavy(3), 6);
     assert!(
         stats.retries > 0,
         "drop probability 8% must trip over 6 iters"
     );
     assert!(stats.net.total_retrans_messages() > 0);
     assert!(stats.net.total_retrans_bytes() > 0);
-    let clean = run(FaultPlan::none());
+    let clean = run_barrier_program(FaultPlan::none(), 6);
     assert_eq!(stats.net.total_messages(), clean.net.total_messages());
     assert_eq!(stats.net.total_bytes(), clean.net.total_bytes());
     assert_eq!(stats.remote_misses, clean.remote_misses);
@@ -344,80 +346,68 @@ fn oracle_checks_lock_releases() {
 /// Partition ∘ heal is an identity on the delivered-message multiset:
 /// cross-cut messages are buffered until the cut heals, never lost, so the
 /// paper-reproduction counters (misses, first-send bytes) of a lock-free
-/// program cannot move. Checked across seeds, and the property must not be
-/// vacuous: some seed has to actually partition.
+/// program cannot move. Checked for any partition probability, window and
+/// seed, half the cases with the partition preset's light duplication on
+/// top, and the property must not be vacuous: some case has to actually
+/// partition.
 #[test]
 fn partition_and_heal_preserve_delivered_message_multiset() {
-    let clean = {
-        let cluster = ClusterConfig::new(2, 4).unwrap();
-        let mut dsm = dsm_with(DsmConfig::new(cluster), barrier_program());
-        dsm.run_iterations(6).unwrap()
+    let clean = run_barrier_program(FaultPlan::none(), 6);
+    let plan = |rng: &mut DetRng| FaultPlan {
+        partition_prob: 0.01 + rng.next_f64() * 0.99,
+        partition_window: SimDuration::from_micros(rng.range(100, 5_000)),
+        dup_prob: if rng.chance(0.5) { 0.05 } else { 0.0 },
+        ..FaultPlan::partition(rng.next_u64())
     };
     let mut partitions_seen = 0u64;
-    for seed in 0..8 {
-        let cluster = ClusterConfig::new(2, 4).unwrap();
-        let config = DsmConfig::new(cluster).with_faults(FaultPlan::partition(seed));
-        let mut dsm = dsm_with(config, barrier_program());
-        dsm.enable_oracle();
-        let stats = dsm.run_iterations(6).unwrap();
-        assert_eq!(dsm.oracle_report().unwrap().violations, 0, "seed {seed}");
-        assert_eq!(stats.remote_misses, clean.remote_misses, "seed {seed}");
+    forall(24, 0, plan, |plan| {
+        let stats = run_barrier_program(plan.clone(), 6);
+        assert_eq!(stats.remote_misses, clean.remote_misses);
         assert_eq!(
             stats.net.total_bytes(),
             clean.net.total_bytes(),
-            "seed {seed}: partition must only delay, never drop or resend"
+            "partition must only delay, never drop or resend"
         );
         assert_eq!(stats.crashes, 0);
         partitions_seen += stats.partition_delays;
-    }
+    });
     assert!(
         partitions_seen > 0,
-        "at least one seed must cut the network, or the property is vacuous"
+        "at least one case must cut the network, or the property is vacuous"
     );
 }
 
 /// Duplicated deliveries and checksum-caught corruptions are absorbed by
 /// the protocol (idempotent receive, retransmission) without inflating any
 /// paper counter: their traffic lands in the retransmission ledger only.
+/// Checked for any duplication and corruption probability and seed; some
+/// case must actually duplicate and some must corrupt.
 #[test]
 fn duplication_and_corruption_never_inflate_paper_counters() {
-    let clean = {
-        let cluster = ClusterConfig::new(2, 4).unwrap();
-        let mut dsm = dsm_with(DsmConfig::new(cluster), barrier_program());
-        dsm.run_iterations(4).unwrap()
+    let clean = run_barrier_program(FaultPlan::none(), 4);
+    let plan = |rng: &mut DetRng| FaultPlan {
+        seed: rng.next_u64(),
+        dup_prob: rng.next_f64(),
+        corrupt_prob: rng.next_f64() * 0.5,
+        ..FaultPlan::none()
     };
-    for seed in [3, 17, 99] {
-        let plan = FaultPlan {
-            seed,
-            dup_prob: 0.4,
-            corrupt_prob: 0.2,
-            ..FaultPlan::none()
-        };
-        let cluster = ClusterConfig::new(2, 4).unwrap();
-        let mut dsm = dsm_with(DsmConfig::new(cluster).with_faults(plan), barrier_program());
-        dsm.enable_oracle();
-        let stats = dsm.run_iterations(4).unwrap();
-        assert_eq!(dsm.oracle_report().unwrap().violations, 0, "seed {seed}");
-        assert!(
-            stats.dup_messages > 0,
-            "seed {seed}: dup_prob 0.4 must fire"
-        );
-        assert!(stats.corrupt_detected > 0, "seed {seed}");
-        assert_eq!(stats.remote_misses, clean.remote_misses, "seed {seed}");
+    let (mut dups_seen, mut corruptions_seen) = (0u64, 0u64);
+    forall(24, 0, plan, |plan| {
+        let stats = run_barrier_program(plan.clone(), 4);
+        assert_eq!(stats.remote_misses, clean.remote_misses);
         assert_eq!(
             stats.net.total_bytes(),
             clean.net.total_bytes(),
-            "seed {seed}: dup/corrupt traffic must stay in the retrans ledger"
+            "dup/corrupt traffic must stay in the retrans ledger"
         );
-        assert!(
-            stats.net.total_retrans_messages() >= stats.dup_messages + stats.corrupt_detected,
-            "seed {seed}"
-        );
-        assert!(
-            stats.net.total_retrans_bytes() >= stats.dup_bytes,
-            "seed {seed}"
-        );
-    }
+        let retrans = stats.net.total_retrans_messages();
+        assert!(retrans >= stats.dup_messages + stats.corrupt_detected);
+        assert!(stats.net.total_retrans_bytes() >= stats.dup_bytes);
+        dups_seen += stats.dup_messages;
+        corruptions_seen += stats.corrupt_detected;
+    });
+    assert!(dups_seen > 0, "some case must duplicate");
+    assert!(corruptions_seen > 0, "some case must corrupt");
 }
 
 /// A node crash at a barrier wipes its cached pages; recovery is purely
@@ -451,21 +441,43 @@ fn crash_and_recovery_reach_an_oracle_clean_state() {
 }
 
 /// Crashes are the one fault class allowed to move protocol counters
-/// (wiped caches re-fetch), but determinism still holds: same seed, same
-/// wipes, same recovery, byte for byte.
+/// (wiped caches re-fetch), but determinism still holds under both write
+/// protocols, for any crash probability and seed: same seed, same wipes,
+/// same oracle-clean recovery, byte for byte. Some case must crash.
 #[test]
 fn crash_runs_are_deterministic_per_seed() {
-    let plan = FaultPlan {
-        seed: 21,
-        crash_prob: 0.5,
-        ..FaultPlan::none()
+    let input = |rng: &mut DetRng| {
+        let plan = FaultPlan {
+            seed: rng.next_u64(),
+            crash_prob: 0.05 + rng.next_f64() * 0.95,
+            ..FaultPlan::none()
+        };
+        (plan, rng.chance(0.5))
     };
-    let a = run_with_plan(plan.clone(), 5);
-    let b = run_with_plan(plan, 5);
-    assert_eq!(a.0, b.0);
-    assert_eq!(a.1, b.1);
-    assert!(
-        a.0.crashes > 0,
-        "crash_prob 0.5 over 5 iterations must fire"
-    );
+    let mut crashes_seen = 0u64;
+    forall(24, 0, input, |&(ref plan, single_writer)| {
+        let run = || {
+            let cluster = ClusterConfig::new(2, 4).unwrap();
+            let mut config = DsmConfig::new(cluster)
+                .with_gc_threshold(8)
+                .with_faults(plan.clone());
+            if single_writer {
+                config = config.with_write_mode(WriteMode::SingleWriter {
+                    delta: SimDuration::from_micros(100),
+                });
+            }
+            let mut dsm = dsm_with(config, busy_program());
+            dsm.enable_oracle();
+            let stats = dsm.run_iterations(5).unwrap();
+            let report = dsm.oracle_report().unwrap();
+            assert_eq!(report.violations, 0, "oracle must stay clean");
+            assert!(report.barriers_checked >= 5);
+            (stats, report.bytes_compared)
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.0, b.0);
+        assert_eq!(a.1, b.1);
+        crashes_seen += a.0.crashes;
+    });
+    assert!(crashes_seen > 0, "crash_prob of at least 0.05 must fire");
 }

@@ -187,6 +187,8 @@ impl FromIterator<usize> for FixedBitset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorr_sim::{forall, DetRng};
+    use std::collections::BTreeSet;
 
     #[test]
     fn insert_contains_remove() {
@@ -290,57 +292,54 @@ mod tests {
     fn mismatched_lengths_panic() {
         FixedBitset::new(8).intersection_count(&FixedBitset::new(9));
     }
-}
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Intersection count never exceeds either operand's count and is
-        /// symmetric.
-        #[test]
-        fn intersection_bounded_and_symmetric(
-            xs in proptest::collection::hash_set(0usize..512, 0..64),
-            ys in proptest::collection::hash_set(0usize..512, 0..64),
-        ) {
-            let mut a = FixedBitset::new(512);
-            let mut b = FixedBitset::new(512);
-            for &x in &xs { a.insert(x); }
-            for &y in &ys { b.insert(y); }
-            let i = a.intersection_count(&b);
-            prop_assert!(i <= a.count() && i <= b.count());
-            prop_assert_eq!(i, b.intersection_count(&a));
-            prop_assert_eq!(i, xs.intersection(&ys).count());
+    /// A set of fewer than `len` values below `bound`, and its bitset.
+    fn set(rng: &mut DetRng, len: usize, bound: usize) -> (BTreeSet<usize>, FixedBitset) {
+        let xs: BTreeSet<usize> = (0..rng.index(len)).map(|_| rng.index(bound)).collect();
+        let mut s = FixedBitset::new(bound);
+        for &x in &xs {
+            s.insert(x);
         }
+        (xs, s)
+    }
 
-        /// Union is the LUB: both operands are subsets and its count equals
-        /// the set-union cardinality.
-        #[test]
-        fn union_is_least_upper_bound(
-            xs in proptest::collection::hash_set(0usize..512, 0..64),
-            ys in proptest::collection::hash_set(0usize..512, 0..64),
-        ) {
-            let mut a = FixedBitset::new(512);
-            let mut b = FixedBitset::new(512);
-            for &x in &xs { a.insert(x); }
-            for &y in &ys { b.insert(y); }
+    fn two(rng: &mut DetRng) -> [(BTreeSet<usize>, FixedBitset); 2] {
+        [set(rng, 64, 512), set(rng, 64, 512)]
+    }
+
+    /// Intersection count never exceeds either operand's count and is
+    /// symmetric.
+    #[test]
+    fn intersection_bounded_and_symmetric() {
+        forall(256, 0, two, |[(xs, a), (ys, b)]| {
+            let i = a.intersection_count(b);
+            assert!(i <= a.count() && i <= b.count());
+            assert_eq!(i, b.intersection_count(a));
+            assert_eq!(i, xs.intersection(ys).count());
+        });
+    }
+
+    /// Union is the LUB: both operands are subsets and its count equals
+    /// the set-union cardinality.
+    #[test]
+    fn union_is_least_upper_bound() {
+        forall(256, 0, two, |[(xs, a), (ys, b)]| {
             let mut u = a.clone();
-            u.union_with(&b);
-            prop_assert!(a.is_subset(&u));
-            prop_assert!(b.is_subset(&u));
-            prop_assert_eq!(u.count(), xs.union(&ys).count());
-        }
+            u.union_with(b);
+            assert!(a.is_subset(&u));
+            assert!(b.is_subset(&u));
+            assert_eq!(u.count(), xs.union(ys).count());
+        });
+    }
 
-        /// iter_ones round-trips the inserted set, in ascending order.
-        #[test]
-        fn iter_ones_round_trips(xs in proptest::collection::btree_set(0usize..300, 0..50)) {
-            let mut s = FixedBitset::new(300);
-            for &x in &xs { s.insert(x); }
+    /// iter_ones round-trips the inserted set, in ascending order.
+    #[test]
+    fn iter_ones_round_trips() {
+        let one = |rng: &mut DetRng| set(rng, 50, 300);
+        forall(256, 0, one, |(xs, s)| {
             let got: Vec<usize> = s.iter_ones().collect();
-            let want: Vec<usize> = xs.into_iter().collect();
-            prop_assert_eq!(got, want);
-        }
+            let want: Vec<usize> = xs.iter().copied().collect();
+            assert_eq!(got, want);
+        });
     }
 }

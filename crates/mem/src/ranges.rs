@@ -270,6 +270,7 @@ impl fmt::Display for DirtyMask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorr_sim::{forall, DetRng};
 
     #[test]
     fn disjoint_inserts_stay_disjoint() {
@@ -421,28 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_matches_reference_on_random_spans() {
-        // Deterministic xorshift stream: no external dependencies, same
-        // spans every run.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..200 {
-            let mut ops = Vec::new();
-            for _ in 0..(next() % 12 + 1) {
-                let a = (next() % 4097) as u16;
-                let b = (next() % 4097) as u16;
-                ops.push((a.min(b), a.max(b)));
-            }
-            assert_equivalent(&ops);
-        }
-    }
-
-    #[test]
     fn mask_clear_and_reinsert() {
         let mut m = DirtyMask::new();
         m.insert(0, 4096);
@@ -468,12 +447,6 @@ mod tests {
     fn mask_out_of_page_panics() {
         DirtyMask::new().insert(4090, 4097);
     }
-}
-
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
 
     fn reference_cover(ops: &[(u16, u16)]) -> Vec<bool> {
         let mut cover = vec![false; 4096];
@@ -485,57 +458,47 @@ mod proptests {
         cover
     }
 
-    proptest! {
-        /// After arbitrary inserts, the set covers exactly the union of the
-        /// inserted ranges and its invariants (sorted, disjoint,
-        /// non-adjacent) hold.
-        #[test]
-        fn matches_boolean_reference(
-            raw in proptest::collection::vec((0u16..4096, 0u16..4096), 0..40)
-        ) {
-            let ops: Vec<(u16, u16)> = raw
-                .into_iter()
-                .map(|(a, b)| (a.min(b), a.max(b)))
-                .collect();
+    /// Up to 39 ordered `(start, end)` inserts within one page.
+    fn inserts(rng: &mut DetRng) -> Vec<(u16, u16)> {
+        (0..rng.index(40))
+            .map(|_| {
+                let (a, b) = (rng.next_below(4097) as u16, rng.next_below(4097) as u16);
+                (a.min(b), a.max(b))
+            })
+            .collect()
+    }
+
+    /// After arbitrary inserts, the set covers exactly the union of the
+    /// inserted ranges and its invariants (sorted, disjoint,
+    /// non-adjacent) hold.
+    #[test]
+    fn matches_boolean_reference() {
+        forall(256, 0, inserts, |ops| {
             let mut set = RangeSet::new();
-            for &(s, e) in &ops {
+            for &(s, e) in ops {
                 set.insert(s, e);
             }
-            let cover = reference_cover(&ops);
+            let cover = reference_cover(ops);
             let expected_len: u64 = cover.iter().filter(|&&c| c).count() as u64;
-            prop_assert_eq!(set.total_len(), expected_len);
+            assert_eq!(set.total_len(), expected_len);
             for b in 0..4096u16 {
-                prop_assert_eq!(set.contains(b), cover[b as usize], "byte {}", b);
+                assert_eq!(set.contains(b), cover[b as usize], "byte {b}");
             }
             // Structural invariants.
             let rs: Vec<(u16, u16)> = set.iter().collect();
             for w in rs.windows(2) {
-                prop_assert!(w[0].1 < w[1].0, "ranges {:?} not disjoint/sorted", rs);
+                assert!(w[0].1 < w[1].0, "ranges {rs:?} not disjoint/sorted");
             }
             for &(s, e) in &rs {
-                prop_assert!(s < e);
+                assert!(s < e);
             }
-        }
+        });
+    }
 
-        /// The word-chunked mask is observationally identical to the
-        /// byte-wise reference on arbitrary insert sequences.
-        #[test]
-        fn mask_equivalent_to_range_set(
-            raw in proptest::collection::vec((0u16..4096, 0u16..4096), 0..40)
-        ) {
-            let mut set = RangeSet::new();
-            let mut mask = DirtyMask::new();
-            for (a, b) in raw {
-                let (s, e) = (a.min(b), a.max(b));
-                set.insert(s, e);
-                mask.insert(s, e);
-            }
-            prop_assert_eq!(mask.total_len(), set.total_len());
-            prop_assert_eq!(mask.fragment_count(), set.fragment_count());
-            prop_assert_eq!(
-                mask.iter().collect::<Vec<_>>(),
-                set.iter().collect::<Vec<_>>()
-            );
-        }
+    /// The word-chunked mask is observationally identical to the
+    /// byte-wise reference on arbitrary insert sequences.
+    #[test]
+    fn mask_equivalent_to_range_set() {
+        forall(256, 0, inserts, |ops| assert_equivalent(ops));
     }
 }

@@ -173,11 +173,18 @@ impl Value {
     }
 }
 
-/// Parses one JSON document. Trailing non-whitespace is an error.
+/// The deepest array/object nesting [`parse`] accepts. The documents the
+/// workspace writes (manifests, trace events, benchmark result lines) nest
+/// about 4 deep; the cap stops a hostile document from overflowing the
+/// stack of the recursive-descent parser.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document. Trailing non-whitespace, and arrays/objects
+/// nested more than 128 deep, are errors.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -200,12 +207,14 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!("nesting deeper than {MAX_DEPTH}")),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Value::Str),
         Some(b't') => parse_lit(bytes, pos, "true").map(|_| Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false").map(|_| Value::Bool(false)),
@@ -290,7 +299,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -299,7 +308,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -312,7 +321,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -325,7 +334,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_str(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let val = parse_value(bytes, pos)?;
+        let val = parse_value(bytes, pos, depth)?;
         members.push((key, val));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -390,6 +399,7 @@ pub fn iter_stats_json(stats: &IterStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorr_sim::{forall, DetRng};
 
     #[test]
     fn escaping_covers_specials() {
@@ -431,6 +441,17 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"\\q\"", "nan"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // An unclosed run this long used to recurse once per bracket.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
@@ -482,61 +503,82 @@ mod tests {
             assert!(v.get("net").unwrap().get(kind.label()).is_some());
         }
     }
-}
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Any string survives escape → parse, including long ones and
-        /// arbitrary Unicode (the JSONL sinks carry app and phase names
-        /// straight from user-controlled `Program::name`).
-        #[test]
-        fn strings_round_trip(
-            chars in proptest::collection::vec(proptest::char::any(), 0..2048)
-        ) {
-            let s: String = chars.into_iter().collect();
-            let mut o = Obj::new();
-            o.str("s", &s);
-            let v = parse(&o.finish()).unwrap();
-            prop_assert_eq!(v.get("s").unwrap().as_str(), Some(s.as_str()));
+    /// Any Unicode scalar value, weighted towards ASCII (quotes,
+    /// backslashes, control characters) and the Basic Multilingual Plane.
+    fn any_char(rng: &mut DetRng) -> char {
+        let bound = [0x80, 0x1_0000, 0x11_0000][rng.index(3)];
+        loop {
+            if let Some(c) = char::from_u32(rng.next_below(bound) as u32) {
+                return c;
+            }
         }
+    }
 
-        /// Every u64 — the counters are 64-bit and the parser keeps raw
-        /// number tokens precisely so `u64::MAX` must not lose precision
-        /// through an f64 detour.
-        #[test]
-        fn u64_round_trips_exactly(u in proptest::num::u64::ANY) {
+    /// A u64 of any magnitude, `u64::MAX` included.
+    fn any_u64(rng: &mut DetRng) -> u64 {
+        rng.next_u64() >> rng.index(64)
+    }
+
+    /// Any finite f64: bit patterns of every magnitude and sign
+    /// (subnormals included), and a quarter of the time an edge value.
+    fn any_finite_f64(rng: &mut DetRng) -> f64 {
+        let edges = [0.0, -0.0, f64::MIN_POSITIVE, 5e-324, f64::MAX, f64::MIN];
+        let f = f64::from_bits((rng.next_u64() >> rng.index(64)) | (rng.next_u64() & 1 << 63));
+        if rng.chance(0.25) || !f.is_finite() {
+            edges[rng.index(edges.len())]
+        } else {
+            f
+        }
+    }
+
+    /// Any string survives escape → parse, including long ones and
+    /// arbitrary Unicode (the JSONL sinks carry app and phase names
+    /// straight from user-controlled `Program::name`).
+    #[test]
+    fn strings_round_trip() {
+        let string = |rng: &mut DetRng| (0..rng.index(2048)).map(|_| any_char(rng)).collect();
+        forall(256, 0, string, |s: &String| {
+            let mut o = Obj::new();
+            o.str("s", s);
+            let v = parse(&o.finish()).unwrap();
+            assert_eq!(v.get("s").unwrap().as_str(), Some(s.as_str()));
+        });
+    }
+
+    /// Every u64 — the counters are 64-bit and the parser keeps raw
+    /// number tokens precisely so `u64::MAX` must not lose precision
+    /// through an f64 detour.
+    #[test]
+    fn u64_round_trips_exactly() {
+        forall(256, 0, any_u64, |&u| {
             let mut o = Obj::new();
             o.u64("u", u);
             let v = parse(&o.finish()).unwrap();
-            prop_assert_eq!(v.get("u").unwrap().as_u64(), Some(u));
-        }
+            assert_eq!(v.get("u").unwrap().as_u64(), Some(u));
+        });
+    }
 
-        /// Finite f64 members round-trip bit-for-bit (Rust's shortest
-        /// display representation re-parses to the same bits, and -0.0
-        /// renders as "-0", keeping the sign).
-        #[test]
-        fn finite_f64_round_trips_bitwise(
-            f in proptest::num::f64::ANY.prop_filter("finite", |f| f.is_finite())
-        ) {
+    /// Finite f64 members round-trip bit-for-bit (Rust's shortest
+    /// display representation re-parses to the same bits, and -0.0
+    /// renders as "-0", keeping the sign).
+    #[test]
+    fn finite_f64_round_trips_bitwise() {
+        forall(256, 0, any_finite_f64, |&f| {
             let mut o = Obj::new();
             o.f64("f", f);
             let v = parse(&o.finish()).unwrap();
             let back = v.get("f").unwrap().as_f64().unwrap();
-            prop_assert_eq!(back.to_bits(), f.to_bits());
-        }
+            assert_eq!(back.to_bits(), f.to_bits());
+        });
+    }
 
-        /// Nested arrays keep shape and element values.
-        #[test]
-        fn nested_arrays_round_trip(
-            rows in proptest::collection::vec(
-                proptest::collection::vec(proptest::num::u64::ANY, 0..8),
-                0..8,
-            )
-        ) {
+    /// Nested arrays keep shape and element values.
+    #[test]
+    fn nested_arrays_round_trip() {
+        let row = |rng: &mut DetRng| (0..rng.index(8)).map(|_| any_u64(rng)).collect();
+        let rows = |rng: &mut DetRng| (0..rng.index(8)).map(|_| row(rng)).collect();
+        forall(256, 0, rows, |rows: &Vec<Vec<u64>>| {
             let rendered = format!(
                 "[{}]",
                 rows.iter()
@@ -549,14 +591,14 @@ mod proptests {
             );
             let v = parse(&rendered).unwrap();
             let arr = v.as_arr().unwrap();
-            prop_assert_eq!(arr.len(), rows.len());
-            for (parsed, row) in arr.iter().zip(&rows) {
+            assert_eq!(arr.len(), rows.len());
+            for (parsed, row) in arr.iter().zip(rows) {
                 let inner = parsed.as_arr().unwrap();
-                prop_assert_eq!(inner.len(), row.len());
+                assert_eq!(inner.len(), row.len());
                 for (item, &want) in inner.iter().zip(row) {
-                    prop_assert_eq!(item.as_u64(), Some(want));
+                    assert_eq!(item.as_u64(), Some(want));
                 }
             }
-        }
+        });
     }
 }

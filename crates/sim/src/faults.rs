@@ -263,10 +263,11 @@ impl FaultPlan {
                 .ok_or_else(|| FaultSpecError::bad_pair(part))?;
             let (key, value) = (key.trim(), value.trim());
             let us = |v: &str| -> Result<SimDuration, FaultSpecError> {
-                Ok(SimDuration::from_micros(
-                    v.parse::<u64>()
-                        .map_err(|_| FaultSpecError::bad_value(key, value))?,
-                ))
+                v.parse::<u64>()
+                    .ok()
+                    .filter(|us| us.checked_mul(1_000).is_some())
+                    .map(SimDuration::from_micros)
+                    .ok_or_else(|| FaultSpecError::bad_value(key, value))
             };
             let prob = |v: &str| -> Result<f64, FaultSpecError> {
                 let p: f64 = v
@@ -793,6 +794,9 @@ mod tests {
         assert!(FaultPlan::parse("slow_factor=0.5").is_err());
         assert!(FaultPlan::parse("frobnicate=1").is_err());
         assert!(FaultPlan::parse("light,oops").is_err());
+        // Microseconds whose nanosecond count overflows u64.
+        assert!(FaultPlan::parse("max_delay_us=18446744073709552").is_err());
+        assert!(FaultPlan::parse("max_delay_us=18446744073709551").is_ok());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! * [`time`] — simulated time ([`SimTime`]) and durations ([`SimDuration`]);
 //!   the simulator never consults a wall clock.
 //! * [`rng`] — a seedable, fork-able xoshiro256** generator ([`DetRng`]) so a
-//!   run is a pure function of its seed.
+//!   run is a pure function of its seed, and the seeded property-test
+//!   harness ([`forall`]) built on it.
 //! * [`decisions`] — decision-point queues ([`DecisionQueue`]) prescribing
 //!   scheduler choices for controllable-schedule exploration.
 //! * [`pool`] — deterministic scoped-thread parallelism
@@ -66,7 +67,7 @@ pub use faults::{
 };
 pub use network::{MessageKind, NetStats, NetworkModel};
 pub use pool::{available_threads, par_map_indexed, par_map_range, resolve_threads};
-pub use rng::DetRng;
+pub use rng::{forall, DetRng};
 pub use stats::{linear_fit, mean, stddev, LinearFit};
 pub use time::{SimDuration, SimTime};
 pub use topology::{ClusterConfig, Mapping, NodeId, TopologyError};

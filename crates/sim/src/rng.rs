@@ -139,6 +139,41 @@ impl DetRng {
     }
 }
 
+/// Checks `prop` on `cases` random inputs, the workspace's property-test
+/// harness.
+///
+/// Case `i` draws its input from `gen(&mut DetRng::new(seed + i))`. A
+/// failing case panics with its case seed and its input, and
+/// `forall(1, case_seed, gen, prop)` replays exactly that case. There is
+/// no shrinking.
+///
+/// ```
+/// use acorr_sim::forall;
+/// forall(64, 0, |rng| rng.range(1, 100), |&x| assert!(x * 2 >= x + 1));
+/// ```
+pub fn forall<T: std::fmt::Debug>(
+    cases: u64,
+    seed: u64,
+    gen: impl Fn(&mut DetRng) -> T,
+    mut prop: impl FnMut(&T),
+) {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    for case_seed in (0..cases).map(|i| seed.wrapping_add(i)) {
+        let input = gen(&mut DetRng::new(case_seed));
+        if let Err(cause) = catch_unwind(AssertUnwindSafe(|| prop(&input))) {
+            let message = cause
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| cause.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic");
+            panic!(
+                "property failed at case seed {case_seed} \
+                 (replay with forall(1, {case_seed}, ..)): {message}\ninput: {input:?}"
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,5 +260,36 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn zero_bound_panics() {
         DetRng::new(0).next_below(0);
+    }
+
+    #[test]
+    fn forall_failure_names_a_case_seed_that_replays_the_input() {
+        let gen = |rng: &mut DetRng| rng.next_below(1000);
+        // A property failing on inputs of 900 or more: the inputs it saw
+        // and the failure message.
+        let run = |cases, seed| {
+            let mut seen = Vec::new();
+            let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                forall(cases, seed, gen, |&x| {
+                    seen.push(x);
+                    assert!(x < 900, "{x} too large");
+                });
+            }));
+            (seen, *failure.unwrap_err().downcast::<String>().unwrap())
+        };
+        let (seen, message) = run(64, 7);
+        let want: Vec<u64> = (7..7 + seen.len() as u64)
+            .map(|s| gen(&mut DetRng::new(s)))
+            .collect();
+        assert_eq!(seen, want, "case i draws from seed 7 + i");
+        let (case_seed, input) = (6 + seen.len() as u64, want[want.len() - 1]);
+        let replay = format!("replay with forall(1, {case_seed}, ..)");
+        let want = format!("{input} too large\ninput: {input}");
+        assert_eq!(
+            message,
+            format!("property failed at case seed {case_seed} ({replay}): {want}")
+        );
+        // The named seed alone replays the same input and failure.
+        assert_eq!(run(1, case_seed), (vec![input], message));
     }
 }

@@ -578,29 +578,30 @@ mod tests {
     use super::*;
     use crate::aging::AgedCorrelation;
     use crate::delta::correlation_delta;
-    use acorr_sim::DetRng;
+    use acorr_sim::{forall, DetRng};
 
     /// Mirrors a random operation stream into dense and sparse stores and
-    /// checks byte-equal results and the canonical layout at every step.
-    fn random_equivalence(seed: u64, n: usize, steps: usize) {
+    /// checks byte-equal results (snapshots, deltas and aged values
+    /// included) and the canonical layout at every step.
+    fn random_equivalence(seed: u64, n: usize, steps: usize, decay: f64) {
         let mut rng = DetRng::new(seed);
         let mut dense = CorrelationMatrix::zeros(n);
         let mut sparse = SparseCorrelation::zeros(n);
-        let mut dense_aged = AgedCorrelation::new(n, 0.5);
-        let mut sparse_aged = SparseAged::new(n, 0.5);
+        let mut dense_aged = AgedCorrelation::new(n, decay);
+        let mut sparse_aged = SparseAged::new(n, decay);
         for _ in 0..steps {
             match rng.next_below(5) {
                 0 => {
                     let a = rng.next_below(n as u64) as usize;
                     let b = rng.next_below(n as u64) as usize;
-                    let v = rng.next_below(16);
+                    let v = rng.next_below(32);
                     dense.set(a, b, v);
                     sparse.set(a, b, v);
                 }
                 1 => {
                     let a = rng.next_below(n as u64) as usize;
                     let b = rng.next_below(n as u64) as usize;
-                    let v = rng.next_below(16);
+                    let v = rng.next_below(32);
                     if a != b {
                         dense.set(a, b, dense.get(a, b) + v);
                     } else {
@@ -665,9 +666,12 @@ mod tests {
 
     #[test]
     fn random_streams_match_dense_byte_for_byte() {
-        for seed in 0..6 {
-            random_equivalence(seed, 12, 120);
-        }
+        forall(
+            256,
+            0,
+            |rng| (rng.next_u64(), rng.index(150), rng.next_f64() * 0.99),
+            |&(seed, steps, decay)| random_equivalence(seed, 12, steps, decay),
+        );
     }
 
     #[test]
@@ -791,56 +795,5 @@ mod tests {
         let s = SparseCorrelation::from_edges(3, vec![(0, 2, 1)]);
         assert!(s.to_string().contains("3 threads, 1 edges"));
         assert!(SparseAged::new(3, 0.25).to_string().contains("3 threads"));
-    }
-}
-
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use crate::aging::AgedCorrelation;
-    use crate::delta::correlation_delta;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Arbitrary update/merge/aging/delta streams keep sparse and dense
-        /// stores byte-equal (snapshots, deltas and aged values included).
-        #[test]
-        fn sparse_equals_dense_on_random_streams(
-            ops in proptest::collection::vec((0usize..8, 0usize..8, 0u64..32), 0..150),
-            decay in 0.0f64..0.99,
-        ) {
-            let n = 8;
-            let mut dense = CorrelationMatrix::zeros(n);
-            let mut sparse = SparseCorrelation::zeros(n);
-            let mut dense_aged = AgedCorrelation::new(n, decay);
-            let mut sparse_aged = SparseAged::new(n, decay);
-            for (i, (a, b, v)) in ops.iter().copied().enumerate() {
-                match i % 3 {
-                    0 => {
-                        dense.set(a, b, v);
-                        sparse.set(a, b, v);
-                    }
-                    1 => {
-                        if a == b {
-                            dense.set(a, a, dense.get(a, a) + v);
-                        } else {
-                            dense.set(a, b, dense.get(a, b) + v);
-                        }
-                        sparse.add(a, b, v);
-                    }
-                    _ => {
-                        dense_aged.observe(&dense);
-                        sparse_aged.observe(&sparse);
-                    }
-                }
-                prop_assert_eq!(sparse.to_dense(), dense.clone());
-            }
-            let ds = sparse.delta(&SparseCorrelation::from_dense(&dense));
-            prop_assert_eq!(ds.to_bits(), correlation_delta(&dense, &dense).to_bits());
-            prop_assert_eq!(
-                sparse_aged.snapshot().to_dense(),
-                dense_aged.snapshot()
-            );
-        }
     }
 }
