@@ -12,7 +12,7 @@
 use acorr::apps::Drift;
 use acorr::dsm::DsmConfig;
 use acorr::experiment::Workbench;
-use acorr::obs::{Analysis, ObsConfig};
+use acorr::obs::Analysis;
 use acorr::sim::{NetworkModel, SimDuration};
 use acorr_bench::arg_usize;
 
@@ -59,15 +59,13 @@ fn main() {
     // Analytics smoke: the phase-change detector must flag Drift's partner
     // jumps from the observed run, and the trace analytics must decompose
     // the same event stream without touching the measured statistics.
-    let bench = Workbench::new(2, 8)
-        .expect("2x8 cluster")
-        .with_observer(ObsConfig::all());
+    let bench = Workbench::new(2, 8).expect("2x8 cluster").with_observer();
     let scan = bench
         .phase_scan(|| Drift::new(256, 8, 4), 16, 2)
         .expect("phase scan");
     let obs = scan.observation.expect("observer configured");
-    let jsonl = obs.events_jsonl.expect("jsonl sink on");
-    let analysis = Analysis::from_events(&jsonl).expect("well-formed event log");
+    let analysis = Analysis::from_events(&obs.events_jsonl, scan.threads, scan.pages)
+        .expect("well-formed event log");
     println!("=== phase detection + trace analytics smoke (Drift 8 threads, 2 nodes) ===");
     println!(
         "  detected {} phase shift(s): {:?}",

@@ -1,27 +1,25 @@
-//! Benchmarks the online placement service (`acorr serve`).
+//! Tabulates the online placement service (`acorr serve`).
 //!
-//! Times one service run per (scenario × policy) cell at paper scale
-//! (64 threads on 8 nodes, 48 steps), records the decision counters and
-//! cut totals, re-checks the worker-invariance contract (the hotspot
-//! timeline digest at `--jobs 1/4/8` must be identical), and writes
-//! `results/serve.csv`.
+//! Runs one service per (scenario × policy) cell at paper scale (64
+//! threads on 8 nodes, 48 steps), records the decision counters and cut
+//! totals, re-checks the worker-invariance contract (the hotspot timeline
+//! digest at `--jobs 1/4/8` must be identical), and writes
+//! `results/serve.csv`. Wall-clock timing is the `benchmark` bin's job.
 //!
-//! Usage: `serve [--reps R] [--steps N]` (default: 3 reps, 48 steps).
+//! Usage: `serve [--steps N]` (default: 48 steps).
 
 use acorr::experiment::Workbench;
 use acorr::place::MigrationPolicy;
 use acorr::sim::Scenario;
 use acorr::ServeOptions;
-use acorr_bench::{arg_usize, best_of, try_write_artifact, Table};
+use acorr_bench::{arg_usize, try_write_artifact, Table};
 
 fn main() {
-    let reps = arg_usize("--reps", 3);
     let steps = arg_usize("--steps", 48);
 
     let mut table = Table::new(&[
         "scenario",
         "policy",
-        "ms",
         "shifts",
         "accepted",
         "rejected",
@@ -30,24 +28,19 @@ fn main() {
         "static_cut",
     ]);
     let mut csv = String::from(
-        "scenario,policy,ms,shifts,accepted,rejected,moved,served_cut,static_cut,timeline_digest\n",
+        "scenario,policy,shifts,accepted,rejected,moved,served_cut,static_cut,timeline_digest\n",
     );
     for scenario in Scenario::ALL {
         for policy in MigrationPolicy::ALL {
             let options = ServeOptions::new(scenario)
                 .with_steps(steps)
                 .with_policy(policy);
-            let bench = Workbench::new(8, 64).expect("paper cluster");
-            let ms = best_of(reps, || {
-                bench.serve_traffic(&options);
-            })
-            .as_secs_f64()
-                * 1000.0;
-            let report = bench.serve_traffic(&options);
+            let report = Workbench::new(8, 64)
+                .expect("paper cluster")
+                .serve_traffic(&options);
             table.row(&[
                 scenario.name().to_owned(),
                 policy.name().to_owned(),
-                format!("{ms:.2}"),
                 report.shifts.to_string(),
                 report.accepted.to_string(),
                 report.rejected.to_string(),
@@ -56,7 +49,7 @@ fn main() {
                 report.static_cut.to_string(),
             ]);
             csv.push_str(&format!(
-                "{},{},{ms:.3},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{},{}\n",
                 scenario.name(),
                 policy.name(),
                 report.shifts,

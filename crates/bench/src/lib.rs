@@ -21,27 +21,6 @@
 use acorr::dsm::DsmError;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-
-/// Runs `f` once to warm up, then `reps` measured times, returning the best
-/// (minimum) wall-clock duration — the standard noise-resistant estimator
-/// for a deterministic workload.
-///
-/// # Panics
-///
-/// Panics if `reps` is zero.
-pub fn best_of(reps: usize, mut f: impl FnMut()) -> Duration {
-    assert!(reps > 0, "need at least one measured rep");
-    f(); // warm-up: page in code and data, fill allocator pools
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .min()
-        .expect("reps > 0")
-}
 
 /// Directory where binaries drop their artifacts (created on demand).
 ///
@@ -117,14 +96,32 @@ pub fn write_artifact(name: &str, contents: &str) {
 }
 
 /// Parses `--flag value` style integer options from the command line, with a
-/// default. E.g. `arg_usize("--samples", 300)`.
+/// default when the flag is absent. E.g. `arg_usize("--samples", 300)`.
+///
+/// A flag without a value, or with one that is not a non-negative
+/// integer, prints `error: …` and exits with status 2.
 pub fn arg_usize(flag: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match parse_usize_flag(&args, flag, default) {
+        Ok(value) => value,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// [`arg_usize`] over an explicit argument list.
+fn parse_usize_flag(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("bad {flag} value `{value}` (expected a non-negative integer)"))
 }
 
 /// Parses `--flag value` style string options from the command line, with a
@@ -312,15 +309,14 @@ mod tests {
     }
 
     #[test]
-    fn best_of_runs_warmup_plus_reps() {
-        let mut calls = 0;
-        let _ = best_of(3, || calls += 1);
-        assert_eq!(calls, 4, "one warm-up plus three measured reps");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one measured rep")]
-    fn best_of_rejects_zero_reps() {
-        best_of(0, || {});
+    fn unparsable_integer_flags_are_errors_not_defaults() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let parse = |list: &[&str]| parse_usize_flag(&args(list), "--samples", 300);
+        assert_eq!(parse(&["table2"]), Ok(300));
+        assert_eq!(parse(&["table2", "--samples", "12"]), Ok(12));
+        let err = parse(&["table2", "--samples", "abc"]).unwrap_err();
+        assert!(err.contains("--samples") && err.contains("`abc`"), "{err}");
+        assert!(parse(&["table2", "--samples", "-1"]).is_err());
+        assert!(parse(&["table2", "--samples"]).is_err());
     }
 }

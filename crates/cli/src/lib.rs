@@ -337,7 +337,7 @@ fn run_cmd(args: &Args) -> Result<String, String> {
         .with_threads(jobs_of(args)?)
         .with_faults(parse_faults(&faults_spec)?);
     if obs_dir.is_some() {
-        bench = bench.with_observer(acorr::obs::ObsConfig::all());
+        bench = bench.with_observer();
     }
     let run = bench
         .observed_heuristic_run(|| build(&name, threads), strategy, iters)
@@ -433,7 +433,7 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
             bench = bench.with_seed(seed.parse().map_err(|_| format!("bad --seed `{seed}`"))?);
         }
         if obs_dir.is_some() {
-            bench = bench.with_observer(acorr::obs::ObsConfig::all());
+            bench = bench.with_observer();
         }
         bench
             .serve_app(|| build(&name, threads), &options)
@@ -447,7 +447,7 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
             bench = bench.with_seed(seed.parse().map_err(|_| format!("bad --seed `{seed}`"))?);
         }
         if obs_dir.is_some() {
-            bench = bench.with_observer(acorr::obs::ObsConfig::all());
+            bench = bench.with_observer();
         }
         bench.serve_traffic(&options)
     };
@@ -571,8 +571,9 @@ fn analyze(args: &Args) -> Result<String, String> {
     let events_path = dir.join("events.jsonl");
     let events = std::fs::read_to_string(&events_path)
         .map_err(|e| format!("{}: {e}", events_path.display()))?;
-    let analysis = acorr::obs::Analysis::from_events_windowed(&events, window)
-        .map_err(|e| format!("{}: {e}", events_path.display()))?;
+    let analysis =
+        acorr::obs::Analysis::from_events_windowed(&events, run.threads, run.pages, window)
+            .map_err(|e| format!("{}: {e}", events_path.display()))?;
     let report = analysis.report(&digest, top_k);
     let out_dir = dir.join("analysis");
     let written = analysis
@@ -1073,6 +1074,33 @@ mod tests {
             let again = std::fs::read_to_string(dir.join("analysis").join(name)).unwrap();
             assert_eq!(&again, body, "{name} drifted across runs");
         }
+        // An edited log still replays its manifest: a thread the run does
+        // not have is an error naming the line, and diff bytes saturate.
+        let events = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
+        let line = events.lines().count() + 1;
+        let analyze_with = |extra: &str| {
+            std::fs::write(dir.join("events.jsonl"), format!("{events}{extra}\n")).unwrap();
+            cli(&["analyze", "--obs-dir", dir.to_str().unwrap()])
+        };
+        for thread in ["3000000", "18446744073709551615"] {
+            let err = analyze_with(&format!(
+                r#"{{"type":"correlation_fault","node":0,"thread":{thread},"page":4000000000}}"#
+            ))
+            .unwrap_err();
+            assert!(
+                err.contains(&format!("line {line}: thread {thread} ")),
+                "{err}"
+            );
+        }
+        analyze_with(concat!(
+            r#"{"type":"diff_created","node":0,"page":7,"bytes":18446744073709551615}"#,
+            "\n",
+            r#"{"type":"diff_created","node":0,"page":7,"bytes":2}"#
+        ))
+        .unwrap();
+        let heat = std::fs::read_to_string(dir.join("analysis/page_heat.csv")).unwrap();
+        let page7 = heat.lines().find(|l| l.starts_with("7,")).unwrap();
+        assert_eq!(page7.split(',').nth(4), Some("18446744073709551615"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,15 +13,18 @@
 //! * [`Workbench::passive_study`] — Figure 2: passive tracking with
 //!   migration rounds, measuring information completeness per round.
 
+use acorr_dsm::trace::Event;
 use acorr_dsm::{Dsm, DsmConfig, DsmError, IterStats, OracleReport, Program};
 use acorr_mem::AccessMatrix;
-use acorr_obs::{ObsConfig, Observation, PhaseDetector};
+use acorr_obs::{ObsHandle, Observation};
 use acorr_place::{min_cost, place, Strategy};
 use acorr_sim::{
     linear_fit, par_map_indexed, par_map_range, ClusterConfig, DetRng, FaultPlan, LinearFit,
     Mapping, SimDuration,
 };
-use acorr_track::{cut_cost, sharing_degree, AgedCorrelation, CorrelationMatrix};
+use acorr_track::{
+    cut_cost, sharing_degree, AgedCorrelation, CorrelationMatrix, PhaseDetector, PhaseShiftMark,
+};
 use std::fmt;
 
 /// A configured experiment environment: cluster shape + DSM cost models.
@@ -38,11 +41,11 @@ pub struct Workbench {
     /// collected in index order, so output is bit-identical at any worker
     /// count (see [`acorr_sim::pool`]).
     pub threads: usize,
-    /// Observability backends to attach to every DSM instance the
-    /// workbench builds (`None` = no instrumentation). Sinks are pure
-    /// observers, so every statistic and table the drivers produce is
-    /// bit-identical with this set or not.
-    pub observer: Option<ObsConfig>,
+    /// Whether every DSM instance the workbench builds gets an observer
+    /// sink (JSONL, Chrome trace, metrics, span brackets) attached. Sinks
+    /// are pure observers, so every statistic and table the drivers
+    /// produce is bit-identical with this set or not.
+    pub observer: bool,
 }
 
 impl Workbench {
@@ -59,7 +62,7 @@ impl Workbench {
             config: DsmConfig::new(cluster),
             seed: 0x000A_C044,
             threads: 1,
-            observer: None,
+            observer: false,
         })
     }
 
@@ -95,33 +98,43 @@ impl Workbench {
     }
 
     /// Enables observability: every DSM instance the workbench builds gets
-    /// the configured sinks attached. Collection is per-run — use
+    /// an observer sink attached. Collection is per-run — use
     /// [`Workbench::observed_heuristic_run`] (or attach a sink by hand via
     /// `Dsm::attach_sink`) when the artifacts themselves are wanted; the
     /// drivers discard them but still exercise the full sink path, which
     /// is what the purity tests rely on.
     #[must_use]
-    pub fn with_observer(mut self, observer: ObsConfig) -> Self {
-        self.observer = Some(observer);
+    pub fn with_observer(mut self) -> Self {
+        self.observer = true;
         self
     }
 
     /// Builds a DSM instance for `program` under `mapping`, attaching the
-    /// workbench's observer sinks when configured.
+    /// workbench's observer sink when observing.
     ///
     /// # Errors
     ///
     /// Propagates construction errors.
     pub fn dsm<P: Program>(&self, program: P, mapping: Mapping) -> Result<Dsm<P>, DsmError> {
-        let mut dsm = Dsm::new(self.config.clone(), program, mapping)?;
-        if let Some(config) = &self.observer {
-            let (sink, _handle) = acorr_obs::observer(config, self.cluster.num_nodes());
+        Ok(self.observed_dsm(self.config.clone(), program, mapping)?.0)
+    }
+
+    /// Builds a DSM instance from `config`, attaches the one observer sink
+    /// when the workbench observes, and returns the handle that collects
+    /// it (`None` when not observing).
+    pub(crate) fn observed_dsm<P: Program>(
+        &self,
+        config: DsmConfig,
+        program: P,
+        mapping: Mapping,
+    ) -> Result<(Dsm<P>, Option<ObsHandle>), DsmError> {
+        let mut dsm = Dsm::new(config, program, mapping)?;
+        let handle = self.observer.then(|| {
+            let (sink, handle) = acorr_obs::observer(self.cluster.num_nodes());
             dsm.attach_sink(sink);
-            if config.spans {
-                dsm.enable_span_profiling();
-            }
-        }
-        Ok(dsm)
+            handle
+        });
+        Ok((dsm, handle))
     }
 
     /// Runs `program` for `iterations` under the stretch placement with the
@@ -347,9 +360,9 @@ impl Workbench {
     }
 
     /// Runs one application to completion under a single placement
-    /// strategy with the workbench's observer sinks attached and
+    /// strategy with the workbench's observer sink attached and
     /// **collected**: returns the Table 6 row plus the rendered
-    /// observability artifacts (`None` when no observer is configured).
+    /// observability artifacts (`None` when not observing).
     ///
     /// The measured run replicates [`Workbench::heuristic_comparison`]
     /// with `&[strategy]` *exactly* — same ground-truth phase, same forked
@@ -375,15 +388,7 @@ impl Workbench {
         let mut rng = DetRng::new(self.seed).fork(0x6E1);
         let mapping = place(strategy, &truth.corr, &self.cluster, &mut rng);
         let cut = cut_cost(&truth.corr, &mapping);
-        let mut dsm = self.dsm(factory(), mapping)?;
-        let handle = self.observer.as_ref().map(|config| {
-            let (sink, handle) = acorr_obs::observer(config, self.cluster.num_nodes());
-            dsm.attach_sink(sink);
-            handle
-        });
-        if self.observer.as_ref().is_some_and(|c| c.spans) {
-            dsm.enable_span_profiling();
-        }
+        let (mut dsm, handle) = self.observed_dsm(self.config.clone(), factory(), mapping)?;
         dsm.run_iterations(1)?; // cold-start warm-up
         let stats = dsm.run_iterations(iterations)?;
         let row = HeuristicRow {
@@ -398,15 +403,17 @@ impl Workbench {
         Ok(ObservedRun {
             row,
             stats,
+            threads: self.cluster.num_threads(),
+            pages: dsm.num_pages(),
             observation: handle.map(|h| h.finish()),
         })
     }
 
     /// Phase-change scan: runs `iterations` actively tracked iterations
     /// under the stretch placement, feeding each iteration's correlation
-    /// matrix into a windowed [`acorr_obs::PhaseDetector`] (window length
-    /// in iterations). Every detected shift is recorded — and, when an
-    /// observer is configured, injected into the run's artifacts as an
+    /// matrix into a windowed [`PhaseDetector`] (window length in
+    /// iterations). Every detected shift is recorded — and, when the
+    /// workbench observes, injected into the run's artifacts as an
     /// `Event::PhaseShift` at the current simulated time, so the trace
     /// timeline shows the re-mapping trigger ROADMAP item 2 needs.
     ///
@@ -426,48 +433,34 @@ impl Workbench {
         P: Program,
         F: Fn() -> P + Sync,
     {
-        let mut dsm = self.dsm(factory(), Mapping::stretch(&self.cluster))?;
-        let handle = self.observer.as_ref().map(|config| {
-            let (sink, handle) = acorr_obs::observer(config, self.cluster.num_nodes());
-            dsm.attach_sink(sink);
-            handle
-        });
-        if self.observer.as_ref().is_some_and(|c| c.spans) {
-            dsm.enable_span_profiling();
-        }
-        let mut detector = acorr_obs::PhaseDetector::new(self.cluster.num_threads(), window);
+        let (mut dsm, handle) = self.observed_dsm(
+            self.config.clone(),
+            factory(),
+            Mapping::stretch(&self.cluster),
+        )?;
+        let mut detector = PhaseDetector::new(self.cluster.num_threads(), window);
         let mut stats = IterStats::new();
+        let record = |mark: Option<PhaseShiftMark>, at| {
+            if let (Some(mark), Some(h)) = (mark, &handle) {
+                let (window, delta_ppm) = (mark.window, mark.delta_ppm);
+                h.record_event(at, &Event::PhaseShift { window, delta_ppm });
+            }
+        };
         for _ in 0..iterations {
             let (iter_stats, access) = dsm.run_tracked_iteration()?;
             stats += iter_stats;
-            let round = CorrelationMatrix::from_access(&access);
-            if let Some(mark) = detector.observe(&round) {
-                if let Some(h) = &handle {
-                    h.record_event(
-                        dsm.now(),
-                        &acorr_dsm::trace::Event::PhaseShift {
-                            window: mark.window,
-                            delta_ppm: mark.delta_ppm,
-                        },
-                    );
-                }
-            }
+            record(
+                detector.observe(&CorrelationMatrix::from_access(&access)),
+                dsm.now(),
+            );
         }
-        if let Some(mark) = detector.flush() {
-            if let Some(h) = &handle {
-                h.record_event(
-                    dsm.now(),
-                    &acorr_dsm::trace::Event::PhaseShift {
-                        window: mark.window,
-                        delta_ppm: mark.delta_ppm,
-                    },
-                );
-            }
-        }
+        record(detector.flush(), dsm.now());
         Ok(PhaseScan {
             app: dsm.program().name().to_owned(),
             shifts: detector.shifts().to_vec(),
             stats,
+            threads: self.cluster.num_threads(),
+            pages: dsm.num_pages(),
             observation: handle.map(|h| h.finish()),
         })
     }
@@ -997,7 +990,7 @@ impl fmt::Display for HeuristicRow {
 
 /// Outcome of [`Workbench::observed_heuristic_run`]: the Table 6 row, the
 /// complete measured statistics (the manifest digest's preimage), and the
-/// rendered observability artifacts when an observer was configured.
+/// rendered observability artifacts when the workbench observes.
 #[derive(Debug)]
 pub struct ObservedRun {
     /// The Table 6 row, bit-identical to
@@ -1007,6 +1000,10 @@ pub struct ObservedRun {
     /// Aggregate statistics over the measured iterations (excluding the
     /// warm-up iteration).
     pub stats: IterStats,
+    /// Application threads of the run.
+    pub threads: usize,
+    /// Shared pages of the run: with `threads`, what its event log can name.
+    pub pages: usize,
     /// Rendered artifacts (`None` without [`Workbench::with_observer`]).
     pub observation: Option<Observation>,
 }
@@ -1019,9 +1016,13 @@ pub struct PhaseScan {
     pub app: String,
     /// Detected phase shifts, in firing order (window ordinals are
     /// 0-based window indices of `iterations / window` tumbling windows).
-    pub shifts: Vec<acorr_obs::phases::PhaseShiftMark>,
+    pub shifts: Vec<PhaseShiftMark>,
     /// Aggregate statistics over the scanned iterations.
     pub stats: IterStats,
+    /// Application threads of the run.
+    pub threads: usize,
+    /// Shared pages of the run: with `threads`, what its event log can name.
+    pub pages: usize,
     /// Rendered artifacts (`None` without [`Workbench::with_observer`]).
     pub observation: Option<Observation>,
 }
@@ -1278,7 +1279,7 @@ mod tests {
     fn observer_is_a_pure_observer_for_studies() {
         let plain = bench().cutcost_study(|| Water::new(64, 8), 4, 1).unwrap();
         let observed = bench()
-            .with_observer(acorr_obs::ObsConfig::all())
+            .with_observer()
             .cutcost_study(|| Water::new(64, 8), 4, 1)
             .unwrap();
         assert_eq!(plain.samples, observed.samples);
@@ -1290,14 +1291,14 @@ mod tests {
             .heuristic_comparison(|| Sor::new(64, 64, 8), &[Strategy::MinCost], 2)
             .unwrap();
         let run = bench()
-            .with_observer(acorr_obs::ObsConfig::all())
+            .with_observer()
             .observed_heuristic_run(|| Sor::new(64, 64, 8), Strategy::MinCost, 2)
             .unwrap();
         assert_eq!(run.row, rows[0]);
         assert_eq!(run.stats.remote_misses, rows[0].remote_misses);
         let obs = run.observation.expect("observer configured");
-        assert!(obs.events_jsonl.is_some_and(|j| !j.is_empty()));
-        assert!(obs.metrics_csv.is_some_and(|c| c.lines().count() > 1));
+        assert!(!obs.events_jsonl.is_empty());
+        assert!(obs.metrics_csv.lines().count() > 1);
         // Without an observer there is nothing to collect, but the row
         // and stats are unchanged.
         let plain = bench()
@@ -1345,7 +1346,7 @@ mod tests {
         // (iterations 4-5), so the acceptance bound "within one window of
         // ground truth" allows windows 2 or 3.
         let scan = bench()
-            .with_observer(acorr_obs::ObsConfig::all())
+            .with_observer()
             .phase_scan(|| Drift::new(256, 8, 4), 12, 2)
             .unwrap();
         assert_eq!(scan.app, "Drift");
@@ -1358,12 +1359,10 @@ mod tests {
         // The detected shift lands on the Perfetto control lane and in the
         // structured log.
         let obs = scan.observation.expect("observer configured");
-        let trace = obs.chrome_trace.expect("chrome sink on");
-        assert!(trace.contains("\"phase_shift\""), "trace: {trace}");
-        let jsonl = obs.events_jsonl.expect("jsonl sink on");
-        assert!(jsonl.contains("\"phase_shift\""));
+        assert!(obs.chrome_trace.contains("\"phase_shift\""));
+        assert!(obs.events_jsonl.contains("\"phase_shift\""));
         // Span profiling rode along: the engine bracketed its phases.
-        assert!(jsonl.contains("\"span_begin\""));
+        assert!(obs.events_jsonl.contains("\"span_begin\""));
     }
 
     #[test]

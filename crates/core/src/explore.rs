@@ -31,7 +31,7 @@
 //! steering with all-default choices is the unsteered engine.
 
 use crate::experiment::{HeuristicRow, Workbench};
-use acorr_dsm::{Dsm, DsmError, InjectedBug, Program, WriteMode};
+use acorr_dsm::{DsmError, InjectedBug, Program, WriteMode};
 use acorr_mem::{PageId, Race, RaceReport};
 use acorr_place::{place, Strategy};
 use acorr_sched::{shrink_pair, ExploreMode, Explorer, Schedule, ScheduleDriver};
@@ -383,7 +383,7 @@ impl Workbench {
         // the first failure (and with it `schedules_run` and the shrunk
         // token) is bit-identical at any job count. A wave may run a few
         // schedules past a failure; those runs are pure and discarded.
-        let jobs = if self.observer.is_some() {
+        let jobs = if self.observer {
             1 // sinks stream to external backends; keep runs sequential
         } else {
             acorr_sim::pool::resolve_threads(options.jobs)
@@ -465,11 +465,7 @@ impl Workbench {
         if let Some(bug) = options.inject {
             config = config.with_injected_bug(bug);
         }
-        let mut dsm = Dsm::new(config, factory(), mapping.clone())?;
-        if let Some(obs) = &self.observer {
-            let (sink, _handle) = acorr_obs::observer(obs, self.cluster.num_nodes());
-            dsm.attach_sink(sink);
-        }
+        let (mut dsm, _handle) = self.observed_dsm(config, factory(), mapping.clone())?;
         let (driver, log) = ScheduleDriver::new(schedule);
         let fault_log = driver.fault_log();
         dsm.set_schedule_policy(Box::new(driver));

@@ -74,6 +74,9 @@ pub mod mem {
 /// Observability: sinks, metrics, manifests (re-export of `acorr-obs`).
 pub mod obs {
     pub use acorr_obs::*;
+    // The detector lives in `track`; this path stays because the frozen
+    // benchmark imports `acorr::obs::PhaseDetector`.
+    pub use acorr_track::PhaseDetector;
 }
 
 /// Placement heuristics (re-export of `acorr-place`).

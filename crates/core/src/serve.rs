@@ -25,12 +25,14 @@
 use crate::experiment::{mapping_digest, Workbench};
 use acorr_dsm::trace::Event;
 use acorr_dsm::{DsmError, Program};
-use acorr_obs::{bytes_digest, ObsHandle, Observation, PhaseDetector};
+use acorr_obs::{bytes_digest, MultiSink, ObsHandle, Observation};
 use acorr_place::{
     multilevel_place, plan_migration, refine_kl, MigrationCostModel, MigrationPolicy,
 };
 use acorr_sim::{ClusterConfig, Mapping, Scenario, SimTime, TrafficConfig, TrafficDriver};
-use acorr_track::{cut_cost, CorrelationMatrix, CorrelationStore, SparseCorrelation};
+use acorr_track::{
+    cut_cost, CorrelationMatrix, CorrelationStore, PhaseDetector, PhaseShiftMark, SparseCorrelation,
+};
 use std::fmt;
 
 /// Knobs of one service run.
@@ -344,14 +346,13 @@ impl Workbench {
         );
         // Stand-alone handle: the serve loop is the event source, there
         // is no engine to attach the sink half to.
-        let handle = self.observer.as_ref().map(|config| {
-            let (_sink, handle) = acorr_obs::observer(config, self.cluster.num_nodes());
-            handle
-        });
+        let handle = self
+            .observer
+            .then(|| MultiSink::new(self.cluster.num_nodes()).1);
         let initial = Mapping::stretch(&self.cluster);
         let mut current = initial.clone();
         let mut detector = PhaseDetector::<SparseCorrelation>::new(threads, options.window);
-        let mut report = ReportBuilder::new(options);
+        let mut report = ReportBuilder::new(options, handle);
         for step in 0..options.steps as u64 {
             let edges = traffic.step_edges(step, self.threads);
             let corr = SparseCorrelation::from_edges(threads, edges);
@@ -363,14 +364,14 @@ impl Workbench {
             let Some(mark) = detector.observe(&corr) else {
                 continue;
             };
-            report.shift(step, mark, at, handle.as_ref());
+            report.shift(step, mark, at);
             let verdict = evaluate_remap(options, &self.cluster, &corr, &current);
-            report.remap(step, &verdict, at, handle.as_ref(), &current);
+            report.remap(step, &verdict, at, &current);
             if verdict.accepted {
                 current = verdict.planned;
             }
         }
-        report.finish(options.scenario.to_string(), current, handle)
+        report.finish(options.scenario.to_string(), current)
     }
 
     /// Runs the service against a live DSM engine: each step is one
@@ -393,19 +394,12 @@ impl Workbench {
     {
         let threads = self.cluster.num_threads();
         let initial = Mapping::stretch(&self.cluster);
-        let mut dsm = self.dsm(factory(), initial.clone())?;
-        let handle = self.observer.as_ref().map(|config| {
-            let (sink, handle) = acorr_obs::observer(config, self.cluster.num_nodes());
-            dsm.attach_sink(sink);
-            handle
-        });
-        if self.observer.as_ref().is_some_and(|c| c.spans) {
-            dsm.enable_span_profiling();
-        }
+        let (mut dsm, handle) =
+            self.observed_dsm(self.config.clone(), factory(), initial.clone())?;
         let label = format!("{} (engine)", dsm.program().name());
         let mut current = initial.clone();
         let mut detector = PhaseDetector::<CorrelationMatrix>::new(threads, options.window);
-        let mut report = ReportBuilder::new(options);
+        let mut report = ReportBuilder::new(options, handle);
         for step in 0..options.steps as u64 {
             let (_stats, access) = dsm.run_tracked_iteration()?;
             let corr = CorrelationMatrix::from_access(&access);
@@ -415,9 +409,9 @@ impl Workbench {
             let Some(mark) = detector.observe(&corr) else {
                 continue;
             };
-            report.shift(step, mark, at, handle.as_ref());
+            report.shift(step, mark, at);
             let verdict = evaluate_remap(options, &self.cluster, &corr, &current);
-            report.remap(step, &verdict, at, handle.as_ref(), &current);
+            report.remap(step, &verdict, at, &current);
             if verdict.accepted {
                 // The live re-mapping hook: the engine invalidates and
                 // re-homes under the new mapping and keeps running.
@@ -425,7 +419,7 @@ impl Workbench {
                 current = verdict.planned;
             }
         }
-        Ok(report.finish(label, current, handle))
+        Ok(report.finish(label, current))
     }
 }
 
@@ -441,10 +435,12 @@ struct ReportBuilder {
     migrated: u64,
     served_cut: u64,
     static_cut: u64,
+    /// The run's obs handle, when the workbench observes.
+    handle: Option<ObsHandle>,
 }
 
 impl ReportBuilder {
-    fn new(options: &ServeOptions) -> ReportBuilder {
+    fn new(options: &ServeOptions, handle: Option<ObsHandle>) -> ReportBuilder {
         ReportBuilder {
             steps: options.steps,
             window: options.window,
@@ -456,49 +452,32 @@ impl ReportBuilder {
             migrated: 0,
             served_cut: 0,
             static_cut: 0,
+            handle,
         }
     }
 
-    fn shift(
-        &mut self,
-        step: u64,
-        mark: acorr_obs::PhaseShiftMark,
-        at: SimTime,
-        handle: Option<&ObsHandle>,
-    ) {
+    fn shift(&mut self, step: u64, mark: PhaseShiftMark, at: SimTime) {
+        let (window, delta_ppm) = (mark.window, mark.delta_ppm);
         self.shifts += 1;
         self.timeline.push(ServeDecision::Shift {
             step,
-            window: mark.window,
-            delta_ppm: mark.delta_ppm,
+            window,
+            delta_ppm,
         });
-        if let Some(h) = handle {
-            h.record_event(
-                at,
-                &Event::PhaseShift {
-                    window: mark.window,
-                    delta_ppm: mark.delta_ppm,
-                },
-            );
+        if let Some(h) = &self.handle {
+            h.record_event(at, &Event::PhaseShift { window, delta_ppm });
         }
     }
 
-    fn remap(
-        &mut self,
-        step: u64,
-        verdict: &RemapVerdict,
-        at: SimTime,
-        handle: Option<&ObsHandle>,
-        current: &Mapping,
-    ) {
+    fn remap(&mut self, step: u64, verdict: &RemapVerdict, at: SimTime, current: &Mapping) {
         self.timeline.push(verdict.decision(step));
-        if let Some(h) = handle {
+        if let Some(h) = &self.handle {
             h.record_event(at, &verdict.event(step));
         }
         if verdict.accepted {
             self.accepted += 1;
             self.migrated += verdict.moves as u64;
-            if let Some(h) = handle {
+            if let Some(h) = &self.handle {
                 for t in 0..current.num_threads() {
                     let to = verdict.planned.node_of(t);
                     if to != current.node_of(t) {
@@ -511,12 +490,7 @@ impl ReportBuilder {
         }
     }
 
-    fn finish(
-        self,
-        label: String,
-        final_mapping: Mapping,
-        handle: Option<ObsHandle>,
-    ) -> ServeReport {
+    fn finish(self, label: String, final_mapping: Mapping) -> ServeReport {
         ServeReport {
             label,
             policy: self.policy,
@@ -530,7 +504,7 @@ impl ReportBuilder {
             served_cut: self.served_cut,
             static_cut: self.static_cut,
             final_mapping,
-            observation: handle.map(|h| h.finish()),
+            observation: self.handle.map(|h| h.finish()),
         }
     }
 }

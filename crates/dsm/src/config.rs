@@ -51,8 +51,8 @@ pub enum InjectedBug {
 /// use acorr_dsm::DsmConfig;
 /// use acorr_sim::ClusterConfig;
 /// let cluster = ClusterConfig::new(8, 64)?;
-/// let config = DsmConfig::new(cluster).with_seed(7).with_gc_threshold(4096);
-/// assert_eq!(config.seed, 7);
+/// let config = DsmConfig::new(cluster).with_gc_threshold(4096);
+/// assert_eq!(config.gc_diff_threshold, 4096);
 /// # Ok::<(), acorr_sim::TopologyError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -66,9 +66,6 @@ pub struct DsmConfig {
     /// Garbage collection fires at a barrier once this many diff records are
     /// pending across all pages.
     pub gc_diff_threshold: usize,
-    /// Seed for whatever randomized decisions the engine makes (none today;
-    /// reserved and threaded through for reproducibility).
-    pub seed: u64,
     /// Write-sharing protocol.
     pub write_mode: WriteMode,
     /// Deterministic network fault plan applied at every send; the default
@@ -87,18 +84,10 @@ impl DsmConfig {
             network: NetworkModel::default(),
             cost: CostModel::default(),
             gc_diff_threshold: 16 * 1024,
-            seed: 0,
             write_mode: WriteMode::MultiWriter,
             faults: FaultPlan::none(),
             inject: None,
         }
-    }
-
-    /// Replaces the RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Replaces the network model.
@@ -152,11 +141,9 @@ mod tests {
     fn builder_chain() {
         let cluster = ClusterConfig::new(4, 16).unwrap();
         let c = DsmConfig::new(cluster)
-            .with_seed(9)
             .with_gc_threshold(100)
             .with_network(NetworkModel::default())
             .with_cost(CostModel::default());
-        assert_eq!(c.seed, 9);
         assert_eq!(c.gc_diff_threshold, 100);
         assert_eq!(c.cluster.num_threads(), 16);
         assert_eq!(c.write_mode, WriteMode::MultiWriter);

@@ -118,9 +118,6 @@ pub struct Dsm<P: Program> {
     passive: Option<AccessMatrix>,
     tracer: Option<Trace>,
     sink: Option<Box<dyn EventSink>>,
-    /// When true (and a sink is attached), engine phases are bracketed by
-    /// `Event::SpanBegin`/`SpanEnd` pairs for duration profiling.
-    spans: bool,
     /// Monotone ordinal pairing each `SpanBegin` with its `SpanEnd`.
     span_seq: u64,
     interval_mark: IterStats,
@@ -203,7 +200,6 @@ impl<P: Program> Dsm<P> {
             passive: None,
             tracer: None,
             sink: None,
-            spans: false,
             span_seq: 0,
             interval_mark: IterStats::new(),
             interval_start: SimTime::ZERO,
@@ -297,8 +293,12 @@ impl<P: Program> Dsm<P> {
     /// Attaches an external event sink. Every protocol event, remote-fetch
     /// latency, lock-grant latency, and per-barrier-interval statistic delta
     /// is forwarded to it, at the same sites the fault injector already
-    /// wraps. Sinks are a pure observer: simulated time, statistics and
-    /// scheduling are bit-identical with or without one attached.
+    /// wraps, and engine phases (twin create, diff build, fetch, apply,
+    /// lock grant, barrier close) are bracketed by
+    /// [`Event::SpanBegin`]/[`Event::SpanEnd`] pairs for duration
+    /// profiling. Sinks are a pure observer: simulated time, statistics and
+    /// scheduling are bit-identical with or without one attached, and spans
+    /// never reach the bounded trace ring.
     pub fn attach_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sink = Some(sink);
     }
@@ -306,16 +306,6 @@ impl<P: Program> Dsm<P> {
     /// Detaches and returns the attached sink, if any.
     pub fn take_sink(&mut self) -> Option<Box<dyn EventSink>> {
         self.sink.take()
-    }
-
-    /// Enables span-based self-profiling: engine phases (twin create, diff
-    /// build, fetch, apply, lock grant, barrier close) are bracketed by
-    /// [`Event::SpanBegin`]/[`Event::SpanEnd`] pairs forwarded to the
-    /// attached sink. Spans are a pure observer — they never reach the
-    /// bounded trace ring, charge no simulated time, and mutate no engine
-    /// state beyond the span ordinal (which only advances while emitting).
-    pub fn enable_span_profiling(&mut self) {
-        self.spans = true;
     }
 
     /// Records `event` at node `i`'s current time, when tracing or an
@@ -350,16 +340,16 @@ impl<P: Program> Dsm<P> {
     }
 
     /// Emits one profiling span `[start, start + dur]` for `phase` on node
-    /// `i`, when span profiling and a sink are both on. Spans bypass the
-    /// trace ring: they are an observability artifact, not a protocol event.
+    /// `i`, when a sink is attached. Spans bypass the trace ring: they are
+    /// an observability artifact, not a protocol event, and charge no
+    /// simulated time; the span ordinal only advances while emitting.
     fn emit_span(&mut self, i: usize, phase: SpanPhase, start: SimTime, dur: SimDuration) {
-        if !self.spans || self.sink.is_none() {
+        let Some(sink) = self.sink.as_mut() else {
             return;
-        }
+        };
         let id = self.span_seq;
         self.span_seq += 1;
         let node = self.nodes[i].id;
-        let sink = self.sink.as_mut().expect("checked above");
         sink.record_event(start, &Event::SpanBegin { id, phase, node });
         sink.record_event(start + dur, &Event::SpanEnd { id, phase, node });
     }

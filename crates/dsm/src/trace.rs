@@ -69,9 +69,9 @@ pub trait EventSink: fmt::Debug + Send {
 
 /// An engine phase profiled by the span instrumentation.
 ///
-/// Spans are emitted only while span profiling is enabled on the engine
-/// (see `Dsm::enable_span_profiling`) *and* a sink is attached; they never
-/// enter the bounded [`Trace`] ring, so trace-based tooling is unaffected.
+/// Spans are emitted to the attached sink whenever there is one (see
+/// `Dsm::attach_sink`); they never enter the bounded [`Trace`] ring, so
+/// trace-based tooling is unaffected.
 /// `Fetch` nests `Apply` (the diff application inside a remote fetch) —
 /// the Chrome sink renders the pair as nestable duration events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,8 +210,8 @@ pub enum Event {
         /// Cached page copies wiped by the crash.
         pages: u64,
     },
-    /// A profiled engine phase opened (span profiling only; closed by the
-    /// [`Event::SpanEnd`] carrying the same `id`).
+    /// A profiled engine phase opened (sent to an attached sink only;
+    /// closed by the [`Event::SpanEnd`] carrying the same `id`).
     SpanBegin {
         /// Run-global span ordinal pairing begin with end.
         id: u64,
@@ -348,15 +348,6 @@ pub struct Trace {
     dropped: u64,
 }
 
-/// The ring buffer doubles as the simplest [`EventSink`]: timestamps and
-/// events are retained (newest `capacity`), the derived latency/interval
-/// streams are ignored.
-impl EventSink for Trace {
-    fn record_event(&mut self, at: SimTime, event: &Event) {
-        self.record(at, *event);
-    }
-}
-
 impl Trace {
     /// Creates a trace retaining at most `capacity` events (the newest).
     ///
@@ -456,23 +447,25 @@ mod tests {
     }
 
     #[test]
-    fn trace_is_an_event_sink() {
-        fn sink_all(sink: &mut dyn EventSink) {
-            for i in 0..3 {
-                sink.record_event(SimTime::from_nanos(i), &Event::BarrierRelease { index: i });
+    fn event_sink_derived_streams_default_to_no_ops() {
+        /// Implements only the required method.
+        #[derive(Debug, Default)]
+        struct Events(Vec<u64>);
+        impl EventSink for Events {
+            fn record_event(&mut self, at: SimTime, _event: &Event) {
+                self.0.push(at.as_nanos());
             }
-            // Derived streams have no-op defaults.
-            sink.record_fetch_latency(SimTime::ZERO, NodeId(0), SimDuration::from_micros(1));
-            sink.record_lock_latency(SimTime::ZERO, NodeId(0), SimDuration::from_micros(1));
-            sink.record_interval(SimTime::ZERO, 0, &IterStats::new());
         }
-        let mut t = Trace::new(2);
-        sink_all(&mut t);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 1);
-        // iter() drains without cloning the deque.
-        let times: Vec<u64> = t.iter().map(|(at, _)| at.as_nanos()).collect();
-        assert_eq!(times, vec![1, 2]);
+        let mut events = Events::default();
+        let sink: &mut dyn EventSink = &mut events;
+        for i in 0..3 {
+            sink.record_event(SimTime::from_nanos(i), &Event::BarrierRelease { index: i });
+        }
+        // Derived streams have no-op defaults.
+        sink.record_fetch_latency(SimTime::ZERO, NodeId(0), SimDuration::from_micros(1));
+        sink.record_lock_latency(SimTime::ZERO, NodeId(0), SimDuration::from_micros(1));
+        sink.record_interval(SimTime::ZERO, 0, &IterStats::new());
+        assert_eq!(events.0, vec![0, 1, 2]);
     }
 
     #[test]

@@ -803,6 +803,57 @@ fn tracing_sees_migrations_and_tracked_faults() {
     );
 }
 
+/// A test-local sink recording every protocol event it is handed.
+#[derive(Debug, Clone, Default)]
+struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<acorr_dsm::trace::Event>>>);
+
+impl acorr_dsm::trace::EventSink for Recorder {
+    fn record_event(&mut self, _at: acorr_sim::SimTime, event: &acorr_dsm::trace::Event) {
+        self.0.lock().unwrap().push(*event);
+    }
+}
+
+#[test]
+fn an_attached_sink_alone_gets_balanced_spans_and_the_trace_ring_none() {
+    use acorr_dsm::trace::Event;
+    // A locked write on node 0 read after the barrier on node 1: twins,
+    // diffs, a fetch with its apply, a lock grant and barrier closes.
+    let run = |tracing: bool| {
+        let l = LockId(0);
+        let scripts = vec![vec![
+            vec![Op::Lock(l), Op::write(0, 64), Op::Unlock(l), Op::Barrier],
+            vec![Op::Barrier, Op::read(0, 64)],
+        ]];
+        let mut dsm = dsm_for(2, Scripted::new(1, scripts).with_locks(1));
+        let sink = Recorder::default();
+        dsm.attach_sink(Box::new(sink.clone()));
+        if tracing {
+            dsm.enable_tracing(4096);
+        }
+        dsm.run_iterations(2).unwrap();
+        let events = sink.0.lock().unwrap().clone();
+        (events, dsm.take_trace())
+    };
+    let (events, _) = run(false);
+    let mut open = std::collections::BTreeMap::new();
+    for event in &events {
+        match *event {
+            Event::SpanBegin { id, phase, node } => {
+                assert_eq!(open.insert(id, (phase, node)), None)
+            }
+            Event::SpanEnd { id, phase, node } => assert_eq!(open.remove(&id), Some((phase, node))),
+            _ => {}
+        }
+    }
+    assert!(open.is_empty(), "unclosed spans: {open:?}");
+    assert!(events.iter().any(|e| matches!(e, Event::SpanEnd { .. })));
+    // With the ring on too, it keeps the protocol events and no span.
+    let trace = run(true).1.unwrap();
+    assert!(!trace.is_empty());
+    let span = |e: &Event| matches!(e, Event::SpanBegin { .. } | Event::SpanEnd { .. });
+    assert!(!trace.iter().any(|(_, e)| span(e)));
+}
+
 #[test]
 fn stall_accounting_shows_latency_hiding() {
     // Two sibling threads cold-miss different pages: their stalls overlap,

@@ -15,17 +15,18 @@
 //! * **Span totals** — aggregated engine self-profiling spans
 //!   ([`crate::spans`]).
 //! * **Phase shifts** — windowed correlation phase-change detection over
-//!   the tracked correlation faults ([`crate::phases`]).
+//!   the tracked correlation faults ([`acorr_track::phases`]).
 //!
-//! Everything is computed with sorted maps and integer arithmetic in event
-//! order, so a fixed event stream produces byte-identical artifacts on
-//! every run at any `--jobs` value.
+//! Everything is computed with sorted maps and saturating integer
+//! arithmetic in event order, so a fixed event stream produces
+//! byte-identical artifacts on every run at any `--jobs` value. The caller
+//! names the run's thread and page counts; an event outside them is an
+//! error, so a corrupt stream cannot size the phase pass.
 
 use crate::json::parse;
-use crate::phases::{PhaseDetector, PhaseShiftMark};
 use crate::spans::{SpanProfile, SpanTotals};
 use acorr_mem::{AccessMatrix, PageId};
-use acorr_track::CorrelationMatrix;
+use acorr_track::{CorrelationMatrix, PhaseDetector, PhaseShiftMark};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -46,7 +47,7 @@ pub struct PageHeat {
     pub twins: u64,
     /// Diffs created from this page's twin.
     pub diffs: u64,
-    /// Total diff bytes created for this page.
+    /// Total diff bytes created for this page (saturating).
     pub diff_bytes: u64,
     /// Single-writer ownership transfers of this page.
     pub transfers: u64,
@@ -87,9 +88,9 @@ pub struct IntervalPath {
     pub stall_ns: u64,
     /// The node with the largest fetch + lock wait this interval.
     pub critical_node: u64,
-    /// That node's accumulated remote-fetch wait.
+    /// That node's accumulated remote-fetch wait (saturating).
     pub fetch_wait_ns: u64,
-    /// That node's accumulated lock-grant wait.
+    /// That node's accumulated lock-grant wait (saturating).
     pub lock_wait_ns: u64,
 }
 
@@ -114,6 +115,9 @@ pub struct Analysis {
 /// One parsed event stream, split into the pieces the passes consume.
 #[derive(Debug, Default)]
 struct StreamState {
+    /// The run's thread and page counts: every event must fall inside.
+    num_threads: u64,
+    num_pages: u64,
     pages: BTreeMap<u64, PageHeat>,
     threads: BTreeMap<u64, ThreadComm>,
     intervals: Vec<IntervalPath>,
@@ -123,25 +127,31 @@ struct StreamState {
     /// (thread, page) tracking observations per interval; the open
     /// interval's list is last.
     tracked: Vec<Vec<(u64, u64)>>,
-    max_thread: Option<u64>,
-    max_page: Option<u64>,
+}
+
+/// Checks that `id` is one of the run's `count` threads or pages.
+fn within(kind: &str, id: u64, count: u64) -> Result<(), String> {
+    if id < count {
+        return Ok(());
+    }
+    Err(format!("{kind} {id} is outside the run's {count} {kind}s"))
 }
 
 impl StreamState {
-    fn page(&mut self, id: u64) -> &mut PageHeat {
-        self.max_page = Some(self.max_page.map_or(id, |m| m.max(id)));
-        self.pages.entry(id).or_insert_with(|| PageHeat {
+    fn page(&mut self, id: u64) -> Result<&mut PageHeat, String> {
+        within("page", id, self.num_pages)?;
+        Ok(self.pages.entry(id).or_insert_with(|| PageHeat {
             page: id,
             ..PageHeat::default()
-        })
+        }))
     }
 
-    fn thread(&mut self, id: u64) -> &mut ThreadComm {
-        self.max_thread = Some(self.max_thread.map_or(id, |m| m.max(id)));
-        self.threads.entry(id).or_insert_with(|| ThreadComm {
+    fn thread(&mut self, id: u64) -> Result<&mut ThreadComm, String> {
+        within("thread", id, self.num_threads)?;
+        Ok(self.threads.entry(id).or_insert_with(|| ThreadComm {
             thread: id,
             ..ThreadComm::default()
-        })
+        }))
     }
 
     fn open_interval(&mut self) -> &mut Vec<(u64, u64)> {
@@ -159,14 +169,16 @@ fn field_u64(v: &crate::json::Value, key: &str) -> Result<u64, String> {
 }
 
 impl Analysis {
-    /// Runs every analytics pass over an `events.jsonl` document with the
-    /// default phase window.
+    /// Runs every analytics pass over the `events.jsonl` document of a run
+    /// of `threads` threads over `pages` shared pages, with the default
+    /// phase window.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first malformed line.
-    pub fn from_events(jsonl: &str) -> Result<Analysis, String> {
-        Analysis::from_events_windowed(jsonl, DEFAULT_PHASE_WINDOW)
+    /// Returns a message naming the first malformed line, or the first
+    /// line whose thread or page the run does not have.
+    pub fn from_events(jsonl: &str, threads: usize, pages: usize) -> Result<Analysis, String> {
+        Analysis::from_events_windowed(jsonl, threads, pages, DEFAULT_PHASE_WINDOW)
     }
 
     /// Runs every analytics pass, closing a phase-detection window every
@@ -174,9 +186,19 @@ impl Analysis {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first malformed line.
-    pub fn from_events_windowed(jsonl: &str, window: usize) -> Result<Analysis, String> {
-        let mut st = StreamState::default();
+    /// Returns a message naming the first malformed line, or the first
+    /// line whose thread or page the run does not have.
+    pub fn from_events_windowed(
+        jsonl: &str,
+        threads: usize,
+        pages: usize,
+        window: usize,
+    ) -> Result<Analysis, String> {
+        let mut st = StreamState {
+            num_threads: threads as u64,
+            num_pages: pages as u64,
+            ..StreamState::default()
+        };
         for (lineno, line) in jsonl.lines().enumerate() {
             let v = parse(line).map_err(|e| format!("events.jsonl line {}: {e}", lineno + 1))?;
             let ty = v
@@ -187,7 +209,7 @@ impl Analysis {
             Analysis::fold(&mut st, &ty, &v)
                 .map_err(|e| format!("events.jsonl line {}: {e}", lineno + 1))?;
         }
-        Ok(Analysis::finish(st, window))
+        Ok(Analysis::finish(st, threads, pages, window))
     }
 
     fn fold(st: &mut StreamState, ty: &str, v: &crate::json::Value) -> Result<(), String> {
@@ -195,44 +217,46 @@ impl Analysis {
             "remote_miss" => {
                 let page = field_u64(v, "page")?;
                 let thread = field_u64(v, "thread")?;
-                st.page(page).fetches += 1;
-                st.thread(thread).remote_misses += 1;
+                st.page(page)?.fetches += 1;
+                st.thread(thread)?.remote_misses += 1;
             }
-            "write_fault" => st.page(field_u64(v, "page")?).twins += 1,
+            "write_fault" => st.page(field_u64(v, "page")?)?.twins += 1,
             "diff_created" => {
                 let page = field_u64(v, "page")?;
                 let bytes = field_u64(v, "bytes")?;
-                let heat = st.page(page);
+                let heat = st.page(page)?;
                 heat.diffs += 1;
-                heat.diff_bytes += bytes;
+                heat.diff_bytes = heat.diff_bytes.saturating_add(bytes);
             }
-            "ownership_transfer" => st.page(field_u64(v, "page")?).transfers += 1,
+            "ownership_transfer" => st.page(field_u64(v, "page")?)?.transfers += 1,
             "correlation_fault" => {
                 let thread = field_u64(v, "thread")?;
                 let page = field_u64(v, "page")?;
-                st.thread(thread).tracking_faults += 1;
-                st.page(page); // widen the page universe
+                st.thread(thread)?.tracking_faults += 1;
+                st.page(page)?; // the page joins the heat table
                 st.open_interval().push((thread, page));
             }
             "lock_granted" => {
                 let thread = field_u64(v, "thread")?;
                 let remote = matches!(v.get("remote"), Some(crate::json::Value::Bool(true)));
-                let t = st.thread(thread);
+                let t = st.thread(thread)?;
                 t.lock_grants += 1;
                 if remote {
                     t.remote_lock_grants += 1;
                 }
             }
-            "migration" => st.thread(field_u64(v, "thread")?).migrations += 1,
+            "migration" => st.thread(field_u64(v, "thread")?)?.migrations += 1,
             "fetch_latency" => {
                 let node = field_u64(v, "node")?;
                 let ns = field_u64(v, "latency_ns")?;
-                *st.fetch_wait.entry(node).or_insert(0) += ns;
+                let wait = st.fetch_wait.entry(node).or_insert(0);
+                *wait = wait.saturating_add(ns);
             }
             "lock_latency" => {
                 let node = field_u64(v, "node")?;
                 let ns = field_u64(v, "latency_ns")?;
-                *st.lock_wait.entry(node).or_insert(0) += ns;
+                let wait = st.lock_wait.entry(node).or_insert(0);
+                *wait = wait.saturating_add(ns);
             }
             "interval" => {
                 let barrier = field_u64(v, "barrier")?;
@@ -252,8 +276,8 @@ impl Analysis {
                 for node in nodes {
                     let f = st.fetch_wait.get(&node).copied().unwrap_or(0);
                     let l = st.lock_wait.get(&node).copied().unwrap_or(0);
-                    if f + l > best {
-                        best = f + l;
+                    if f.saturating_add(l) > best {
+                        best = f.saturating_add(l);
                         critical = (node, f, l);
                     }
                 }
@@ -292,34 +316,28 @@ impl Analysis {
         Ok(())
     }
 
-    fn finish(st: StreamState, window: usize) -> Analysis {
+    fn finish(st: StreamState, num_threads: usize, num_pages: usize, window: usize) -> Analysis {
         let mut pages: Vec<PageHeat> = st.pages.into_values().collect();
         pages.sort_by(|a, b| b.heat().cmp(&a.heat()).then(a.page.cmp(&b.page)));
         let threads: Vec<ThreadComm> = st.threads.into_values().collect();
         // Phase detection over the tracked observations, one correlation
-        // matrix per barrier interval.
-        let shifts = match (st.max_thread, st.max_page) {
-            (Some(mt), Some(mp)) if st.tracked.iter().any(|i| !i.is_empty()) => {
-                let threads_n = mt as usize + 1;
-                let pages_n = mp as usize + 1;
-                let mut detector = PhaseDetector::new(threads_n, window);
-                for interval in &st.tracked {
-                    if interval.is_empty() {
-                        continue;
+        // matrix per barrier interval, sized by the run (`fold` checked
+        // every observation against it).
+        let mut shifts = Vec::new();
+        if st.tracked.iter().any(|i| !i.is_empty()) {
+            let mut detector = PhaseDetector::new(num_threads, window);
+            for interval in st.tracked.iter().filter(|i| !i.is_empty()) {
+                let mut access = AccessMatrix::new(num_threads, num_pages);
+                for &(t, p) in interval {
+                    if let Some(page) = PageId::from_u64(p) {
+                        access.record(t as usize, page);
                     }
-                    let mut access = AccessMatrix::new(threads_n, pages_n);
-                    for &(t, p) in interval {
-                        if let Some(page) = PageId::from_u64(p) {
-                            access.record(t as usize, page);
-                        }
-                    }
-                    detector.observe(&CorrelationMatrix::from_access(&access));
                 }
-                detector.flush();
-                detector.shifts().to_vec()
+                detector.observe(&CorrelationMatrix::from_access(&access));
             }
-            _ => Vec::new(),
-        };
+            detector.flush();
+            shifts = detector.shifts().to_vec();
+        }
         let spans_csv = st.spans.csv();
         Analysis {
             pages,
@@ -446,7 +464,7 @@ impl Analysis {
         ));
         let worst = self.intervals.iter().max_by_key(|i| {
             (
-                i.fetch_wait_ns + i.lock_wait_ns,
+                i.fetch_wait_ns.saturating_add(i.lock_wait_ns),
                 std::cmp::Reverse(i.barrier),
             )
         });
@@ -459,7 +477,7 @@ impl Analysis {
         out.push('\n');
         out.push_str("span totals:\n");
         if self.spans.is_empty() {
-            out.push_str("  (no spans recorded — span profiling off)\n");
+            out.push_str("  (no spans recorded)\n");
         }
         for s in &self.spans {
             out.push_str(&format!(
@@ -516,6 +534,14 @@ mod tests {
     use acorr_dsm::trace::{Event, EventSink, SpanPhase};
     use acorr_dsm::IterStats;
     use acorr_sim::{NodeId, SimDuration, SimTime};
+
+    /// The run [`sample_log`] stands for: threads 0..4, pages 0..8.
+    const THREADS: usize = 4;
+    const PAGES: usize = 8;
+
+    fn sample(jsonl: &str) -> Result<Analysis, String> {
+        Analysis::from_events(jsonl, THREADS, PAGES)
+    }
 
     fn sample_log() -> String {
         let mut sink = JsonlSink::new();
@@ -587,7 +613,7 @@ mod tests {
 
     #[test]
     fn attributes_pages_threads_and_critical_path() {
-        let a = Analysis::from_events(&sample_log()).unwrap();
+        let a = sample(&sample_log()).unwrap();
         // Page 7 is hottest (2 fetches beats 1 twin + 1 diff on ties by
         // heat then page id: both have heat 2, page 2 sorts first).
         assert_eq!(a.pages.len(), 2);
@@ -620,8 +646,8 @@ mod tests {
     #[test]
     fn csvs_are_deterministic_and_headed() {
         let log = sample_log();
-        let a = Analysis::from_events(&log).unwrap();
-        let b = Analysis::from_events(&log).unwrap();
+        let a = sample(&log).unwrap();
+        let b = sample(&log).unwrap();
         assert_eq!(a.page_heat_csv(), b.page_heat_csv());
         assert_eq!(a.critical_path_csv(), b.critical_path_csv());
         assert!(a
@@ -635,7 +661,7 @@ mod tests {
 
     #[test]
     fn report_carries_the_digest_line() {
-        let a = Analysis::from_events(&sample_log()).unwrap();
+        let a = sample(&sample_log()).unwrap();
         let report = a.report("fnv1a:deadbeef00000000", 5);
         assert!(report.contains("stats digest: fnv1a:deadbeef00000000\n"));
         assert!(report.contains("hot pages"));
@@ -668,7 +694,7 @@ mod tests {
             ns += 1;
             sink.record_interval(SimTime::from_nanos(ns), interval, &IterStats::new());
         }
-        let a = Analysis::from_events_windowed(&sink.render(), 2).unwrap();
+        let a = Analysis::from_events_windowed(&sink.render(), 4, 41, 2).unwrap();
         assert_eq!(a.shifts.len(), 1, "{:?}", a.shifts);
         assert_eq!(a.shifts[0].window, 3);
         assert!(a.phases_csv().contains("3,"));
@@ -676,23 +702,85 @@ mod tests {
 
     #[test]
     fn untracked_streams_detect_nothing() {
-        let a = Analysis::from_events(&sample_log()).unwrap();
+        let a = sample(&sample_log()).unwrap();
         assert!(a.shifts.is_empty());
         assert_eq!(a.phases_csv(), "window,delta_ppm\n");
     }
 
     #[test]
     fn malformed_lines_are_reported_with_position() {
-        let err = Analysis::from_events("{\"ts\":1,\"type\":\"interval\"}").unwrap_err();
+        let err = sample("{\"ts\":1,\"type\":\"interval\"}").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
-        let err = Analysis::from_events("not json").unwrap_err();
+        let err = sample("not json").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+    }
+
+    /// `sample_log` plus `lines`, `MAX` standing for `u64::MAX`.
+    fn with_lines(lines: &[&str]) -> String {
+        let mut log = sample_log();
+        for line in lines {
+            log.push_str(&line.replace("MAX", &u64::MAX.to_string()));
+            log.push('\n');
+        }
+        log
+    }
+
+    #[test]
+    fn a_thread_the_run_lacks_is_an_error_not_a_threads_squared_matrix() {
+        // Refused before anything is sized from it: a dense aged matrix
+        // over 3,000,000 threads does not fit in memory.
+        let err = sample(&with_lines(&[
+            r#"{"type":"correlation_fault","node":0,"thread":3000000,"page":4000000000}"#,
+        ]));
+        assert_eq!(
+            err.unwrap_err(),
+            "events.jsonl line 12: thread 3000000 is outside the run's 4 threads"
+        );
+        let err = sample(&with_lines(&[
+            r#"{"type":"write_fault","node":0,"page":8}"#,
+        ]));
+        assert!(err
+            .unwrap_err()
+            .ends_with("line 12: page 8 is outside the run's 8 pages"));
+    }
+
+    #[test]
+    fn a_u64_max_thread_is_an_error_not_a_wrapped_index() {
+        // Counting `u64::MAX + 1` threads would wrap to zero.
+        let line = r#"{"type":"correlation_fault","node":0,"thread":MAX,"page":2}"#;
+        let err = sample(&with_lines(&[line])).unwrap_err();
+        assert!(err.starts_with(&format!("events.jsonl line 12: thread {}", u64::MAX)));
+    }
+
+    #[test]
+    fn sums_saturate_instead_of_wrapping() {
+        // A wrapped sum would report these two diffs as 1 byte.
+        let a = sample(&with_lines(&[
+            r#"{"type":"diff_created","node":0,"page":7,"bytes":MAX}"#,
+            r#"{"type":"diff_created","node":0,"page":7,"bytes":2}"#,
+            r#"{"type":"fetch_latency","node":0,"latency_ns":MAX}"#,
+            r#"{"type":"fetch_latency","node":0,"latency_ns":1}"#,
+            r#"{"type":"lock_latency","node":0,"latency_ns":MAX}"#,
+            r#"{"type":"interval","barrier":1,"delta":{"elapsed_ns":0,"stall_ns":0}}"#,
+            r#"{"type":"span_begin","ts":0,"id":5,"phase":"fetch"}"#,
+            r#"{"type":"span_end","ts":MAX,"id":5}"#,
+        ]))
+        .unwrap();
+        let max = u64::MAX;
+        assert!(a
+            .page_heat_csv()
+            .contains(&format!("\n7,2,0,2,{max},0,4\n")));
+        assert!(a
+            .critical_path_csv()
+            .ends_with(&format!("\n1,0,0,0,{max},{max}\n")));
+        assert_eq!(a.spans[0].total_ns, max);
+        assert!(a.report("fnv1a:0", 3).contains("worst interval: barrier 1"));
     }
 
     #[test]
     fn write_to_emits_all_artifacts() {
         let dir = std::env::temp_dir().join(format!("acorr-analyze-test-{}", std::process::id()));
-        let a = Analysis::from_events(&sample_log()).unwrap();
+        let a = sample(&sample_log()).unwrap();
         let written = a.write_to(&dir, &a.report("fnv1a:0", 3)).unwrap();
         let names: Vec<String> = written
             .iter()

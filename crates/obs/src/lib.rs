@@ -7,31 +7,36 @@
 //! * **Sinks** ([`sinks`]) — a JSONL structured log, a Chrome/Perfetto
 //!   `trace_event` exporter (one track per node, a control lane, latency
 //!   slices and a fault-plan counter lane), and a composite [`MultiSink`]
-//!   that fans out to every enabled backend plus the bounded in-memory
-//!   ring.
+//!   that fans out to both of them and the metrics registry.
 //! * **Metrics** ([`metrics`]) — per-barrier-interval time series of
 //!   statistic deltas and log2-bucketed histograms of remote-fetch and
 //!   lock-grant latencies, exportable as CSV.
+//! * **Spans** ([`spans`]) — per-phase totals of the engine's
+//!   `SpanBegin`/`SpanEnd` brackets, which every attached sink receives.
 //! * **Manifests** ([`manifest`]) — a JSON reproducibility record per run
 //!   or artifact: parameters, git revision, and an FNV-1a digest of the
 //!   final statistics, so any result can be replayed and checked
 //!   bit-for-bit.
 //! * **JSON** ([`json`]) — the dependency-free encoder/parser everything
 //!   above uses, preserving the workspace's offline-build guarantee.
+//! * **Analysis** ([`analyze`]) — post-run attribution, critical path,
+//!   span totals and phase shifts over a recorded `events.jsonl`.
 //!
-//! Observability is a **pure observer**: attaching any combination of
-//! sinks leaves simulated time, statistics and golden tables bit-identical
-//! (`tests/observability.rs` in the workspace root enforces this).
+//! Observability is a **pure observer**: attaching the sink leaves
+//! simulated time, statistics and golden tables bit-identical
+//! (`tests/observability.rs` in the workspace root enforces this), and
+//! nothing here decides anything — the phase detector that triggers
+//! re-mapping lives in `acorr-track`.
 //!
 //! ```
-//! use acorr_obs::{ObsConfig, MultiSink};
+//! use acorr_obs::MultiSink;
 //! use acorr_dsm::trace::{Event, EventSink};
 //! use acorr_sim::SimTime;
 //!
-//! let (mut sink, handle) = MultiSink::new(&ObsConfig::all(), 4);
+//! let (mut sink, handle) = MultiSink::new(4);
 //! sink.record_event(SimTime::ZERO, &Event::BarrierRelease { index: 0 });
 //! let observation = handle.finish();
-//! assert_eq!(observation.events_jsonl.unwrap().lines().count(), 1);
+//! assert_eq!(observation.events_jsonl.lines().count(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,14 +46,12 @@ pub mod analyze;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
-pub mod phases;
 pub mod sinks;
 pub mod spans;
 
 pub use analyze::{Analysis, IntervalPath, PageHeat, ThreadComm};
 pub use manifest::{bytes_digest, fnv1a, git_describe, stats_digest, RunManifest};
 pub use metrics::{Log2Histogram, MetricsRegistry};
-pub use phases::{PhaseDetector, PhaseShiftMark};
 pub use sinks::{ChromeTraceSink, JsonlSink, MultiSink, ObsHandle, Observation};
 pub use spans::{SpanProfile, SpanTotals};
 
@@ -56,51 +59,15 @@ use acorr_dsm::trace::EventSink;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Which observability backends to enable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Emit the JSONL structured log.
-    pub jsonl: bool,
-    /// Emit the Chrome/Perfetto trace.
-    pub chrome: bool,
-    /// Collect the interval time series and latency histograms.
-    pub metrics: bool,
-    /// Capacity of the bounded in-memory event ring (0 disables it).
-    pub ring_capacity: usize,
-    /// Ask the engine for span-based self-profiling (`SpanBegin`/`SpanEnd`
-    /// brackets around engine phases). A pure observer like the rest.
-    pub spans: bool,
-}
-
-impl ObsConfig {
-    /// Everything on: JSONL, Chrome trace, metrics, span profiling, and a
-    /// 4096-event ring.
-    pub fn all() -> Self {
-        ObsConfig {
-            jsonl: true,
-            chrome: true,
-            metrics: true,
-            ring_capacity: 4096,
-            spans: true,
-        }
-    }
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig::all()
-    }
-}
-
 /// Builds a boxed composite sink (ready for `Dsm::attach_sink`) and its
 /// collection handle for a cluster of `nodes` nodes.
-pub fn observer(config: &ObsConfig, nodes: usize) -> (Box<dyn EventSink>, ObsHandle) {
-    let (sink, handle) = MultiSink::new(config, nodes);
+pub fn observer(nodes: usize) -> (Box<dyn EventSink>, ObsHandle) {
+    let (sink, handle) = MultiSink::new(nodes);
     (Box::new(sink), handle)
 }
 
 impl Observation {
-    /// Writes the present artifacts into `dir` (created if needed) under
+    /// Writes the four artifacts into `dir` (created if needed) under
     /// their standard names — `events.jsonl`, `trace.json`, `metrics.csv`,
     /// `histograms.csv` — and returns the paths written.
     ///
@@ -110,18 +77,15 @@ impl Observation {
     pub fn write_to(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
         std::fs::create_dir_all(dir)?;
         let mut written = Vec::new();
-        let entries: [(&str, Option<&String>); 4] = [
-            ("events.jsonl", self.events_jsonl.as_ref()),
-            ("trace.json", self.chrome_trace.as_ref()),
-            ("metrics.csv", self.metrics_csv.as_ref()),
-            ("histograms.csv", self.histograms_csv.as_ref()),
-        ];
-        for (name, contents) in entries {
-            if let Some(contents) = contents {
-                let path = dir.join(name);
-                std::fs::write(&path, contents)?;
-                written.push(path);
-            }
+        for (name, contents) in [
+            ("events.jsonl", &self.events_jsonl),
+            ("trace.json", &self.chrome_trace),
+            ("metrics.csv", &self.metrics_csv),
+            ("histograms.csv", &self.histograms_csv),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, contents)?;
+            written.push(path);
         }
         Ok(written)
     }
@@ -135,18 +99,17 @@ mod tests {
 
     #[test]
     fn observer_builds_boxed_sink() {
-        let (mut sink, handle) = observer(&ObsConfig::all(), 2);
+        let (mut sink, handle) = observer(2);
         sink.record_event(SimTime::ZERO, &Event::BarrierRelease { index: 0 });
         let obs = handle.finish();
-        assert!(obs.events_jsonl.is_some());
-        assert!(obs.chrome_trace.is_some());
-        assert!(obs.ring.is_some());
+        assert_eq!(obs.events_jsonl.lines().count(), 1);
+        assert!(obs.chrome_trace.contains("\"barrier_release\""));
     }
 
     #[test]
     fn write_to_emits_standard_names() {
         let dir = std::env::temp_dir().join(format!("acorr-obs-test-{}", std::process::id()));
-        let (mut sink, handle) = observer(&ObsConfig::all(), 1);
+        let (mut sink, handle) = observer(1);
         sink.record_event(SimTime::ZERO, &Event::BarrierRelease { index: 0 });
         let obs = handle.finish();
         let written = obs.write_to(&dir).unwrap();

@@ -1,7 +1,6 @@
 //! Metrics: per-barrier-interval time series and log2-bucketed latency
 //! histograms, exportable as CSV.
 
-use crate::json::iter_stats_json;
 use acorr_dsm::IterStats;
 use acorr_sim::{SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -93,13 +92,13 @@ impl Log2Histogram {
 
 /// One sampled barrier interval.
 #[derive(Debug, Clone)]
-pub struct IntervalSample {
+struct IntervalSample {
     /// Simulated release time of the closing barrier.
-    pub at: SimTime,
+    at: SimTime,
     /// Run-global barrier ordinal.
-    pub barrier: u64,
+    barrier: u64,
     /// Counter deltas accumulated over the interval.
-    pub delta: IterStats,
+    delta: IterStats,
 }
 
 /// Collects interval samples and latency histograms for one run.
@@ -133,21 +132,6 @@ impl MetricsRegistry {
     /// Records one lock-grant latency sample.
     pub fn record_lock(&mut self, latency: SimDuration) {
         self.lock.record(latency);
-    }
-
-    /// The sampled intervals, in barrier order.
-    pub fn intervals(&self) -> &[IntervalSample] {
-        &self.intervals
-    }
-
-    /// The remote-fetch latency histogram.
-    pub fn fetch_histogram(&self) -> &Log2Histogram {
-        &self.fetch
-    }
-
-    /// The lock-grant latency histogram.
-    pub fn lock_histogram(&self) -> &Log2Histogram {
-        &self.lock
     }
 
     /// Renders the interval time series as CSV, one row per barrier. The
@@ -192,30 +176,12 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders the interval samples as a JSON array (used by the JSONL and
-    /// debugging paths; each element embeds the full canonical
-    /// [`IterStats`] encoding).
-    pub fn intervals_json(&self) -> String {
-        let mut out = String::from("[");
-        for (idx, s) in self.intervals.iter().enumerate() {
-            if idx > 0 {
-                out.push(',');
-            }
-            let mut obj = crate::json::Obj::new();
-            obj.u64("barrier", s.barrier)
-                .u64("at_ns", s.at.as_nanos())
-                .raw("delta", &iter_stats_json(&s.delta));
-            out.push_str(&obj.finish());
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorr_sim::MessageKind;
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -273,29 +239,30 @@ mod tests {
     fn csv_exports_have_headers_and_rows() {
         let mut m = MetricsRegistry::new();
         let mut delta = IterStats::new();
+        delta.elapsed = SimDuration::from_nanos(11);
+        delta.stall = SimDuration::from_nanos(5);
         delta.remote_misses = 7;
+        delta.tracking_faults = 2;
+        delta.diffs_created = 3;
+        delta.diff_bytes_created = 96;
+        delta.lock_acquires = 4;
+        delta.retries = 1;
+        delta.net.record(MessageKind::PageFetch, 4096);
+        delta.net.record_retrans(MessageKind::PageFetch, 4096, 2);
         m.record_interval(SimTime::from_nanos(1000), 0, &delta);
         m.record_fetch(SimDuration::from_micros(3));
         m.record_lock(SimDuration::from_nanos(10));
         let ts = m.timeseries_csv();
         assert!(ts.starts_with("barrier,at_ns"));
         assert_eq!(ts.lines().count(), 2);
-        assert!(ts.lines().nth(1).unwrap().starts_with("0,1000,"));
+        // Every counter lands in its own column.
+        assert_eq!(
+            ts.lines().nth(1),
+            Some("0,1000,11,5,7,2,3,96,4,1,4096,8192")
+        );
         let hg = m.histogram_csv();
         assert!(hg.starts_with("histogram,bucket"));
         assert!(hg.contains("fetch,"));
         assert!(hg.contains("lock,"));
-        let v = crate::json::parse(&m.intervals_json()).unwrap();
-        let arr = v.as_arr().unwrap();
-        assert_eq!(arr.len(), 1);
-        assert_eq!(
-            arr[0]
-                .get("delta")
-                .unwrap()
-                .get("remote_misses")
-                .unwrap()
-                .as_u64(),
-            Some(7)
-        );
     }
 }

@@ -1,13 +1,13 @@
 //! [`EventSink`] implementations: JSONL, Chrome/Perfetto `trace_event`,
-//! and a composite that fans one engine event stream out to every enabled
-//! backend (including the bounded [`Trace`] ring) behind a shared handle.
+//! and a composite that fans one engine event stream out to both of them
+//! and the metrics registry behind a shared handle.
 
 use crate::json::Obj;
 use crate::metrics::MetricsRegistry;
-use acorr_dsm::trace::{Event, EventSink, SpanPhase, Trace};
+use acorr_dsm::trace::{Event, EventSink, SpanPhase};
 use acorr_dsm::IterStats;
 use acorr_sim::{FaultAction, NodeId, SimDuration, SimTime};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Renders one event's type tag and payload members into `obj`.
 fn push_event_fields(obj: &mut Obj, event: &Event) {
@@ -173,16 +173,6 @@ impl JsonlSink {
         JsonlSink::default()
     }
 
-    /// Number of lines recorded so far.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
     /// The rendered log: newline-separated JSON objects (trailing newline
     /// included when non-empty).
     pub fn render(&self) -> String {
@@ -306,16 +296,6 @@ impl ChromeTraceSink {
             sink.events.push(obj.finish());
         }
         sink
-    }
-
-    /// Number of trace events recorded (including naming metadata).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether only metadata has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// The lane (tid within the protocol process) an event is drawn on:
@@ -477,26 +457,62 @@ impl EventSink for ChromeTraceSink {
     }
 }
 
-/// The backend buffers a [`MultiSink`] writes into, shared with the
-/// [`ObsHandle`] that outlives the run.
-#[derive(Debug, Default)]
-pub struct ObsBuffers {
-    /// JSONL structured log, when enabled.
-    pub jsonl: Option<JsonlSink>,
-    /// Chrome/Perfetto trace, when enabled.
-    pub chrome: Option<ChromeTraceSink>,
-    /// Interval time series + latency histograms, when enabled.
-    pub metrics: Option<MetricsRegistry>,
-    /// Bounded event ring, when a non-zero capacity was configured.
-    pub ring: Option<Trace>,
+/// The three backends every observed run records into, shared by a
+/// [`MultiSink`] and its [`ObsHandle`]. Its [`EventSink`] impl is the one
+/// fan-out both of them use.
+#[derive(Debug)]
+struct ObsBuffers {
+    jsonl: JsonlSink,
+    chrome: ChromeTraceSink,
+    metrics: MetricsRegistry,
+}
+
+impl ObsBuffers {
+    fn new(nodes: usize) -> Self {
+        ObsBuffers {
+            jsonl: JsonlSink::new(),
+            chrome: ChromeTraceSink::new(nodes),
+            metrics: MetricsRegistry::new(),
+        }
+    }
+}
+
+impl EventSink for ObsBuffers {
+    fn record_event(&mut self, at: SimTime, event: &Event) {
+        self.jsonl.record_event(at, event);
+        self.chrome.record_event(at, event);
+    }
+
+    fn record_fetch_latency(&mut self, at: SimTime, node: NodeId, latency: SimDuration) {
+        self.jsonl.record_fetch_latency(at, node, latency);
+        self.chrome.record_fetch_latency(at, node, latency);
+        self.metrics.record_fetch(latency);
+    }
+
+    fn record_lock_latency(&mut self, at: SimTime, node: NodeId, latency: SimDuration) {
+        self.jsonl.record_lock_latency(at, node, latency);
+        self.chrome.record_lock_latency(at, node, latency);
+        self.metrics.record_lock(latency);
+    }
+
+    fn record_interval(&mut self, at: SimTime, barrier: u64, delta: &IterStats) {
+        self.jsonl.record_interval(at, barrier, delta);
+        self.chrome.record_interval(at, barrier, delta);
+        self.metrics.record_interval(at, barrier, delta);
+    }
 }
 
 type Shared = Arc<Mutex<ObsBuffers>>;
 
-/// A composite [`EventSink`] fanning each callback out to every enabled
-/// backend. The buffers live behind an `Arc`, so the paired [`ObsHandle`]
-/// can collect the results after the engine (which owns the boxed sink)
-/// is done — no trait-object downcasting required.
+fn lock(shared: &Shared) -> MutexGuard<'_, ObsBuffers> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A composite [`EventSink`] fanning each callback out to the JSONL log,
+/// the Chrome trace and the metrics registry. The buffers live behind an
+/// `Arc`, so the paired [`ObsHandle`] can collect the results after the
+/// engine (which owns the boxed sink) is done — no trait-object
+/// downcasting required.
 #[derive(Debug)]
 pub struct MultiSink {
     inner: Shared,
@@ -509,34 +525,25 @@ pub struct ObsHandle {
     inner: Shared,
 }
 
-/// Rendered observability artifacts for one run. Fields are `None` when
-/// the corresponding backend was disabled in the [`crate::ObsConfig`].
-#[derive(Debug, Default)]
+/// Rendered observability artifacts for one run.
+#[derive(Debug)]
 pub struct Observation {
     /// JSONL structured log (`events.jsonl`).
-    pub events_jsonl: Option<String>,
+    pub events_jsonl: String,
     /// Chrome `trace_event` document (`trace.json`).
-    pub chrome_trace: Option<String>,
+    pub chrome_trace: String,
     /// Interval time-series CSV (`metrics.csv`).
-    pub metrics_csv: Option<String>,
+    pub metrics_csv: String,
     /// Latency histogram CSV (`histograms.csv`).
-    pub histograms_csv: Option<String>,
-    /// The drained bounded event ring.
-    pub ring: Option<Trace>,
+    pub histograms_csv: String,
 }
 
 impl MultiSink {
-    /// Builds a composite sink from an [`crate::ObsConfig`] for a cluster
-    /// of `nodes` nodes, returning the sink (to attach to the engine) and
-    /// the handle (to collect results from).
-    pub fn new(config: &crate::ObsConfig, nodes: usize) -> (MultiSink, ObsHandle) {
-        let buffers = ObsBuffers {
-            jsonl: config.jsonl.then(JsonlSink::new),
-            chrome: config.chrome.then(|| ChromeTraceSink::new(nodes)),
-            metrics: config.metrics.then(MetricsRegistry::new),
-            ring: (config.ring_capacity > 0).then(|| Trace::new(config.ring_capacity)),
-        };
-        let inner = Arc::new(Mutex::new(buffers));
+    /// Builds a composite sink for a cluster of `nodes` nodes, returning
+    /// the sink (to attach to the engine) and the handle (to collect
+    /// results from).
+    pub fn new(nodes: usize) -> (MultiSink, ObsHandle) {
+        let inner = Arc::new(Mutex::new(ObsBuffers::new(nodes)));
         (
             MultiSink {
                 inner: Arc::clone(&inner),
@@ -544,102 +551,47 @@ impl MultiSink {
             ObsHandle { inner },
         )
     }
-
-    fn with<F: FnOnce(&mut ObsBuffers)>(&self, f: F) {
-        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut guard);
-    }
 }
 
 impl EventSink for MultiSink {
     fn record_event(&mut self, at: SimTime, event: &Event) {
-        self.with(|b| {
-            if let Some(s) = b.jsonl.as_mut() {
-                s.record_event(at, event);
-            }
-            if let Some(s) = b.chrome.as_mut() {
-                s.record_event(at, event);
-            }
-            if let Some(s) = b.ring.as_mut() {
-                s.record_event(at, event);
-            }
-        });
+        lock(&self.inner).record_event(at, event);
     }
 
     fn record_fetch_latency(&mut self, at: SimTime, node: NodeId, latency: SimDuration) {
-        self.with(|b| {
-            if let Some(s) = b.jsonl.as_mut() {
-                s.record_fetch_latency(at, node, latency);
-            }
-            if let Some(s) = b.chrome.as_mut() {
-                s.record_fetch_latency(at, node, latency);
-            }
-            if let Some(m) = b.metrics.as_mut() {
-                m.record_fetch(latency);
-            }
-        });
+        lock(&self.inner).record_fetch_latency(at, node, latency);
     }
 
     fn record_lock_latency(&mut self, at: SimTime, node: NodeId, latency: SimDuration) {
-        self.with(|b| {
-            if let Some(s) = b.jsonl.as_mut() {
-                s.record_lock_latency(at, node, latency);
-            }
-            if let Some(s) = b.chrome.as_mut() {
-                s.record_lock_latency(at, node, latency);
-            }
-            if let Some(m) = b.metrics.as_mut() {
-                m.record_lock(latency);
-            }
-        });
+        lock(&self.inner).record_lock_latency(at, node, latency);
     }
 
     fn record_interval(&mut self, at: SimTime, barrier: u64, delta: &IterStats) {
-        self.with(|b| {
-            if let Some(s) = b.jsonl.as_mut() {
-                s.record_interval(at, barrier, delta);
-            }
-            if let Some(s) = b.chrome.as_mut() {
-                s.record_interval(at, barrier, delta);
-            }
-            if let Some(m) = b.metrics.as_mut() {
-                m.record_interval(at, barrier, delta);
-            }
-        });
+        lock(&self.inner).record_interval(at, barrier, delta);
     }
 }
 
 impl ObsHandle {
-    /// Records one event into every enabled backend from the collection
+    /// Records one event into the shared backends from the collection
     /// side. This is how post-hoc detections (e.g. [`Event::PhaseShift`]
-    /// from the analytics layer) join the same artifacts as engine events:
+    /// from a phase detector) join the same artifacts as engine events:
     /// the handle shares the buffers with the attached [`MultiSink`].
     pub fn record_event(&self, at: SimTime, event: &Event) {
-        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let b = &mut *guard;
-        if let Some(s) = b.jsonl.as_mut() {
-            s.record_event(at, event);
-        }
-        if let Some(s) = b.chrome.as_mut() {
-            s.record_event(at, event);
-        }
-        if let Some(s) = b.ring.as_mut() {
-            s.record_event(at, event);
-        }
+        lock(&self.inner).record_event(at, event);
     }
 
-    /// Takes the buffers and renders them. Call after the run; artifacts
-    /// recorded afterwards are lost.
+    /// Takes the buffers, leaving empty ones behind, and renders them.
+    /// Call after the run; a later call sees only what was recorded since.
     pub fn finish(&self) -> Observation {
-        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let buffers = std::mem::take(&mut *guard);
+        let mut guard = lock(&self.inner);
+        let fresh = ObsBuffers::new(guard.chrome.nodes);
+        let buffers = std::mem::replace(&mut *guard, fresh);
         drop(guard);
         Observation {
-            events_jsonl: buffers.jsonl.map(|s| s.render()),
-            chrome_trace: buffers.chrome.map(|s| s.render()),
-            metrics_csv: buffers.metrics.as_ref().map(|m| m.timeseries_csv()),
-            histograms_csv: buffers.metrics.as_ref().map(|m| m.histogram_csv()),
-            ring: buffers.ring,
+            events_jsonl: buffers.jsonl.render(),
+            chrome_trace: buffers.chrome.render(),
+            metrics_csv: buffers.metrics.timeseries_csv(),
+            histograms_csv: buffers.metrics.histogram_csv(),
         }
     }
 }
@@ -682,7 +634,6 @@ mod tests {
     fn jsonl_lines_are_each_valid_json() {
         let mut sink = JsonlSink::new();
         feed(&mut sink);
-        assert_eq!(sink.len(), 5);
         let text = sink.render();
         let mut types = Vec::new();
         for line in text.lines() {
@@ -884,8 +835,7 @@ mod tests {
 
     #[test]
     fn remap_events_reach_jsonl_through_the_handle() {
-        let config = crate::ObsConfig::all();
-        let (_sink, handle) = MultiSink::new(&config, 2);
+        let (_sink, handle) = MultiSink::new(2);
         handle.record_event(
             SimTime::from_nanos(700),
             &Event::RemapRejected {
@@ -896,16 +846,14 @@ mod tests {
                 cost: 16,
             },
         );
-        let obs = handle.finish();
-        let jsonl = obs.events_jsonl.expect("jsonl enabled");
+        let jsonl = handle.finish().events_jsonl;
         assert!(jsonl.contains("\"type\":\"remap_rejected\""));
         assert!(jsonl.contains("\"cut_before\":50"));
     }
 
     #[test]
     fn handle_record_event_joins_the_same_buffers() {
-        let config = crate::ObsConfig::all();
-        let (mut sink, handle) = MultiSink::new(&config, 2);
+        let (mut sink, handle) = MultiSink::new(2);
         feed(&mut sink);
         handle.record_event(
             SimTime::from_nanos(600),
@@ -915,49 +863,22 @@ mod tests {
             },
         );
         let obs = handle.finish();
-        let jsonl = obs.events_jsonl.expect("jsonl enabled");
-        assert!(jsonl.contains("\"type\":\"phase_shift\""));
-        let chrome = obs.chrome_trace.expect("chrome enabled");
-        assert!(chrome.contains("\"name\":\"phase_shift\""));
+        assert!(obs.events_jsonl.contains("\"type\":\"phase_shift\""));
+        assert!(obs.chrome_trace.contains("\"name\":\"phase_shift\""));
     }
 
     #[test]
     fn multi_sink_fans_out_and_handle_collects() {
-        let config = crate::ObsConfig::all();
-        let (mut sink, handle) = MultiSink::new(&config, 2);
+        let (mut sink, handle) = MultiSink::new(2);
         feed(&mut sink);
         let obs = handle.finish();
-        let jsonl = obs.events_jsonl.expect("jsonl enabled");
-        assert_eq!(jsonl.lines().count(), 5);
-        let chrome = obs.chrome_trace.expect("chrome enabled");
-        assert!(parse(&chrome).is_ok());
-        let metrics = obs.metrics_csv.expect("metrics enabled");
-        assert_eq!(metrics.lines().count(), 2);
-        let hists = obs.histograms_csv.expect("metrics enabled");
-        assert!(hists.contains("fetch,"));
-        let ring = obs.ring.expect("ring enabled");
-        assert_eq!(ring.len(), 2);
+        assert_eq!(obs.events_jsonl.lines().count(), 5);
+        assert!(parse(&obs.chrome_trace).is_ok());
+        assert_eq!(obs.metrics_csv.lines().count(), 2);
+        assert!(obs.histograms_csv.contains("fetch,"));
         // A second finish sees empty buffers.
         let again = handle.finish();
-        assert!(again.events_jsonl.is_none());
-    }
-
-    #[test]
-    fn disabled_backends_stay_none() {
-        let config = crate::ObsConfig {
-            jsonl: true,
-            chrome: false,
-            metrics: false,
-            ring_capacity: 0,
-            spans: false,
-        };
-        let (mut sink, handle) = MultiSink::new(&config, 1);
-        feed(&mut sink);
-        let obs = handle.finish();
-        assert!(obs.events_jsonl.is_some());
-        assert!(obs.chrome_trace.is_none());
-        assert!(obs.metrics_csv.is_none());
-        assert!(obs.histograms_csv.is_none());
-        assert!(obs.ring.is_none());
+        assert!(again.events_jsonl.is_empty());
+        assert_eq!(again.metrics_csv.lines().count(), 1, "header only");
     }
 }

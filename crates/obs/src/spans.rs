@@ -16,7 +16,7 @@ pub struct SpanTotals {
     pub phase: String,
     /// Completed spans observed.
     pub count: u64,
-    /// Sum of span durations, nanoseconds.
+    /// Sum of span durations, nanoseconds (saturating).
     pub total_ns: u64,
     /// Longest single span, nanoseconds.
     pub max_ns: u64,
@@ -49,7 +49,7 @@ impl SpanProfile {
             let dur = ts_ns.saturating_sub(begin);
             let entry = self.totals.entry(phase).or_insert((0, 0, 0));
             entry.0 += 1;
-            entry.1 += dur;
+            entry.1 = entry.1.saturating_add(dur);
             entry.2 = entry.2.max(dur);
         }
     }

@@ -6,7 +6,7 @@
 //! far two correlation matrices diverge, so a runtime can re-track (and
 //! re-place) only when cheap passive observations stop resembling the last
 //! active snapshot. The firing decision on top of it (threshold and
-//! hysteresis) is acorr-obs's `PhaseDetector`.
+//! hysteresis) is [`PhaseDetector`](crate::PhaseDetector).
 
 use crate::correlation::CorrelationMatrix;
 

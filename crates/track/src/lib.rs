@@ -15,6 +15,10 @@
 //! * [`aging`] — exponential aging of correlations across tracking rounds,
 //!   the adaptation mechanism prior systems used and the paper's future-work
 //!   hook for dynamic applications.
+//! * [`delta`] / [`phases`] — how far two correlation snapshots diverge,
+//!   and the [`PhaseDetector`] that turns that divergence into re-mapping
+//!   triggers: tumbling windows against an aged baseline, with integer
+//!   ppm thresholds and fire/re-arm hysteresis, generic over the store.
 //! * [`store`] / [`sparse`] — the [`CorrelationStore`] abstraction and the
 //!   [`SparseCorrelation`] backend: `O(T + E)` flat CSR storage with
 //!   aging-aware compaction, bit-identical to the dense matrix on the same
@@ -51,6 +55,7 @@ pub mod delta;
 pub mod estimate;
 pub mod map;
 pub mod pages;
+pub mod phases;
 pub mod sharing;
 pub mod sparse;
 pub mod store;
@@ -65,6 +70,7 @@ pub use map::{render_ascii, render_csv, render_pgm, render_svg, MapStyle};
 pub use pages::{
     hottest_pages, page_report, page_sharers, sharer_histogram, sharers_of, PageReport, PageSharers,
 };
+pub use phases::{PhaseDetector, PhaseShiftMark};
 pub use sharing::{node_page_unions, sharing_degree};
 pub use sparse::{SparseAged, SparseCorrelation};
 pub use store::{AgedStore, CorrelationStore};

@@ -26,7 +26,7 @@ for src in examples/*.rs; do
     cargo run --release --example "$name" -q >/dev/null
 done
 
-echo "==> observability smoke (run --obs-dir + analyze + manifest replay)"
+echo "==> observability smoke (run --obs-dir + analyze + manifest replay + foreign thread)"
 obs_dir="$(mktemp -d)"
 ./target/release/acorr run --app SOR --threads 8 --nodes 2 \
     --iters 2 --faults moderate --obs-dir "$obs_dir"
@@ -35,7 +35,19 @@ obs_dir="$(mktemp -d)"
     echo "error: analyze wrote no analysis/report.txt" >&2; exit 1; }
 sh scripts/check_obs.sh "$obs_dir"
 ./target/release/acorr report --manifest "$obs_dir/manifest.json"
-rm -rf "$obs_dir"
+# A copy whose log names a thread the run does not have still replays its
+# manifest; analyze must then refuse it with an error naming the line.
+cp -R "$obs_dir" "$obs_dir.foreign"
+echo '{"type":"correlation_fault","node":0,"thread":3000000,"page":4000000000}' \
+    >> "$obs_dir.foreign/events.jsonl"
+status=0
+./target/release/acorr analyze --obs-dir "$obs_dir.foreign" \
+    2> "$obs_dir.foreign.err" || status=$?
+cat "$obs_dir.foreign.err"
+[ "$status" -eq 1 ] &&
+    grep -q "^error: .*line [0-9]*: thread 3000000 " "$obs_dir.foreign.err" || {
+    echo "error: analyze on a foreign-thread bundle exited $status" >&2; exit 1; }
+rm -rf "$obs_dir" "$obs_dir.foreign" "$obs_dir.foreign.err"
 
 echo "==> model-check smoke (bounded fault x schedule sweep + seeded bug)"
 mc_dir="$(mktemp -d)"

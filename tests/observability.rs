@@ -5,7 +5,7 @@
 
 use active_correlation_tracking::apps::{self, Sor};
 use active_correlation_tracking::experiment::Workbench;
-use active_correlation_tracking::obs::{self, json, ObsConfig, RunManifest};
+use active_correlation_tracking::obs::{self, json, RunManifest};
 use active_correlation_tracking::place::Strategy;
 use active_correlation_tracking::sim::FaultPlan;
 
@@ -24,7 +24,7 @@ fn observer_is_pure_under_every_fault_preset() {
             .unwrap();
         let observed = bench()
             .with_faults(faults.clone())
-            .with_observer(ObsConfig::all())
+            .with_observer()
             .observed_heuristic_run(app, Strategy::MinCost, 2)
             .unwrap();
         assert_eq!(plain.row, observed.row, "{spec}: row drifted");
@@ -52,7 +52,7 @@ fn observer_is_pure_at_every_thread_count() {
         let observed = bench()
             .with_threads(threads)
             .with_faults(FaultPlan::heavy(11))
-            .with_observer(ObsConfig::all())
+            .with_observer()
             .conformance_run(Sor::new(128, 128, 16), 2)
             .unwrap();
         assert_eq!(reference, observed, "threads={threads}");
@@ -74,7 +74,7 @@ fn golden_tables_are_unchanged_with_all_sinks_attached() {
         let study = Workbench::new(8, 64)
             .unwrap()
             .with_threads(4)
-            .with_observer(ObsConfig::all())
+            .with_observer()
             .cutcost_study(|| apps::by_name(name, 64).unwrap(), 6, 1)
             .unwrap();
         for (i, s) in study.samples.iter().enumerate() {
@@ -94,7 +94,7 @@ fn golden_tables_are_unchanged_with_all_sinks_attached() {
         let row = Workbench::new(8, 64)
             .unwrap()
             .with_threads(2)
-            .with_observer(ObsConfig::all())
+            .with_observer()
             .tracking_overhead(|| apps::by_name(name, 64).unwrap())
             .unwrap();
         let line = format!("{name},{},{}\n", row.tracking_faults, row.coherence_faults);
@@ -110,7 +110,7 @@ fn manifest_replays_to_a_matching_digest() {
     let app = || apps::by_name("Water", 16).unwrap();
     let run = bench()
         .with_faults(FaultPlan::moderate(7))
-        .with_observer(ObsConfig::all())
+        .with_observer()
         .observed_heuristic_run(app, Strategy::MinCost, 2)
         .unwrap();
     let manifest = RunManifest::new("observability-test")
@@ -140,13 +140,13 @@ fn manifest_replays_to_a_matching_digest() {
 fn exported_artifacts_are_well_formed_under_heavy_faults() {
     let run = bench()
         .with_faults(FaultPlan::heavy(3))
-        .with_observer(ObsConfig::all())
+        .with_observer()
         .observed_heuristic_run(|| Sor::new(256, 256, 16), Strategy::MinCost, 2)
         .unwrap();
     let observation = run.observation.unwrap();
 
     // The Chrome trace parses as JSON with the trace_event envelope.
-    let chrome = json::parse(observation.chrome_trace.as_ref().unwrap()).unwrap();
+    let chrome = json::parse(&observation.chrome_trace).unwrap();
     assert_eq!(
         chrome.get("displayTimeUnit").and_then(|v| v.as_str()),
         Some("ns")
@@ -159,7 +159,7 @@ fn exported_artifacts_are_well_formed_under_heavy_faults() {
     assert!(events.iter().any(|e| phase(e).as_deref() == Some("C")));
 
     // Every JSONL line is a standalone JSON object with a type tag.
-    let jsonl = observation.events_jsonl.as_ref().unwrap();
+    let jsonl = &observation.events_jsonl;
     assert!(!jsonl.is_empty());
     for line in jsonl.lines() {
         let value = json::parse(line).unwrap();
@@ -168,22 +168,18 @@ fn exported_artifacts_are_well_formed_under_heavy_faults() {
 
     // The metrics time series has one row per barrier interval, and the
     // histograms carry at least the fetch-latency distribution.
-    let metrics = observation.metrics_csv.as_ref().unwrap();
+    let metrics = &observation.metrics_csv;
     let mut rows = metrics.lines();
     assert!(rows.next().unwrap().starts_with("barrier,at_ns,elapsed_ns"));
     assert!(rows.count() >= 2, "at least one interval per iteration");
-    let histograms = observation.histograms_csv.as_ref().unwrap();
+    let histograms = &observation.histograms_csv;
     assert!(histograms.starts_with("histogram,bucket,lo_ns,hi_ns,count"));
     assert!(histograms.lines().any(|l| l.starts_with("fetch,")));
-
-    // The bounded ring drained events too.
-    let ring = observation.ring.as_ref().unwrap();
-    assert!(ring.iter().next().is_some());
 }
 
 #[test]
 fn spans_and_analysis_are_pure_observers() {
-    // ObsConfig::all() turns on span self-profiling alongside every sink;
+    // The attached sink receives span brackets alongside every event;
     // recording spans and then running the post-hoc analytics must not
     // perturb the run by a single bit.
     let app = || apps::by_name("SOR", 64).unwrap();
@@ -193,7 +189,7 @@ fn spans_and_analysis_are_pure_observers() {
         .unwrap();
     let observed = Workbench::new(8, 64)
         .unwrap()
-        .with_observer(ObsConfig::all())
+        .with_observer()
         .observed_heuristic_run(app, Strategy::MinCost, 2)
         .unwrap();
     assert_eq!(plain.row, observed.row, "row drifted under span profiling");
@@ -205,9 +201,9 @@ fn spans_and_analysis_are_pure_observers() {
     // Spans reached both sinks: nestable duration events in the Chrome
     // trace, span_begin/span_end records in the JSONL stream.
     let observation = observed.observation.unwrap();
-    let jsonl = observation.events_jsonl.unwrap();
+    let jsonl = observation.events_jsonl;
     assert!(jsonl.contains("\"span_begin\"") && jsonl.contains("\"span_end\""));
-    let chrome = json::parse(observation.chrome_trace.as_ref().unwrap()).unwrap();
+    let chrome = json::parse(&observation.chrome_trace).unwrap();
     let events = chrome.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
     let phase = |e: &json::Value| e.get("ph").and_then(|v| v.as_str()).map(str::to_owned);
     assert!(events.iter().any(|e| phase(e).as_deref() == Some("b")));
@@ -215,8 +211,8 @@ fn spans_and_analysis_are_pure_observers() {
 
     // The analytics themselves are post-hoc and deterministic: two passes
     // over the same recording produce byte-identical artifacts.
-    let a = obs::Analysis::from_events(&jsonl).unwrap();
-    let b = obs::Analysis::from_events(&jsonl).unwrap();
+    let a = obs::Analysis::from_events(&jsonl, observed.threads, observed.pages).unwrap();
+    let b = obs::Analysis::from_events(&jsonl, observed.threads, observed.pages).unwrap();
     assert_eq!(a.page_heat_csv(), b.page_heat_csv());
     assert_eq!(a.thread_comm_csv(), b.thread_comm_csv());
     assert_eq!(a.critical_path_csv(), b.critical_path_csv());
@@ -234,11 +230,11 @@ fn spans_and_analysis_are_pure_observers() {
 fn golden_analysis_sor_heat_and_critical_path() {
     let observed = Workbench::new(8, 64)
         .unwrap()
-        .with_observer(ObsConfig::all())
+        .with_observer()
         .observed_heuristic_run(|| apps::by_name("SOR", 64).unwrap(), Strategy::MinCost, 2)
         .unwrap();
-    let jsonl = observed.observation.unwrap().events_jsonl.unwrap();
-    let analysis = obs::Analysis::from_events(&jsonl).unwrap();
+    let jsonl = observed.observation.unwrap().events_jsonl;
+    let analysis = obs::Analysis::from_events(&jsonl, observed.threads, observed.pages).unwrap();
 
     let mut out = String::from("# page_heat (top 10)\n");
     for line in analysis.page_heat_csv().lines().take(11) {

@@ -1,10 +1,13 @@
 //! Bad input never panics: random strings and mutations of valid inputs
 //! fed to every parser behind a CLI flag (JSON documents and run
-//! manifests, correlation CSV, fault specs, replay tokens) must come back
-//! as `Ok` or `Err`. A panic fails the case and names its replayable seed.
+//! manifests, correlation CSV, fault specs, replay tokens, recorded event
+//! logs) must come back as `Ok` or `Err`. A panic fails the case and names
+//! its replayable seed.
 
+use active_correlation_tracking::apps::Drift;
 use active_correlation_tracking::dsm::IterStats;
-use active_correlation_tracking::obs::{json, RunManifest};
+use active_correlation_tracking::experiment::Workbench;
+use active_correlation_tracking::obs::{json, Analysis, RunManifest};
 use active_correlation_tracking::sched::Schedule;
 use active_correlation_tracking::sim::{forall, DetRng, FaultPlan};
 use active_correlation_tracking::track::{render_csv, CorrelationMatrix};
@@ -112,4 +115,21 @@ fn fault_spec_never_panics() {
 fn replay_token_never_panics() {
     let valid = ["s1", "s1:1", "s1!1", "s1:0.2.1!0.1", "s1:4294967295"];
     never_panics(&valid.map(String::from), Schedule::parse_token);
+}
+
+#[test]
+fn event_log_analysis_never_panics() {
+    // A recorded bundle with every kind of line `acorr analyze` folds:
+    // misses, twins, diffs, locks, latencies, intervals, spans, tracked
+    // correlation faults and a detected phase shift.
+    let scan = Workbench::new(2, 4)
+        .unwrap()
+        .with_observer()
+        .phase_scan(|| Drift::new(32, 4, 2), 6, 2)
+        .unwrap();
+    assert!(!scan.shifts.is_empty());
+    let events = scan.observation.unwrap().events_jsonl;
+    never_panics(&[events], |text| {
+        Analysis::from_events(text, scan.threads, scan.pages)
+    });
 }

@@ -10,7 +10,6 @@
 //! * the full decision timeline is pinned by a golden snapshot;
 //! * decisions flow through the obs sinks (JSONL + Perfetto marks).
 
-use active_correlation_tracking::obs::ObsConfig;
 use active_correlation_tracking::place::{MigrationCostModel, MigrationPolicy};
 use active_correlation_tracking::sim::{Mapping, Scenario, TrafficConfig, TrafficDriver};
 use active_correlation_tracking::{ServeDecision, ServeOptions, ServeReport, Workbench};
@@ -181,15 +180,15 @@ fn interchange_policy_bounds_movement_and_still_improves() {
 #[test]
 fn decisions_flow_through_the_obs_sinks() {
     let report = bench()
-        .with_observer(ObsConfig::all())
+        .with_observer()
         .serve_traffic(&ServeOptions::new(Scenario::Hotspot));
     let obs = report.observation.expect("observer configured");
-    let jsonl = obs.events_jsonl.expect("jsonl sink on");
+    let jsonl = obs.events_jsonl;
     assert!(jsonl.contains("\"type\":\"phase_shift\""));
     assert!(jsonl.contains("\"type\":\"remap_accepted\""));
     assert!(jsonl.contains("\"type\":\"remap_rejected\""));
     assert!(jsonl.contains("\"type\":\"migration\""));
-    let chrome = obs.chrome_trace.expect("chrome sink on");
+    let chrome = obs.chrome_trace;
     assert!(chrome.contains("\"name\":\"remap_accepted\""));
     assert!(chrome.contains("\"name\":\"phase_shift\""));
 }
