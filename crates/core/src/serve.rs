@@ -14,9 +14,10 @@
 //! migrations applied — lands on the decision timeline (and, when an
 //! observer is attached, in the obs sinks as Perfetto marks on the
 //! decision lane). The loop is a pure function of `(seed, scenario,
-//! jobs)`: traffic generation is the only parallel stage and it is
-//! order-collected, so the timeline and final mapping are bit-identical
-//! at any worker count.
+//! jobs)`: traffic generation runs tenants in parallel and collects them
+//! in order, and a step's two cut sums run on a second worker beside the
+//! detector's window fold, reading the step's store only. So the timeline
+//! and final mapping are bit-identical at any worker count.
 //!
 //! [`Workbench::serve_app`] runs the same decision core against a live
 //! DSM engine instead of synthetic traffic, re-mapping threads through
@@ -29,7 +30,9 @@ use acorr_obs::{bytes_digest, MultiSink, ObsHandle, Observation};
 use acorr_place::{
     multilevel_place, plan_migration, refine_kl, MigrationCostModel, MigrationPolicy,
 };
-use acorr_sim::{ClusterConfig, Mapping, Scenario, SimTime, TrafficConfig, TrafficDriver};
+use acorr_sim::{
+    par_join, ClusterConfig, Mapping, Scenario, SimTime, TrafficConfig, TrafficDriver,
+};
 use acorr_track::{
     cut_cost, CorrelationMatrix, CorrelationStore, PhaseDetector, PhaseShiftMark, SparseCorrelation,
 };
@@ -357,11 +360,18 @@ impl Workbench {
             let edges = traffic.step_edges(step, self.threads);
             let corr = SparseCorrelation::from_edges(threads, edges);
             // Cut is charged before the step's verdict applies, so an
-            // accepted re-map pays off from the next step on.
-            report.served_cut += cut_cost(&corr, &current);
-            report.static_cut += cut_cost(&corr, &initial);
+            // accepted re-map pays off from the next step on. The two sums
+            // only read the step's store, so the second worker takes them
+            // while the detector folds.
+            let (fired, (served, fixed)) = par_join(
+                self.threads,
+                || detector.observe(&corr),
+                || (cut_cost(&corr, &current), cut_cost(&corr, &initial)),
+            );
+            report.served_cut += served;
+            report.static_cut += fixed;
             let at = SimTime::from_nanos(100_000 * (step + 1));
-            let Some(mark) = detector.observe(&corr) else {
+            let Some(mark) = fired else {
                 continue;
             };
             report.shift(step, mark, at);

@@ -66,7 +66,7 @@ pub use faults::{
     FAULT_PRESETS,
 };
 pub use network::{MessageKind, NetStats, NetworkModel};
-pub use pool::{available_threads, par_map_indexed, par_map_range, resolve_threads};
+pub use pool::{available_threads, par_join, par_map_indexed, par_map_range, resolve_threads};
 pub use rng::{forall, DetRng};
 pub use stats::{linear_fit, mean, stddev, LinearFit};
 pub use time::{SimDuration, SimTime};

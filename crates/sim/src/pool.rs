@@ -2,9 +2,10 @@
 //!
 //! The paper's randomized methodologies are embarrassingly parallel: Table 2
 //! alone runs 300 random configurations per application, and every run is a
-//! pure function of `(program, config, seed)`. This module provides the one
-//! primitive the experiment drivers need — [`par_map_indexed`] — built only
-//! on [`std::thread::scope`] so the workspace stays free of external
+//! pure function of `(program, config, seed)`. This module provides the
+//! primitive the experiment drivers need — [`par_map_indexed`] — and
+//! [`par_join`], which runs two different closures side by side, both built
+//! only on [`std::thread::scope`] so the workspace stays free of external
 //! dependencies.
 //!
 //! # Determinism contract
@@ -127,6 +128,39 @@ where
     par_map_indexed(threads, vec![(); count], |i, ()| f(i))
 }
 
+/// Runs `a` on the calling thread and `b` on one scoped worker at the same
+/// time, returning `(a(), b())`.
+///
+/// The contract is [`par_map_indexed`]'s: `threads <= 1` runs `a` then `b`
+/// on the calling thread, and with pure closures the result is the same at
+/// every worker count.
+///
+/// # Panics
+///
+/// Panics (after both closures have finished) with the original payload if
+/// either closure panics.
+pub fn par_join<A, B, RA, RB>(threads: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if threads <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    // A panic in `a` unwinds out of the scope closure, and the scope
+    // resumes it with its payload once `b` has finished.
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(b);
+        let ra = a();
+        match worker.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,6 +204,37 @@ mod tests {
         assert_eq!(resolve_threads(0), available_threads());
         assert_eq!(resolve_threads(1), 1);
         assert_eq!(resolve_threads(5), 5);
+    }
+
+    #[test]
+    fn par_join_returns_both_results_in_order() {
+        for threads in [1, 2] {
+            let (a, b) = par_join(threads, || "left", || vec![1, 2, 3]);
+            assert_eq!((a, b), ("left", vec![1, 2, 3]), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn par_join_panics_resurface_with_their_payload() {
+        for threads in [1, 2] {
+            for side in ["left", "right"] {
+                let caught = std::panic::catch_unwind(|| {
+                    par_join(
+                        threads,
+                        || assert_ne!(side, "left", "deliberate left"),
+                        || assert_ne!(side, "right", "deliberate right"),
+                    )
+                });
+                let payload = caught.expect_err("the panic resurfaces");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .expect("a formatted panic message");
+                assert!(
+                    message.contains(&format!("deliberate {side}")),
+                    "threads={threads}: {message}"
+                );
+            }
+        }
     }
 
     #[test]

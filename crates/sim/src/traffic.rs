@@ -183,7 +183,7 @@ impl TrafficDriver {
         let (lo, len) = self.shards[k];
         let g = self.generation(step);
         let weight = self.intensity(k, step);
-        let mut edges = match self.config.scenario {
+        match self.config.scenario {
             Scenario::Static | Scenario::Diurnal => ring_edges(lo, len, 1, weight),
             Scenario::Hotspot => {
                 let offset = if k == 0 && len >= 3 {
@@ -197,10 +197,7 @@ impl TrafficDriver {
                 None => ring_edges(lo, len, 1, weight),
                 Some(r) => self.matched_edges(k, r, weight),
             },
-        };
-        edges.sort_unstable();
-        coalesce(&mut edges);
-        edges
+        }
     }
 
     /// Per-edge weight for tenant `k` at `step`.
@@ -252,7 +249,8 @@ impl TrafficDriver {
     }
 
     /// A seeded random perfect matching of tenant `k`'s shard, keyed by
-    /// the generation `r` that introduced it.
+    /// the generation `r` that introduced it, sorted (a matching names no
+    /// pair twice).
     fn matched_edges(&self, k: usize, r: u64, weight: u64) -> Vec<(u32, u32, u64)> {
         let (lo, len) = self.shards[k];
         let mut perm: Vec<usize> = (0..len).collect();
@@ -265,22 +263,34 @@ impl TrafficDriver {
             let (a, b) = ((lo + pair[0]) as u32, (lo + pair[1]) as u32);
             edges.push((a.min(b), a.max(b), weight));
         }
+        edges.sort_unstable();
         edges
     }
 }
 
 /// Ring edges `(i, i + offset mod len)` over a contiguous shard, each
-/// pair normalized to `a < b`.
+/// pair normalized to `a < b`, sorted and coalesced, for `0 < offset <
+/// len`. They come out in order without a sort: the pairs at `a` are the
+/// main edge `(a, a + offset)` when `a + offset < len` and the wrap edge
+/// `(a, a + len - offset)` when `a < offset`, and the nearer partner goes
+/// first. At `offset = len / 2` the two are one pair, which `coalesce`
+/// sums.
 fn ring_edges(lo: usize, len: usize, offset: usize, weight: u64) -> Vec<(u32, u32, u64)> {
+    debug_assert!(0 < offset && offset < len, "ring offset {offset} of {len}");
     let mut edges = Vec::with_capacity(len);
-    for i in 0..len {
-        let j = (i + offset) % len;
-        if i == j {
-            continue;
+    for a in 0..len {
+        let mut partners = [
+            (a + offset < len).then_some(a + offset),
+            (a < offset).then_some(a + len - offset),
+        ];
+        if 2 * offset > len {
+            partners.swap(0, 1);
         }
-        let (a, b) = ((lo + i) as u32, (lo + j) as u32);
-        edges.push((a.min(b), a.max(b), weight));
+        for b in partners.into_iter().flatten() {
+            edges.push(((lo + a) as u32, (lo + b) as u32, weight));
+        }
     }
+    coalesce(&mut edges);
     edges
 }
 
@@ -468,6 +478,33 @@ mod tests {
             "per-tenant intensity follows the wave"
         );
         assert!(d.shift_steps(48).is_empty());
+    }
+
+    #[test]
+    fn ring_edges_match_generate_sort_coalesce() {
+        // The reference: each thread names its pair, then sort and coalesce.
+        let oracle = |lo: usize, len: usize, offset: usize, weight: u64| {
+            let mut edges = Vec::new();
+            for i in 0..len {
+                let j = (i + offset) % len;
+                if i != j {
+                    let (a, b) = ((lo + i) as u32, (lo + j) as u32);
+                    edges.push((a.min(b), a.max(b), weight));
+                }
+            }
+            edges.sort_unstable();
+            coalesce(&mut edges);
+            edges
+        };
+        for len in 1..=40 {
+            for offset in 1..len {
+                assert_eq!(
+                    ring_edges(5, len, offset, 3),
+                    oracle(5, len, offset, 3),
+                    "len {len} offset {offset}"
+                );
+            }
+        }
     }
 
     #[test]

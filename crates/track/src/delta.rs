@@ -41,6 +41,13 @@ pub fn correlation_delta(a: &CorrelationMatrix, b: &CorrelationMatrix) -> f64 {
         diff += va.abs_diff(vb);
         mass += va + vb;
     }
+    normalized_divergence(diff, mass)
+}
+
+/// The one `f64` step of every divergence: the summed absolute difference
+/// over the summed mass, 0 for no mass. Every backend sums the same `u64`s
+/// and ends here, so their results are bit-identical.
+pub(crate) fn normalized_divergence(diff: u64, mass: u64) -> f64 {
     if mass == 0 {
         0.0
     } else {

@@ -10,11 +10,13 @@
 //! phase fires once instead of every window.
 //!
 //! The detector is generic over [`CorrelationStore`], so the paper-scale
-//! paths keep the dense [`CorrelationMatrix`] (the default type parameter —
-//! existing call sites compile unchanged and stay bit-identical, since the
-//! trait's `delta`/`merge` are the same code as the free functions) while
-//! production-scale monitors run the identical detection logic over
-//! [`SparseCorrelation`](crate::SparseCorrelation) windows.
+//! paths keep the dense [`CorrelationMatrix`] (the default type parameter)
+//! while production-scale monitors run the identical detection logic over
+//! [`SparseCorrelation`](crate::SparseCorrelation) windows. A window close
+//! is one [`AgedStore::fold_window`] call: the dense backend composes it
+//! from merge, snapshot, delta and observe, and the sparse backend does it
+//! in one pass with bit-identical results. The detector copies a window's
+//! first round and never merges its last, so a close allocates no store.
 //!
 //! Thresholds are carried in parts-per-million so detection is a pure
 //! integer comparison on a deterministically rounded delta: the same event
@@ -48,6 +50,8 @@ pub struct PhaseDetector<C: CorrelationStore = CorrelationMatrix> {
     threshold_ppm: u64,
     rearm_ppm: u64,
     aged: C::Aged,
+    /// The open window's rounds but its last. Between windows it holds
+    /// stale rounds, which the next window's first round overwrites.
     cur: C,
     in_window: usize,
     windows_closed: u64,
@@ -112,16 +116,31 @@ impl<C: CorrelationStore> PhaseDetector<C> {
     /// Folds one observation unit into the open window; when the window
     /// fills, closes it and returns the shift it fired, if any.
     ///
+    /// The window's first round is copied into the open-window store and
+    /// later rounds are merged into it, except the last: a closing round
+    /// goes straight to [`AgedStore::fold_window`] beside the open window.
+    ///
     /// # Panics
     ///
     /// Panics if `round` covers a different thread count.
     pub fn observe(&mut self, round: &C) -> Option<PhaseShiftMark> {
-        self.cur.merge(round);
+        assert_eq!(
+            round.num_threads(),
+            self.cur.num_threads(),
+            "thread counts differ"
+        );
         self.in_window += 1;
-        if self.in_window < self.window {
-            return None;
+        if self.in_window == self.window {
+            let open = (self.in_window > 1).then_some(&self.cur);
+            let delta = self.aged.fold_window(open, round);
+            return self.close_window(delta);
         }
-        self.close_window()
+        if self.in_window == 1 {
+            self.cur.clone_from(round);
+        } else {
+            self.cur.merge(round);
+        }
+        None
     }
 
     /// Closes the open window regardless of fill (used at end of stream for
@@ -130,15 +149,16 @@ impl<C: CorrelationStore> PhaseDetector<C> {
         if self.in_window == 0 {
             return None;
         }
-        self.close_window()
+        let delta = self.aged.fold_window(None, &self.cur);
+        self.close_window(delta)
     }
 
-    fn close_window(&mut self) -> Option<PhaseShiftMark> {
+    /// Applies the closed window's divergence from the baseline (`delta`,
+    /// meaningful once the baseline is primed) to the hysteresis state.
+    fn close_window(&mut self, delta: f64) -> Option<PhaseShiftMark> {
         let ordinal = self.windows_closed;
         let mut fired = None;
         if self.primed {
-            let baseline = self.aged.snapshot();
-            let delta = baseline.delta(&self.cur);
             let ppm = (delta * 1_000_000.0).round() as u64;
             if self.armed && ppm >= self.threshold_ppm {
                 let mark = PhaseShiftMark {
@@ -152,9 +172,7 @@ impl<C: CorrelationStore> PhaseDetector<C> {
                 self.armed = true;
             }
         }
-        self.aged.observe(&self.cur);
         self.primed = true;
-        self.cur = C::zeros(self.cur.num_threads());
         self.in_window = 0;
         self.windows_closed += 1;
         fired
@@ -259,20 +277,50 @@ mod tests {
     fn sparse_and_dense_backends_fire_identical_shifts() {
         // The paper's full-size thread count: the dense path is the pinned
         // reference; the sparse backend must reproduce every mark exactly
-        // (same windows, same delta ppm) over a multi-phase stream.
-        let threads = 64;
-        let mut dense = PhaseDetector::<CorrelationMatrix>::new(threads, 4);
-        let mut sparse = PhaseDetector::<SparseCorrelation>::new(threads, 4);
-        for i in 0..96 {
-            let offset = (i / 24) % 3; // three sustained phases
-            let d = dense.observe(&pattern_in(threads, offset));
-            let s = sparse.observe(&pattern_in(threads, offset));
-            assert_eq!(d, s, "observation {i} diverged");
+        // (same windows, same delta ppm) over a multi-phase stream. Window
+        // 1 at decay 0 is the adaptive study's detector, window 2 serve's.
+        // Phases last 23 observations, so windows straddle phase changes,
+        // and 98 observations leave windows 3 and 4 a partial last window.
+        fn detector<C: CorrelationStore>(
+            threads: usize,
+            window: usize,
+            decay: f64,
+        ) -> PhaseDetector<C> {
+            let (fire, rearm) = (DEFAULT_THRESHOLD_PPM, DEFAULT_REARM_PPM);
+            PhaseDetector::with_thresholds(threads, window, fire, rearm, decay)
         }
-        assert_eq!(dense.flush(), sparse.flush());
-        assert_eq!(dense.shifts(), sparse.shifts());
-        assert_eq!(dense.windows_closed(), sparse.windows_closed());
-        assert!(!dense.shifts().is_empty(), "phases must actually fire");
+        let threads = 64;
+        for window in 1..=4 {
+            for decay in [0.0, 0.5] {
+                let mut dense = detector::<CorrelationMatrix>(threads, window, decay);
+                let mut sparse = detector::<SparseCorrelation>(threads, window, decay);
+                for i in 0..98 {
+                    let offset = (i / 23) % 3; // sustained phases
+                    let d = dense.observe(&pattern_in(threads, offset));
+                    let s = sparse.observe(&pattern_in(threads, offset));
+                    assert_eq!(d, s, "window {window} decay {decay}: observation {i}");
+                }
+                assert_eq!(dense.pending(), 98 % window);
+                assert_eq!(
+                    dense.flush(),
+                    sparse.flush(),
+                    "window {window} decay {decay}"
+                );
+                assert_eq!(dense.shifts(), sparse.shifts());
+                assert_eq!(dense.windows_closed(), sparse.windows_closed());
+                assert!(!dense.shifts().is_empty(), "phases must actually fire");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "thread counts differ")]
+    fn first_round_of_a_window_with_the_wrong_size_panics() {
+        let mut d = PhaseDetector::<SparseCorrelation>::new(8, 2);
+        d.observe(&pattern_in(8, 0));
+        d.observe(&pattern_in(8, 0));
+        // The first round of the second window is only copied, not merged.
+        d.observe(&pattern_in::<SparseCorrelation>(6, 0));
     }
 
     #[test]

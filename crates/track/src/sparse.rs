@@ -12,10 +12,9 @@
 //! pairs, each row sorted by partner, coalesced, free of zero values and
 //! without gaps. A store is two allocations however many threads it covers.
 //! Per-thread lists cost one allocation per thread, and in the serve loop,
-//! which builds, merges, ages, snapshots and frees a 10⁵-thread store every
-//! step, that allocation was most of the step's time. Every construction
-//! path yields the same canonical layout, so the derived equality compares
-//! contents.
+//! which builds, folds and frees a 10⁵-thread store every step, that
+//! allocation was most of the step's time. Every construction path yields
+//! the same canonical layout, so the derived equality compares contents.
 //!
 //! Determinism and equivalence contracts (tested against the dense matrix):
 //!
@@ -24,13 +23,17 @@
 //! * [`SparseCorrelation::delta`] performs the same order-independent `u64`
 //!   diff/mass sums as [`correlation_delta`](crate::correlation_delta) —
 //!   identical `f64` results;
-//! * [`SparseAged`] applies the exact per-pair `f64` sequence of
+//! * [`SparseAged::fold_window`] closes a detector window in one walk per
+//!   row over the baseline, open and last rows. It returns the divergence
+//!   of the pre-fold snapshot from the window, summed as `u64`s during the
+//!   walk, and applies the exact per-pair `f64` sequence of
 //!   [`AgedCorrelation`](crate::AgedCorrelation) (`val·decay + round`);
 //!   pairs absent from both sides are exact zeros under that recurrence, so
 //!   dropping them is lossless. An edge only leaves the accumulator when
 //!   decay underflows it to exactly `0.0`.
 
 use crate::correlation::CorrelationMatrix;
+use crate::delta::normalized_divergence;
 use crate::store::{AgedStore, CorrelationStore};
 use std::fmt;
 
@@ -92,32 +95,6 @@ impl<V: Copy> Rows<V> {
             (Err(_), None) => {}
         }
     }
-
-    /// The one row merge behind every bulk rebuild: writes a new entries
-    /// array whose row `t` holds, for each partner in the sorted union of
-    /// both stores' row `t`, `f(mine, theirs)`, skipping partners where `f`
-    /// returns `None`. `f` sees each pair from both of its rows with the
-    /// same inputs, so mirrored inputs give mirrored output.
-    fn merge_with<W: Copy, U>(
-        &self,
-        other: &Rows<W>,
-        mut f: impl FnMut(Option<V>, Option<W>) -> Option<U>,
-    ) -> Rows<U> {
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        // The union is about as large as the larger input in the serve loop;
-        // reserving for the sum of both raised its peak memory by half.
-        let mut entries = Vec::with_capacity(self.entries.len().max(other.entries.len()));
-        offsets.push(0);
-        for (mine, theirs) in self.iter().zip(other.iter()) {
-            for_each_union(mine, theirs, |u, mine, theirs| {
-                if let Some(v) = f(mine, theirs) {
-                    entries.push((u, v));
-                }
-            });
-            offsets.push(entries.len());
-        }
-        Rows { offsets, entries }
-    }
 }
 
 /// The part of row `t` whose partners exceed `t`.
@@ -165,11 +142,31 @@ fn for_each_union<A: Copy, B: Copy>(
 /// assert_eq!(s.get(999_999, 3), 7);
 /// assert_eq!(s.edge_count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SparseCorrelation {
     n: usize,
     diag: Vec<u64>,
     rows: Rows<u64>,
+}
+
+impl Clone for SparseCorrelation {
+    fn clone(&self) -> Self {
+        SparseCorrelation {
+            n: self.n,
+            diag: self.diag.clone(),
+            rows: self.rows.clone(),
+        }
+    }
+
+    /// Copies into this store's buffers, so copying one window's first
+    /// round into the detector's open window allocates nothing once the
+    /// buffers are large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.diag.clone_from(&source.diag);
+        self.rows.offsets.clone_from(&source.rows.offsets);
+        self.rows.entries.clone_from(&source.rows.entries);
+    }
 }
 
 impl SparseCorrelation {
@@ -334,9 +331,18 @@ impl SparseCorrelation {
         for (d, o) in self.diag.iter_mut().zip(&other.diag) {
             *d += o;
         }
-        self.rows = self.rows.merge_with(&other.rows, |mine, theirs| {
-            Some(mine.unwrap_or(0) + theirs.unwrap_or(0))
-        });
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        // The union is about as large as the larger input in the serve loop;
+        // reserving for the sum of both raised its peak memory by half.
+        let mut entries = Vec::with_capacity(self.rows.entries.len().max(other.rows.entries.len()));
+        offsets.push(0);
+        for (mine, theirs) in self.rows.iter().zip(other.rows.iter()) {
+            for_each_union(mine, theirs, |u, a, b| {
+                entries.push((u, a.unwrap_or(0) + b.unwrap_or(0)));
+            });
+            offsets.push(entries.len());
+        }
+        self.rows = Rows { offsets, entries };
     }
 
     /// Number of non-zero unordered pairs.
@@ -363,11 +369,7 @@ impl SparseCorrelation {
                 mass += va + vb;
             });
         }
-        if mass == 0 {
-            0.0
-        } else {
-            (diff as f64 / mass as f64).min(1.0)
-        }
+        normalized_divergence(diff, mass)
     }
 }
 
@@ -439,6 +441,9 @@ pub struct SparseAged {
     n: usize,
     decay: f64,
     rounds: usize,
+    /// The snapshot normalizer `Σ decay^r` over the rounds folded so far,
+    /// kept running so a close costs no pass over the round count.
+    weight: f64,
     diag: Vec<f64>,
     rows: Rows<f64>,
 }
@@ -459,6 +464,7 @@ impl SparseAged {
             n,
             decay,
             rounds: 0,
+            weight: 0.0,
             diag: vec![0.0; n],
             rows: Rows::empty(n),
         }
@@ -493,51 +499,89 @@ impl SparseAged {
         self.rows.pairs()
     }
 
-    /// Folds in a new tracking round: per pair present on either side,
-    /// `val = val * decay + round` — the exact dense recurrence. Pairs the
-    /// decay underflows to exactly `0.0` are dropped (lossless: the dense
-    /// recurrence keeps them at `0.0` forever after).
+    /// Closes a detector window in one pass: the window is `open + last`
+    /// (`last` alone without `open`). Returns the normalized divergence of
+    /// the snapshot before the fold from the window, then folds the window
+    /// in as one round. Bit-identical to the dense composition
+    /// ([`AgedStore::fold_window`] on [`AgedCorrelation`]):
+    ///
+    /// * the snapshot rounds `val / Σ decay^r` per pair, and the diff and
+    ///   mass sums are `u64`, so summing them during the walk changes
+    ///   nothing;
+    /// * the fold writes `val·decay + (open + last)` per pair, with the
+    ///   `u64` add done first, as merging the rounds would. Pairs the
+    ///   decay underflows to exactly `0.0` are dropped (lossless: the
+    ///   dense recurrence keeps them at `0.0` forever after).
     ///
     /// # Panics
     ///
-    /// Panics if the round covers a different thread count.
-    pub fn observe(&mut self, round: &SparseCorrelation) {
-        assert_eq!(round.num_threads(), self.n, "thread counts differ");
+    /// Panics if a round covers a different thread count.
+    pub fn fold_window(
+        &mut self,
+        open: Option<&SparseCorrelation>,
+        last: &SparseCorrelation,
+    ) -> f64 {
+        for round in open.into_iter().chain([last]) {
+            assert_eq!(round.num_threads(), self.n, "thread counts differ");
+        }
         let decay = self.decay;
-        for (d, &r) in self.diag.iter_mut().zip(&round.diag) {
-            *d = *d * decay + r as f64;
+        let scale = if self.weight > 0.0 {
+            1.0 / self.weight
+        } else {
+            0.0
+        };
+        for (t, d) in self.diag.iter_mut().enumerate() {
+            let w = last.diag[t] + open.map_or(0, |o| o.diag[t]);
+            *d = *d * decay + w as f64;
         }
-        self.rows = self.rows.merge_with(&round.rows, |mine, theirs| {
-            let next = match (mine, theirs) {
-                (Some(va), Some(vb)) => va * decay + vb as f64,
-                (Some(va), None) => va * decay,
-                // 0.0 * decay + vb == vb exactly.
-                (None, Some(vb)) => vb as f64,
-                (None, None) => unreachable!("union partners come from a row"),
+        let (mut diff, mut mass) = (0u64, 0u64);
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        let mut entries = Vec::with_capacity(self.rows.entries.len().max(last.rows.entries.len()));
+        offsets.push(0);
+        let mut open_rows = open.into_iter().flat_map(|o| o.rows.iter());
+        for (t, (aged, last_row)) in self.rows.iter().zip(last.rows.iter()).enumerate() {
+            // One pair: `val` is its aged value (0.0 when absent), `w` its
+            // window value. Each pair is summed once, from its lower row.
+            let mut fold = |u: u32, val: f64, w: u64| {
+                if u as usize > t {
+                    let snap = (val * scale).round() as u64;
+                    diff += snap.abs_diff(w);
+                    mass += snap + w;
+                }
+                let next = val * decay + w as f64;
+                if next != 0.0 {
+                    entries.push((u, next));
+                }
             };
-            (next != 0.0).then_some(next)
-        });
-        self.rounds += 1;
-    }
-
-    /// Rounds the aged values into a [`SparseCorrelation`] usable by the
-    /// placement heuristics — same normalization and rounding as
-    /// [`AgedCorrelation::snapshot`](crate::AgedCorrelation::snapshot).
-    pub fn snapshot(&self) -> SparseCorrelation {
-        let weight: f64 = (0..self.rounds).map(|r| self.decay.powi(r as i32)).sum();
-        let scale = if weight > 0.0 { 1.0 / weight } else { 0.0 };
-        let rounded = |v: f64| (v * scale).round() as u64;
-        SparseCorrelation {
-            n: self.n,
-            diag: self.diag.iter().map(|&d| rounded(d)).collect(),
-            // Both halves of a pair hold the same aged value, so rounding
-            // each row on its own keeps the rows mirrored.
-            rows: self
-                .rows
-                .merge_with(&Rows::<u64>::empty(self.n), |mine, _| {
-                    Some(rounded(mine?)).filter(|&v| v > 0)
-                }),
+            // The window row streams out of the open/last union in partner
+            // order; aged partners below each window partner go first.
+            let mut i = 0;
+            let open_row = open_rows.next().unwrap_or(&[]);
+            for_each_union(open_row, last_row, |u, o, l| {
+                while let Some(&(p, val)) = aged.get(i).filter(|e| e.0 < u) {
+                    fold(p, val, 0);
+                    i += 1;
+                }
+                let val = match aged.get(i) {
+                    Some(&(p, val)) if p == u => {
+                        i += 1;
+                        val
+                    }
+                    _ => 0.0,
+                };
+                fold(u, val, o.unwrap_or(0) + l.unwrap_or(0));
+            });
+            for &(p, val) in &aged[i..] {
+                fold(p, val, 0);
+            }
+            offsets.push(entries.len());
         }
+        self.rows = Rows { offsets, entries };
+        // The same terms in the same order as summing from round 0, with
+        // the exponent saturated instead of wrapping past `i32::MAX`.
+        self.weight += decay.powi(self.rounds.min(i32::MAX as usize) as i32);
+        self.rounds += 1;
+        normalized_divergence(diff, mass)
     }
 }
 
@@ -556,20 +600,8 @@ impl AgedStore<SparseCorrelation> for SparseAged {
         SparseAged::new(n, decay)
     }
 
-    fn num_threads(&self) -> usize {
-        self.num_threads()
-    }
-
-    fn rounds(&self) -> usize {
-        self.rounds()
-    }
-
-    fn observe(&mut self, round: &SparseCorrelation) {
-        self.observe(round);
-    }
-
-    fn snapshot(&self) -> SparseCorrelation {
-        self.snapshot()
+    fn fold_window(&mut self, open: Option<&SparseCorrelation>, last: &SparseCorrelation) -> f64 {
+        self.fold_window(open, last)
     }
 }
 
@@ -622,8 +654,15 @@ mod tests {
                     sparse.merge(&round_s);
                 }
                 3 => {
+                    // Close a window holding the store, split at random
+                    // into an open part and a last round.
+                    let (open, last) = random_split(&mut rng, &dense);
+                    let expected = correlation_delta(&dense_aged.snapshot(), &dense);
                     dense_aged.observe(&dense);
-                    sparse_aged.observe(&sparse);
+                    let open = open.map(|o| SparseCorrelation::from_dense(&o));
+                    let last = SparseCorrelation::from_dense(&last);
+                    let got = sparse_aged.fold_window(open.as_ref(), &last);
+                    assert_eq!(got.to_bits(), expected.to_bits(), "fold delta diverged");
                 }
                 _ => {
                     // Delta against a perturbed copy must agree bit-for-bit.
@@ -646,8 +685,10 @@ mod tests {
                 "layout not canonical"
             );
         }
-        // Aged accumulators agree bit-for-bit, value by value.
+        // Aged accumulators agree bit-for-bit, value by value, and the
+        // sparse one holds exactly the non-zero pairs.
         assert_eq!(dense_aged.rounds(), sparse_aged.rounds());
+        let mut held = 0;
         for a in 0..n {
             for b in 0..n {
                 assert_eq!(
@@ -655,13 +696,32 @@ mod tests {
                     sparse_aged.get(a, b).to_bits(),
                     "aged ({a},{b}) diverged"
                 );
+                held += usize::from(a < b && dense_aged.get(a, b) != 0.0);
             }
         }
-        assert_eq!(sparse_aged.snapshot().to_dense(), dense_aged.snapshot());
-        assert_eq!(
-            sparse_aged.snapshot(),
-            SparseCorrelation::from_dense(&dense_aged.snapshot())
-        );
+        assert_eq!(sparse_aged.edge_count(), held, "aged layout not canonical");
+    }
+
+    /// Splits every cell of `m` at random between an open part and a last
+    /// round (`m` whole as the last round when the split has no open part).
+    fn random_split(
+        rng: &mut DetRng,
+        m: &CorrelationMatrix,
+    ) -> (Option<CorrelationMatrix>, CorrelationMatrix) {
+        if rng.next_below(4) == 0 {
+            return (None, m.clone());
+        }
+        let n = m.num_threads();
+        let (mut open, mut last) = (CorrelationMatrix::zeros(n), CorrelationMatrix::zeros(n));
+        for a in 0..n {
+            for b in a..n {
+                let v = m.get(a, b);
+                let part = rng.next_below(v + 1);
+                open.set(a, b, part);
+                last.set(a, b, v - part);
+            }
+        }
+        (Some(open), last)
     }
 
     #[test]
@@ -742,10 +802,10 @@ mod tests {
         let mut aged = SparseAged::new(4, 0.5);
         let mut round = SparseCorrelation::zeros(4);
         round.set(0, 1, 100);
-        aged.observe(&round);
+        aged.fold_window(None, &round);
         let quiet = SparseCorrelation::zeros(4);
         for _ in 0..20 {
-            aged.observe(&quiet);
+            aged.fold_window(Some(&quiet), &quiet);
         }
         assert_eq!(aged.edge_count(), 1, "still decaying, still held");
         assert!(aged.get(0, 1) > 0.0);
@@ -758,12 +818,68 @@ mod tests {
         let mut aged = SparseAged::new(2, 0.0);
         let mut round = SparseCorrelation::zeros(2);
         round.set(0, 1, 7);
-        aged.observe(&round);
+        aged.fold_window(None, &round);
         assert_eq!(aged.edge_count(), 1);
         // decay = 0.0 underflows the edge on the next quiet round.
-        aged.observe(&SparseCorrelation::zeros(2));
+        aged.fold_window(None, &SparseCorrelation::zeros(2));
         assert_eq!(aged.edge_count(), 0);
         assert_eq!(aged.get(0, 1), 0.0);
+    }
+
+    #[test]
+    fn running_weight_matches_the_sum_from_round_zero() {
+        let quiet = SparseCorrelation::zeros(1);
+        for decay in [0.0, 0.25, 0.5, 0.9, 0.999] {
+            let mut aged = SparseAged::new(1, decay);
+            for rounds in 1..=10_000usize {
+                aged.fold_window(None, &quiet);
+                // The sum from round 0, checked where it stays cheap.
+                if rounds <= 100 || rounds % 997 == 0 || rounds == 10_000 {
+                    let sum: f64 = (0..rounds).map(|r| decay.powi(r as i32)).sum();
+                    assert_eq!(
+                        aged.weight.to_bits(),
+                        sum.to_bits(),
+                        "decay {decay}, {rounds} rounds"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn running_weight_saturates_instead_of_wrapping() {
+        // A stable service past 2^31 closes: a wrapping exponent would add
+        // 0.5^-(2^31) = inf, the snapshot would read zero and the next
+        // close would report a full divergence.
+        let mut round = SparseCorrelation::zeros(2);
+        round.set(0, 1, 10);
+        let mut aged = SparseAged::new(2, 0.5);
+        for _ in 0..64 {
+            aged.fold_window(None, &round);
+        }
+        aged.rounds = i32::MAX as usize + 1;
+        for _ in 0..2 {
+            assert_eq!(aged.fold_window(None, &round), 0.0, "no spurious shift");
+            assert!(aged.weight.is_finite());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "thread counts differ")]
+    fn fold_of_a_mismatched_open_round_panics() {
+        let last = SparseCorrelation::zeros(4);
+        SparseAged::new(4, 0.5).fold_window(Some(&SparseCorrelation::zeros(3)), &last);
+    }
+
+    #[test]
+    fn clone_from_matches_clone() {
+        let big = SparseCorrelation::from_edges(6, vec![(0, 1, 3), (2, 5, 7), (4, 4, 2)]);
+        let mut copy = SparseCorrelation::from_edges(6, vec![(1, 3, 9)]);
+        copy.clone_from(&big);
+        assert_eq!(copy, big);
+        let mut smaller = SparseCorrelation::zeros(2);
+        smaller.clone_from(&big);
+        assert_eq!(smaller, big, "the copy adopts the source's size");
     }
 
     #[test]

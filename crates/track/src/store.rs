@@ -20,6 +20,9 @@
 //!   divergence as [`correlation_delta`](crate::correlation_delta): the
 //!   `u64` diff/mass sums are order-independent and zero pairs contribute
 //!   nothing, so dense and sparse backends return **bit-identical** `f64`s.
+//! * [`AgedStore::fold_window`] returns, bit for bit, what the dense
+//!   composition returns — merge the window's rounds, snapshot the
+//!   baseline, take the delta, observe the window — however it gets there.
 
 use crate::aging::AgedCorrelation;
 use crate::correlation::CorrelationMatrix;
@@ -95,12 +98,16 @@ pub trait CorrelationStore: Clone + PartialEq + std::fmt::Debug {
 
 /// Exponentially aged accumulation over a [`CorrelationStore`].
 ///
-/// The observe/snapshot arithmetic is pinned by
+/// The aging arithmetic is pinned by
 /// [`AgedCorrelation`](crate::AgedCorrelation): per present pair,
 /// `val = val * decay + round`, and snapshots normalize by the
-/// geometric-series weight before rounding. Sparse implementations apply
-/// the identical `f64` operation sequence per stored edge (absent edges
-/// are exact zeros under it), so snapshots are bit-identical.
+/// geometric-series weight before rounding. A window closes in one call,
+/// [`fold_window`](AgedStore::fold_window), which must return exactly what
+/// the dense composition returns: the divergence of the rounded snapshot
+/// taken before the fold from the window, then the window folded in as one
+/// round. Sparse implementations apply the identical `f64` operation
+/// sequence per stored edge (absent edges are exact zeros under it), so
+/// the deltas and the aged values are bit-identical.
 pub trait AgedStore<C>: Clone + std::fmt::Debug {
     /// An empty accumulator over `n` threads with retention `decay`.
     ///
@@ -109,22 +116,15 @@ pub trait AgedStore<C>: Clone + std::fmt::Debug {
     /// Panics unless `0.0 <= decay < 1.0`.
     fn new(n: usize, decay: f64) -> Self;
 
-    /// Number of threads covered.
-    fn num_threads(&self) -> usize;
-
-    /// Number of observations folded in so far.
-    fn rounds(&self) -> usize;
-
-    /// Folds in a new tracking round.
+    /// Closes a window whose rounds sum to `open + last` (`open` absent:
+    /// the window is `last` alone). Returns the normalized divergence of
+    /// the baseline's rounded snapshot, as it stood before this call, from
+    /// the window, then folds the window into the baseline as one round.
     ///
     /// # Panics
     ///
-    /// Panics if the round covers a different thread count.
-    fn observe(&mut self, round: &C);
-
-    /// Rounds the aged values into an integer store for the placement
-    /// heuristics.
-    fn snapshot(&self) -> C;
+    /// Panics if a round covers a different thread count.
+    fn fold_window(&mut self, open: Option<&C>, last: &C) -> f64;
 }
 
 impl CorrelationStore for CorrelationMatrix {
@@ -182,25 +182,21 @@ impl CorrelationStore for CorrelationMatrix {
     }
 }
 
+/// The literal composition every other implementation must reproduce bit
+/// for bit: merge, snapshot, delta, observe.
 impl AgedStore<CorrelationMatrix> for AgedCorrelation {
     fn new(n: usize, decay: f64) -> Self {
         AgedCorrelation::new(n, decay)
     }
 
-    fn num_threads(&self) -> usize {
-        self.num_threads()
-    }
-
-    fn rounds(&self) -> usize {
-        self.rounds()
-    }
-
-    fn observe(&mut self, round: &CorrelationMatrix) {
-        self.observe(round);
-    }
-
-    fn snapshot(&self) -> CorrelationMatrix {
-        self.snapshot()
+    fn fold_window(&mut self, open: Option<&CorrelationMatrix>, last: &CorrelationMatrix) -> f64 {
+        let mut window = open
+            .cloned()
+            .unwrap_or_else(|| CorrelationMatrix::zeros(last.num_threads()));
+        window.merge(last);
+        let delta = correlation_delta(&self.snapshot(), &window);
+        self.observe(&window);
+        delta
     }
 }
 

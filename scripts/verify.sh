@@ -111,5 +111,16 @@ echo "$serve_out" | grep -q "timeline digest: fnv1a:7fb11872e6be710e" &&
     echo "$serve_out" >&2
     exit 1
 }
+# The 100k-thread hotspot run drives the detector's one-pass window fold
+# through fire and re-arm cycles at serve scale, and the ring generator at
+# offsets other than 1.
+serve_out="$(timeout 120 ./target/release/acorr serve --scenario hotspot \
+    --threads 100000 --nodes 256 --steps 60 --seed 42)"
+echo "$serve_out" | grep -q "timeline digest: fnv1a:c1f8ea0555e529bd" &&
+    echo "$serve_out" | grep -q "final mapping digest: fnv1a:30301386387f5925" || {
+    echo "error: 100000x256 hotspot serve digests drifted from the pinned values:" >&2
+    echo "$serve_out" >&2
+    exit 1
+}
 
 echo "==> OK"
