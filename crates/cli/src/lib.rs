@@ -829,6 +829,30 @@ mod tests {
     }
 
     #[test]
+    fn csv_values_past_the_kernel_range_are_errors_and_an_empty_csv_profiles() {
+        // Pairs (0,1) and (2,3) both sharing u64::MAX pages once made
+        // min-cost cut both in release and aborted debug builds.
+        let dir = std::env::temp_dir().join("acorr-cli-csv-range");
+        std::fs::create_dir_all(&dir).unwrap();
+        let big = dir.join("big.csv");
+        let max = u64::MAX;
+        let text = format!("0,{max},0,0\n{max},0,0,0\n0,0,0,{max}\n0,0,{max},0\n");
+        std::fs::write(&big, text).unwrap();
+        let big = big.to_str().unwrap();
+        for args in [
+            &["place", "--csv", big, "--nodes", "2"][..],
+            &["profile", "--csv", big][..],
+        ] {
+            let err = cli(args).unwrap_err();
+            assert!(err.contains("row 0: values sum past"), "{args:?}: {err}");
+        }
+        let empty = dir.join("empty.csv");
+        std::fs::write(&empty, "").unwrap();
+        let prof = cli(&["profile", "--csv", empty.to_str().unwrap()]).unwrap();
+        assert!(prof.contains("independent"), "{prof}");
+    }
+
+    #[test]
     fn place_scale_reports_a_digest_and_is_jobs_invariant() {
         let base = cli(&["place", "--scale", "1000x8", "--jobs", "1"]).unwrap();
         assert!(base.contains("mapping digest: fnv1a:"), "{base}");

@@ -599,10 +599,10 @@ impl Workbench {
     ///   on; re-track actively only when the passive correlation snapshot
     ///   diverges from the previous window's by at least `threshold_ppm`
     ///   parts-per-million (normalized L1, see
-    ///   [`correlation_delta`](acorr_track::correlation_delta)). The
-    ///   decision is a [`PhaseDetector`] with one-unit windows and no
-    ///   baseline memory (decay 0), so its baseline is exactly the previous
-    ///   passive snapshot.
+    ///   [`AgedCorrelation::fold_window`]). The decision is a
+    ///   [`PhaseDetector`] with one-unit windows and no baseline memory
+    ///   (decay 0), so its baseline is exactly the previous passive
+    ///   snapshot.
     ///
     /// Passive snapshots are biased (first local toucher only), but
     /// *consistently* biased, so window-over-window divergence is a clean
@@ -1119,11 +1119,10 @@ pub fn scale_placement_study(
     jobs: usize,
 ) -> Result<ScalePlacement, DsmError> {
     use acorr_place::{multilevel_place, power_law_affinity};
-    use acorr_track::SparseCorrelation;
 
     let cluster = ClusterConfig::new(nodes, threads)?;
     let start = std::time::Instant::now();
-    let corr: SparseCorrelation = power_law_affinity(threads, degree, seed, jobs);
+    let corr = power_law_affinity(threads, degree, seed, jobs);
     let gen_ms = start.elapsed().as_secs_f64() * 1e3;
     let start = std::time::Instant::now();
     let mapping = multilevel_place(&corr, &cluster);

@@ -33,9 +33,7 @@ use acorr_place::{
 use acorr_sim::{
     par_join, ClusterConfig, Mapping, Scenario, SimTime, TrafficConfig, TrafficDriver,
 };
-use acorr_track::{
-    cut_cost, CorrelationMatrix, CorrelationStore, PhaseDetector, PhaseShiftMark, SparseCorrelation,
-};
+use acorr_track::{cut_cost, CorrelationMatrix, PhaseDetector, PhaseShiftMark};
 use std::fmt;
 
 /// Knobs of one service run.
@@ -269,10 +267,10 @@ struct RemapVerdict {
 /// The decision core shared by both service modes: recompute a
 /// candidate on the firing window's correlation, plan its realization
 /// under the policy, and gate on predicted improvement vs. cost.
-fn evaluate_remap<C: CorrelationStore>(
+fn evaluate_remap(
     options: &ServeOptions,
     cluster: &ClusterConfig,
-    corr: &C,
+    corr: &CorrelationMatrix,
     current: &Mapping,
 ) -> RemapVerdict {
     let candidate = if cluster.num_threads() <= options.multilevel_above {
@@ -354,11 +352,11 @@ impl Workbench {
             .then(|| MultiSink::new(self.cluster.num_nodes()).1);
         let initial = Mapping::stretch(&self.cluster);
         let mut current = initial.clone();
-        let mut detector = PhaseDetector::<SparseCorrelation>::new(threads, options.window);
+        let mut detector = PhaseDetector::new(threads, options.window);
         let mut report = ReportBuilder::new(options, handle);
         for step in 0..options.steps as u64 {
             let edges = traffic.step_edges(step, self.threads);
-            let corr = SparseCorrelation::from_edges(threads, edges);
+            let corr = CorrelationMatrix::from_edges(threads, edges);
             // Cut is charged before the step's verdict applies, so an
             // accepted re-map pays off from the next step on. The two sums
             // only read the step's store, so the second worker takes them
@@ -408,7 +406,7 @@ impl Workbench {
             self.observed_dsm(self.config.clone(), factory(), initial.clone())?;
         let label = format!("{} (engine)", dsm.program().name());
         let mut current = initial.clone();
-        let mut detector = PhaseDetector::<CorrelationMatrix>::new(threads, options.window);
+        let mut detector = PhaseDetector::new(threads, options.window);
         let mut report = ReportBuilder::new(options, handle);
         for step in 0..options.steps as u64 {
             let (_stats, access) = dsm.run_tracked_iteration()?;

@@ -727,8 +727,9 @@ mod tests {
 
     #[test]
     fn a_thread_the_run_lacks_is_an_error_not_a_threads_squared_matrix() {
-        // Refused before anything is sized from it: a dense aged matrix
-        // over 3,000,000 threads does not fit in memory.
+        // Refused before anything is sized from it: the per-interval
+        // correlation pass over 3,000,000 threads would compare 4.5·10¹²
+        // thread pairs.
         let err = sample(&with_lines(&[
             r#"{"type":"correlation_fault","node":0,"thread":3000000,"page":4000000000}"#,
         ]));

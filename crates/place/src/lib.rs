@@ -17,10 +17,10 @@
 //! * **optimal** — the paper used integer programming; [`optimal()`](optimal()) is an
 //!   exact branch-and-bound usable on reduced instances.
 //! * **multilevel** — [`multilevel_place`]: heavy-edge-matching coarsening,
-//!   affinity-greedy coarse partition and refined uncoarsening over any
-//!   [`CorrelationStore`](acorr_track::CorrelationStore); the `O(T + E)`
-//!   path that carries placement to the ROADMAP's 10⁶-thread scale
-//!   (synthetic instances from [`synth::power_law_affinity`]).
+//!   affinity-greedy coarse partition and refined uncoarsening over the
+//!   matrix's non-zero pairs; the `O(T + E)` path that carries placement to
+//!   the ROADMAP's 10⁶-thread scale (synthetic instances from
+//!   [`synth::power_law_affinity`]).
 //!
 //! ```
 //! use acorr_place::{min_cost, Strategy};

@@ -11,7 +11,7 @@
 
 use crate::mincost::DegreeCache;
 use acorr_sim::Mapping;
-use acorr_track::CorrelationStore;
+use acorr_track::CorrelationMatrix;
 use std::fmt;
 
 /// Predicted price of moving threads, in the same units as cut cost
@@ -117,10 +117,10 @@ impl fmt::Display for MigrationPolicy {
 ///
 /// # Panics
 ///
-/// Panics if the mappings or store cover different thread counts.
-pub fn plan_migration<C: CorrelationStore>(
+/// Panics if the mappings or matrix cover different thread counts.
+pub fn plan_migration(
     policy: MigrationPolicy,
-    corr: &C,
+    corr: &CorrelationMatrix,
     current: &Mapping,
     candidate: &Mapping,
     max_swaps: usize,
@@ -139,9 +139,9 @@ pub fn plan_migration<C: CorrelationStore>(
 ///
 /// # Panics
 ///
-/// Panics if the mappings or store cover different thread counts.
-pub fn interchange_migration<C: CorrelationStore>(
-    corr: &C,
+/// Panics if the mappings or matrix cover different thread counts.
+pub fn interchange_migration(
+    corr: &CorrelationMatrix,
     current: &Mapping,
     candidate: &Mapping,
     max_swaps: usize,
@@ -186,7 +186,7 @@ pub fn interchange_migration<C: CorrelationStore>(
 mod tests {
     use super::*;
     use acorr_sim::{ClusterConfig, DetRng};
-    use acorr_track::{cut_cost, CorrelationMatrix};
+    use acorr_track::cut_cost;
 
     fn ring(threads: usize, offset: usize, weight: u64) -> CorrelationMatrix {
         let mut c = CorrelationMatrix::zeros(threads);

@@ -29,7 +29,7 @@
 //! bit-identical mappings.
 
 use acorr_sim::{ClusterConfig, Mapping, NodeId};
-use acorr_track::{CorrelationMatrix, CorrelationStore};
+use acorr_track::CorrelationMatrix;
 
 /// Per-thread node-connectivity cache behind the incremental Kernighan-Lin
 /// kernels: `conn(t, node)` is the total correlation between thread `t` and
@@ -47,17 +47,14 @@ pub struct DegreeCache {
 }
 
 impl DegreeCache {
-    /// Builds the cache for `mapping` in one sweep over the store's edges —
-    /// O(n²) on the dense matrix, O(E) on a sparse store. The accumulated
-    /// integers are identical either way (zero pairs contribute nothing and
-    /// `i64` addition commutes), so the cached kernels stay bit-identical
-    /// across backends.
+    /// Builds the cache for `mapping` in one `O(E)` sweep over the
+    /// matrix's non-zero pairs.
     ///
     /// # Panics
     ///
-    /// Panics if the store covers a different thread count than the
+    /// Panics if the matrix covers a different thread count than the
     /// mapping.
-    pub fn new<C: CorrelationStore>(corr: &C, mapping: &Mapping) -> Self {
+    pub fn new(corr: &CorrelationMatrix, mapping: &Mapping) -> Self {
         let n = corr.num_threads();
         assert_eq!(n, mapping.num_threads(), "matrix and mapping must agree");
         let nodes = mapping.node_counts().len();
@@ -82,13 +79,7 @@ impl DegreeCache {
 
     /// The cut reduction from swapping threads `a` and `b` (which must live
     /// on different nodes under `mapping`): `D_a + D_b - 2*c(a,b)`.
-    pub fn gain<C: CorrelationStore>(
-        &self,
-        corr: &C,
-        mapping: &Mapping,
-        a: usize,
-        b: usize,
-    ) -> i64 {
+    pub fn gain(&self, corr: &CorrelationMatrix, mapping: &Mapping, a: usize, b: usize) -> i64 {
         let na = mapping.node_of(a);
         let nb = mapping.node_of(b);
         // The (a,b) edge stays cut after the swap but was counted as a gain
@@ -97,32 +88,31 @@ impl DegreeCache {
     }
 
     /// Applies the swap of `a` (moving `na` → `nb`) and `b` (moving `nb` →
-    /// `na`) to the cache — O(n) on the dense matrix, O(deg(a) + deg(b)) on
-    /// a sparse store. Call with the *pre-swap* nodes, in the same breath
-    /// as `Mapping::set_node_of`.
-    pub fn apply_swap<C: CorrelationStore>(
+    /// `na`) to the cache in O(deg(a) + deg(b)). Call with the *pre-swap*
+    /// nodes, in the same breath as `Mapping::set_node_of`.
+    pub fn apply_swap(
         &mut self,
-        corr: &C,
+        corr: &CorrelationMatrix,
         a: usize,
         b: usize,
         na: NodeId,
         nb: NodeId,
     ) {
-        corr.for_each_neighbor(a, |t, v| {
-            let v = v as i64;
+        for &(t, v) in corr.neighbors(a) {
+            let (t, v) = (t as usize, v as i64);
             self.conn[t * self.nodes + na.idx()] -= v;
             self.conn[t * self.nodes + nb.idx()] += v;
-        });
-        corr.for_each_neighbor(b, |t, v| {
-            let v = v as i64;
+        }
+        for &(t, v) in corr.neighbors(b) {
+            let (t, v) = (t as usize, v as i64);
             self.conn[t * self.nodes + nb.idx()] -= v;
             self.conn[t * self.nodes + na.idx()] += v;
-        });
+        }
     }
 
     /// True when the cache equals a from-scratch rebuild for `mapping` —
     /// the invariant the equivalence tests check after every swap.
-    pub fn matches_rebuild<C: CorrelationStore>(&self, corr: &C, mapping: &Mapping) -> bool {
+    pub fn matches_rebuild(&self, corr: &CorrelationMatrix, mapping: &Mapping) -> bool {
         *self == DegreeCache::new(corr, mapping)
     }
 }
@@ -225,10 +215,7 @@ fn greedy_seed(corr: &CorrelationMatrix, cluster: &ClusterConfig) -> Mapping {
 /// recomputing every gain directly pays O(n³). The scan order, strict-`>`
 /// selection and termination condition match that direct kernel, so the
 /// two return **bit-identical** mappings (`tests/kl_equivalence.rs`).
-/// Generic over the correlation backend: the gains are integer sums either
-/// way, so dense and sparse stores holding the same data refine to the
-/// same mapping.
-pub fn refine_kl<C: CorrelationStore>(corr: &C, mut mapping: Mapping) -> Mapping {
+pub fn refine_kl(corr: &CorrelationMatrix, mut mapping: Mapping) -> Mapping {
     let n = corr.num_threads();
     let mut cache = DegreeCache::new(corr, &mapping);
     loop {

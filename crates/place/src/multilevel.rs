@@ -14,9 +14,9 @@
 //!    with affinity-driven moves and equal-weight neighbor swaps, and at
 //!    the finest level rebalancing to the exact stretch quotas. Small
 //!    instances finish with the full incremental Kernighan-Lin kernel
-//!    ([`refine_kl`]) via the [`DegreeCache`](crate::DegreeCache)
-//!    generalized to any [`CorrelationStore`], so the multilevel path and
-//!    the paper's direct path converge on the same machinery.
+//!    ([`refine_kl`]) via the [`DegreeCache`](crate::DegreeCache), so the
+//!    multilevel path and the paper's direct path converge on the same
+//!    machinery.
 //!
 //! Every stage visits vertices and neighbors in ascending order with
 //! explicit tie-breaks and contains no randomness or parallelism, so the
@@ -31,7 +31,7 @@
 
 use crate::mincost::refine_kl;
 use acorr_sim::{ClusterConfig, Mapping, NodeId};
-use acorr_track::CorrelationStore;
+use acorr_track::CorrelationMatrix;
 
 // Tuning. The mapping digests pinned in the tests and the scale smokes
 // depend on every one of these values; change one and the output
@@ -81,7 +81,7 @@ impl Graph {
         self.xadj[v + 1] - self.xadj[v]
     }
 
-    fn from_store<C: CorrelationStore>(corr: &C) -> Graph {
+    fn from_store(corr: &CorrelationMatrix) -> Graph {
         let n = corr.num_threads();
         let mut deg = vec![0usize; n];
         corr.for_each_edge(|a, b, _| {
@@ -471,8 +471,8 @@ fn rebalance(g: &Graph, part: &mut [u16], loads: &mut [u64], quotas: &[u64]) {
 ///
 /// # Panics
 ///
-/// Panics if the store covers a different thread count than the cluster.
-pub fn multilevel_place<C: CorrelationStore>(corr: &C, cluster: &ClusterConfig) -> Mapping {
+/// Panics if the matrix covers a different thread count than the cluster.
+pub fn multilevel_place(corr: &CorrelationMatrix, cluster: &ClusterConfig) -> Mapping {
     let n = corr.num_threads();
     assert_eq!(
         n,
@@ -555,7 +555,7 @@ pub fn multilevel_place<C: CorrelationStore>(corr: &C, cluster: &ClusterConfig) 
         .expect("rebalanced partition fills every node to quota");
     if n <= KL_THRESHOLD {
         // Small instances converge on the paper's own incremental KL kernel
-        // (DegreeCache generalized over the store) for heuristic parity.
+        // (DegreeCache) for heuristic parity.
         refine_kl(corr, mapping)
     } else {
         mapping
@@ -575,9 +575,9 @@ mod tests {
     use super::*;
     use crate::mincost::min_cost;
     use acorr_sim::DetRng;
-    use acorr_track::{cut_cost, CorrelationMatrix, SparseCorrelation};
+    use acorr_track::cut_cost;
 
-    fn blocks(n: usize, block: usize, w: u64) -> SparseCorrelation {
+    fn blocks(n: usize, block: usize, w: u64) -> CorrelationMatrix {
         let mut edges = Vec::new();
         for a in 0..n {
             for b in (a + 1)..n {
@@ -586,10 +586,10 @@ mod tests {
                 }
             }
         }
-        SparseCorrelation::from_edges(n, edges)
+        CorrelationMatrix::from_edges(n, edges)
     }
 
-    fn random_sparse(n: usize, edges: usize, seed: u64) -> SparseCorrelation {
+    fn random_sparse(n: usize, edges: usize, seed: u64) -> CorrelationMatrix {
         let mut rng = DetRng::new(seed);
         let mut list = Vec::with_capacity(edges);
         for _ in 0..edges {
@@ -599,7 +599,7 @@ mod tests {
                 list.push((a, b, 1 + rng.next_below(16)));
             }
         }
-        SparseCorrelation::from_edges(n, list)
+        CorrelationMatrix::from_edges(n, list)
     }
 
     fn quota_balanced(m: &Mapping, cluster: &ClusterConfig) -> bool {
@@ -632,7 +632,7 @@ mod tests {
                 }
             }
         }
-        let corr = SparseCorrelation::from_edges(n, edges);
+        let corr = CorrelationMatrix::from_edges(n, edges);
         let cluster = ClusterConfig::new(16, n).unwrap();
         let m = multilevel_place(&corr, &cluster);
         assert_eq!(cut_cost(&corr, &m), 0);
@@ -661,7 +661,7 @@ mod tests {
             let corr = random_sparse(n, n * 6, seed);
             let cluster = ClusterConfig::new(nodes, n).unwrap();
             let ml = cut_cost(&corr, &multilevel_place(&corr, &cluster));
-            let direct = cut_cost(&corr.to_dense(), &min_cost(&corr.to_dense(), &cluster));
+            let direct = cut_cost(&corr, &min_cost(&corr, &cluster));
             assert!(
                 ml <= direct + direct / 10 + 8,
                 "n={n}: multilevel {ml} vs direct {direct}"
@@ -687,19 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_stores_place_identically() {
-        let n = 120;
-        let sparse = random_sparse(n, 700, 9);
-        let dense: CorrelationMatrix = sparse.to_dense();
-        let cluster = ClusterConfig::new(6, n).unwrap();
-        assert_eq!(
-            multilevel_place(&sparse, &cluster),
-            multilevel_place(&dense, &cluster),
-            "backends must be interchangeable"
-        );
-    }
-
-    #[test]
     fn tiny_and_degenerate_instances_work() {
         // threads == nodes (quota 1 each), single node, empty correlation.
         let corr = random_sparse(6, 10, 4);
@@ -710,7 +697,7 @@ mod tests {
         let one = ClusterConfig::new(1, 6).unwrap();
         assert_eq!(cut_cost(&corr, &multilevel_place(&corr, &one)), 0);
 
-        let empty = SparseCorrelation::zeros(12);
+        let empty = CorrelationMatrix::zeros(12);
         let cluster = ClusterConfig::new(3, 12).unwrap();
         let m = multilevel_place(&empty, &cluster);
         assert!(quota_balanced(&m, &cluster));
@@ -752,7 +739,7 @@ mod tests {
                 }
             }
         }
-        let corr = SparseCorrelation::from_edges(n, edges);
+        let corr = CorrelationMatrix::from_edges(n, edges);
         let cluster = ClusterConfig::new(16, n).unwrap();
         let ml = cut_cost(&corr, &multilevel_place(&corr, &cluster));
         let stretch = cut_cost(&corr, &Mapping::stretch(&cluster));

@@ -14,15 +14,15 @@
 //! multilevel pipeline to actually *discover* the structure, like the
 //! randomized-placement columns of the paper's Table 6.
 //!
-//! [`power_law_affinity`] builds such a [`SparseCorrelation`] as a pure
+//! [`power_law_affinity`] builds such a [`CorrelationMatrix`] as a pure
 //! function of `(threads, degree, seed)`. Generation parallelises over
 //! threads with [`par_map_range`] — each thread draws from its own forked
-//! [`DetRng`] stream, and [`SparseCorrelation::from_edges`] aggregation is
+//! [`DetRng`] stream, and [`CorrelationMatrix::from_edges`] aggregation is
 //! order-independent — so the store is bit-identical for every `jobs`
 //! count.
 
 use acorr_sim::{par_map_range, DetRng};
-use acorr_track::SparseCorrelation;
+use acorr_track::CorrelationMatrix;
 
 /// Approximate threads per synthetic sharing community. 64 matches the
 /// paper's full-size application runs.
@@ -53,7 +53,7 @@ pub fn power_law_affinity(
     degree: usize,
     seed: u64,
     jobs: usize,
-) -> SparseCorrelation {
+) -> CorrelationMatrix {
     assert!(threads >= 2, "need at least two threads for affinity edges");
     assert!(threads <= u32::MAX as usize, "thread ids must fit in u32");
     let classes = num_communities(threads);
@@ -99,13 +99,12 @@ pub fn power_law_affinity(
     for chunk in per_chunk {
         flat.extend_from_slice(&chunk);
     }
-    SparseCorrelation::from_edges(threads, flat)
+    CorrelationMatrix::from_edges(threads, flat)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acorr_track::CorrelationStore;
 
     #[test]
     fn jobs_count_never_changes_the_store() {

@@ -7,7 +7,7 @@
 //! which reproduces the magnitudes of Table 6 (e.g. SOR's min-cost cut of
 //! 28 = 7 cross-node neighbor pairs × 2 pages × 2 orders).
 
-use crate::store::CorrelationStore;
+use crate::correlation::CorrelationMatrix;
 use acorr_sim::Mapping;
 
 /// Whether a thread pair crosses a node boundary under `mapping`.
@@ -16,15 +16,13 @@ pub fn pair_is_cut(mapping: &Mapping, a: usize, b: usize) -> bool {
 }
 
 /// The cut cost of `mapping`: total correlation of thread pairs placed on
-/// distinct nodes (ordered-pair convention). Generic over the correlation
-/// backend — `O(T²)` on the dense matrix, `O(E)` on the sparse store, with
-/// identical sums (zero pairs contribute nothing and `u64` addition
-/// commutes).
+/// distinct nodes (ordered-pair convention), in one `O(E)` walk over the
+/// non-zero pairs (zero pairs contribute nothing).
 ///
 /// # Panics
 ///
-/// Panics if the mapping and store cover different thread counts.
-pub fn cut_cost<C: CorrelationStore>(corr: &C, mapping: &Mapping) -> u64 {
+/// Panics if the mapping and matrix cover different thread counts.
+pub fn cut_cost(corr: &CorrelationMatrix, mapping: &Mapping) -> u64 {
     assert_eq!(
         corr.num_threads(),
         mapping.num_threads(),
@@ -44,8 +42,8 @@ pub fn cut_cost<C: CorrelationStore>(corr: &C, mapping: &Mapping) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if the mapping and store cover different thread counts.
-pub fn internal_cost<C: CorrelationStore>(corr: &C, mapping: &Mapping) -> u64 {
+/// Panics if the mapping and matrix cover different thread counts.
+pub fn internal_cost(corr: &CorrelationMatrix, mapping: &Mapping) -> u64 {
     assert_eq!(
         corr.num_threads(),
         mapping.num_threads(),
@@ -63,7 +61,6 @@ pub fn internal_cost<C: CorrelationStore>(corr: &C, mapping: &Mapping) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlation::CorrelationMatrix;
     use acorr_sim::{ClusterConfig, DetRng, NodeId};
 
     /// A 4-thread chain: neighbors share 2 pages.

@@ -3,7 +3,9 @@
 //! Everything the paper derives *from* tracked access information:
 //!
 //! * [`correlation`] — the [`CorrelationMatrix`]: for every thread pair, the
-//!   number of shared pages both touch (§1's *thread correlation*).
+//!   number of shared pages both touch (§1's *thread correlation*). One
+//!   store from 64 threads to 10⁶: a dense diagonal plus flat CSR rows of
+//!   the non-zero pairs, `O(T + E)` memory.
 //! * [`cut`] — *cut costs* (§2): the pairwise correlation mass crossing node
 //!   boundaries under a given [`Mapping`](acorr_sim::Mapping), the paper's
 //!   predictor of communication.
@@ -14,15 +16,11 @@
 //!   unions.
 //! * [`aging`] — exponential aging of correlations across tracking rounds,
 //!   the adaptation mechanism prior systems used and the paper's future-work
-//!   hook for dynamic applications.
-//! * [`delta`] / [`phases`] — how far two correlation snapshots diverge,
-//!   and the [`PhaseDetector`] that turns that divergence into re-mapping
-//!   triggers: tumbling windows against an aged baseline, with integer
-//!   ppm thresholds and fire/re-arm hysteresis, generic over the store.
-//! * [`store`] / [`sparse`] — the [`CorrelationStore`] abstraction and the
-//!   [`SparseCorrelation`] backend: `O(T + E)` flat CSR storage with
-//!   aging-aware compaction, bit-identical to the dense matrix on the same
-//!   data, for the ROADMAP's 10⁵–10⁶-thread scale.
+//!   hook for dynamic applications, and how far a window of rounds diverges
+//!   from that aged baseline.
+//! * [`phases`] — the [`PhaseDetector`] that turns that divergence into
+//!   re-mapping triggers: tumbling windows against an aged baseline, with
+//!   integer ppm thresholds and fire/re-arm hysteresis.
 //! * [`structure`] — machine classification of a map's dominant sharing
 //!   structure (nearest-neighbor / blocked / all-to-all) with a node-size
 //!   advisor, mechanizing §3's by-eye judgement.
@@ -51,20 +49,16 @@
 pub mod aging;
 pub mod correlation;
 pub mod cut;
-pub mod delta;
 pub mod estimate;
 pub mod map;
 pub mod pages;
 pub mod phases;
 pub mod sharing;
-pub mod sparse;
-pub mod store;
 pub mod structure;
 
 pub use aging::AgedCorrelation;
 pub use correlation::CorrelationMatrix;
 pub use cut::{cut_cost, internal_cost, pair_is_cut};
-pub use delta::correlation_delta;
 pub use estimate::MissModel;
 pub use map::{render_ascii, render_csv, render_pgm, render_svg, MapStyle};
 pub use pages::{
@@ -72,6 +66,7 @@ pub use pages::{
 };
 pub use phases::{PhaseDetector, PhaseShiftMark};
 pub use sharing::{node_page_unions, sharing_degree};
-pub use sparse::{SparseAged, SparseCorrelation};
-pub use store::{AgedStore, CorrelationStore};
 pub use structure::{compatible_node_sizes, profile_map, MapProfile, Structure};
+
+/// The one store's former name, kept only because the benchmark still imports it.
+pub type SparseCorrelation = CorrelationMatrix;

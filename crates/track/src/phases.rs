@@ -9,21 +9,19 @@
 //! divergence crosses a threshold — with hysteresis, so a sustained new
 //! phase fires once instead of every window.
 //!
-//! The detector is generic over [`CorrelationStore`], so the paper-scale
-//! paths keep the dense [`CorrelationMatrix`] (the default type parameter)
-//! while production-scale monitors run the identical detection logic over
-//! [`SparseCorrelation`](crate::SparseCorrelation) windows. A window close
-//! is one [`AgedStore::fold_window`] call: the dense backend composes it
-//! from merge, snapshot, delta and observe, and the sparse backend does it
-//! in one pass with bit-identical results. The detector copies a window's
-//! first round and never merges its last, so a close allocates no store.
+//! The 64-thread adaptive study, `acorr analyze` and the 10⁵-thread serve
+//! loop run the same detector over the one [`CorrelationMatrix`] store. A
+//! window close is one [`AgedCorrelation::fold_window`] call. The detector
+//! copies a window's first round and never merges its last, so a close
+//! allocates no store.
 //!
 //! Thresholds are carried in parts-per-million so detection is a pure
 //! integer comparison on a deterministically rounded delta: the same event
 //! stream always yields the same shifts.
 
+use crate::aging::AgedCorrelation;
 use crate::correlation::CorrelationMatrix;
-use crate::store::{AgedStore, CorrelationStore};
+use std::marker::PhantomData;
 
 /// Default firing threshold: delta ≥ 0.35. Intensity wiggle stays below
 /// 0.3; a structural rotation lands well above it.
@@ -42,17 +40,18 @@ pub struct PhaseShiftMark {
     pub delta_ppm: u64,
 }
 
-/// Tumbling-window phase-change detector with hysteresis, generic over the
-/// correlation backend (dense by default).
+/// Tumbling-window phase-change detector with hysteresis.
+///
+/// `C` is unused: it only keeps the benchmark's `PhaseDetector::<SparseCorrelation>` compiling.
 #[derive(Debug)]
-pub struct PhaseDetector<C: CorrelationStore = CorrelationMatrix> {
+pub struct PhaseDetector<C = CorrelationMatrix> {
     window: usize,
     threshold_ppm: u64,
     rearm_ppm: u64,
-    aged: C::Aged,
+    aged: AgedCorrelation,
     /// The open window's rounds but its last. Between windows it holds
     /// stale rounds, which the next window's first round overwrites.
-    cur: C,
+    cur: CorrelationMatrix,
     in_window: usize,
     windows_closed: u64,
     /// Whether the baseline holds at least one full window.
@@ -60,9 +59,10 @@ pub struct PhaseDetector<C: CorrelationStore = CorrelationMatrix> {
     /// Hysteresis state: a firing disarms; settling re-arms.
     armed: bool,
     shifts: Vec<PhaseShiftMark>,
+    store: PhantomData<C>,
 }
 
-impl<C: CorrelationStore> PhaseDetector<C> {
+impl PhaseDetector {
     /// A detector over `threads` threads closing a window every `window`
     /// observations (clamped to ≥ 1), with the default thresholds.
     pub fn new(threads: usize, window: usize) -> Self {
@@ -88,13 +88,14 @@ impl<C: CorrelationStore> PhaseDetector<C> {
             window: window.max(1),
             threshold_ppm,
             rearm_ppm,
-            aged: C::Aged::new(threads, decay),
-            cur: C::zeros(threads),
+            aged: AgedCorrelation::new(threads, decay),
+            cur: CorrelationMatrix::zeros(threads),
             in_window: 0,
             windows_closed: 0,
             primed: false,
             armed: true,
             shifts: Vec::new(),
+            store: PhantomData,
         }
     }
 
@@ -118,12 +119,13 @@ impl<C: CorrelationStore> PhaseDetector<C> {
     ///
     /// The window's first round is copied into the open-window store and
     /// later rounds are merged into it, except the last: a closing round
-    /// goes straight to [`AgedStore::fold_window`] beside the open window.
+    /// goes straight to [`AgedCorrelation::fold_window`] beside the open
+    /// window.
     ///
     /// # Panics
     ///
     /// Panics if `round` covers a different thread count.
-    pub fn observe(&mut self, round: &C) -> Option<PhaseShiftMark> {
+    pub fn observe(&mut self, round: &CorrelationMatrix) -> Option<PhaseShiftMark> {
         assert_eq!(
             round.num_threads(),
             self.cur.num_threads(),
@@ -182,11 +184,10 @@ impl<C: CorrelationStore> PhaseDetector<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SparseCorrelation;
 
     /// A store with neighbor pairs sharing, rotated by `offset`.
-    fn pattern_in<C: CorrelationStore>(threads: usize, offset: usize) -> C {
-        let mut m = C::zeros(threads);
+    fn pattern(threads: usize, offset: usize) -> CorrelationMatrix {
+        let mut m = CorrelationMatrix::zeros(threads);
         for t in (0..threads - 1).step_by(2) {
             let a = (t + offset) % threads;
             let b = (t + 1 + offset) % threads;
@@ -196,10 +197,6 @@ mod tests {
             }
         }
         m
-    }
-
-    fn pattern(threads: usize, offset: usize) -> CorrelationMatrix {
-        pattern_in(threads, offset)
     }
 
     #[test]
@@ -275,74 +272,68 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_backends_fire_identical_shifts() {
-        // The paper's full-size thread count: the dense path is the pinned
-        // reference; the sparse backend must reproduce every mark exactly
-        // (same windows, same delta ppm) over a multi-phase stream. Window
-        // 1 at decay 0 is the adaptive study's detector, window 2 serve's.
-        // Phases last 23 observations, so windows straddle phase changes,
-        // and 98 observations leave windows 3 and 4 a partial last window.
-        fn detector<C: CorrelationStore>(
-            threads: usize,
-            window: usize,
-            decay: f64,
-        ) -> PhaseDetector<C> {
-            let (fire, rearm) = (DEFAULT_THRESHOLD_PPM, DEFAULT_REARM_PPM);
-            PhaseDetector::with_thresholds(threads, window, fire, rearm, decay)
-        }
+        // The paper's full-size thread count over a multi-phase stream: the
+        // marks (window, delta ppm) are literals recorded from the dense
+        // matrix detector the CSR store replaced. Window 1 at decay 0 is
+        // the adaptive study's detector, window 2 serve's. Phases last 23
+        // observations, so windows straddle phase changes, and 98
+        // observations leave windows 3 and 4 a partial last window.
+        type Marks = &'static [(u64, u64)];
+        let pinned: [(usize, f64, Marks); 8] = [
+            (1, 0.0, &[(23, 1_000_000), (46, 1_000_000), (92, 1_000_000)]),
+            (1, 0.5, &[(23, 1_000_000), (46, 1_000_000), (92, 1_000_000)]),
+            (2, 0.0, &[(11, 500_000), (23, 1_000_000), (46, 1_000_000)]),
+            (2, 0.5, &[(11, 500_000), (23, 1_000_000), (46, 1_000_000)]),
+            (3, 0.0, &[(8, 666_667), (15, 666_667), (31, 666_667)]),
+            (3, 0.5, &[(8, 833_333), (15, 666_667), (31, 833_333)]),
+            (4, 0.0, &[(6, 750_000), (11, 500_000), (23, 1_000_000)]),
+            (4, 0.5, &[(6, 875_000), (11, 475_000), (23, 1_000_000)]),
+        ];
         let threads = 64;
-        for window in 1..=4 {
-            for decay in [0.0, 0.5] {
-                let mut dense = detector::<CorrelationMatrix>(threads, window, decay);
-                let mut sparse = detector::<SparseCorrelation>(threads, window, decay);
-                for i in 0..98 {
-                    let offset = (i / 23) % 3; // sustained phases
-                    let d = dense.observe(&pattern_in(threads, offset));
-                    let s = sparse.observe(&pattern_in(threads, offset));
-                    assert_eq!(d, s, "window {window} decay {decay}: observation {i}");
-                }
-                assert_eq!(dense.pending(), 98 % window);
-                assert_eq!(
-                    dense.flush(),
-                    sparse.flush(),
-                    "window {window} decay {decay}"
-                );
-                assert_eq!(dense.shifts(), sparse.shifts());
-                assert_eq!(dense.windows_closed(), sparse.windows_closed());
-                assert!(!dense.shifts().is_empty(), "phases must actually fire");
+        for (window, decay, marks) in pinned {
+            let (fire, rearm) = (DEFAULT_THRESHOLD_PPM, DEFAULT_REARM_PPM);
+            let mut d = PhaseDetector::with_thresholds(threads, window, fire, rearm, decay);
+            let mut fired = Vec::new();
+            for i in 0..98 {
+                let offset = (i / 23) % 3; // sustained phases
+                fired.extend(d.observe(&pattern(threads, offset)));
             }
+            assert_eq!(d.pending(), 98 % window);
+            fired.extend(d.flush());
+            let got: Vec<_> = fired.iter().map(|m| (m.window, m.delta_ppm)).collect();
+            assert_eq!(got, marks, "window {window} decay {decay}");
+            assert_eq!(d.shifts(), fired);
+            assert_eq!(d.windows_closed(), 98u64.div_ceil(window as u64));
         }
     }
 
     #[test]
     #[should_panic(expected = "thread counts differ")]
     fn first_round_of_a_window_with_the_wrong_size_panics() {
-        let mut d = PhaseDetector::<SparseCorrelation>::new(8, 2);
-        d.observe(&pattern_in(8, 0));
-        d.observe(&pattern_in(8, 0));
+        let mut d = PhaseDetector::new(8, 2);
+        d.observe(&pattern(8, 0));
+        d.observe(&pattern(8, 0));
         // The first round of the second window is only copied, not merged.
-        d.observe(&pattern_in::<SparseCorrelation>(6, 0));
+        d.observe(&pattern(6, 0));
     }
 
     #[test]
     fn sparse_store_rearms_and_refires_across_three_rotations() {
-        // Regression: hysteresis re-arm on the sparse backend used to be
-        // exercised only indirectly, at 64 threads, inside the
-        // dense/sparse equivalence sweep. Drive the fire → re-arm → fire
-        // cycle directly on `SparseCorrelation` at a small thread count:
-        // three scripted affinity rotations, each sustained long enough
-        // (six windows, decay 0.5 ⇒ residual delta ≤ 0.15 after three
-        // stable windows) for the detector to settle and re-arm before
-        // the next rotation hits.
+        // The fire → re-arm → fire cycle at a small thread count: three
+        // scripted affinity rotations, each sustained long enough (six
+        // windows, decay 0.5 ⇒ residual delta ≤ 0.15 after three stable
+        // windows) for the detector to settle and re-arm before the next
+        // rotation hits.
         let threads = 16;
-        let mut d = PhaseDetector::<SparseCorrelation>::new(threads, 2);
+        let mut d = PhaseDetector::new(threads, 2);
         for _ in 0..12 {
-            assert!(d.observe(&pattern_in(threads, 0)).is_none(), "baseline");
+            assert!(d.observe(&pattern(threads, 0)).is_none(), "baseline");
         }
         let mut fired_windows = Vec::new();
         for offset in [1usize, 2, 3] {
             let mut fired_this_phase = 0;
             for _ in 0..12 {
-                if let Some(mark) = d.observe(&pattern_in::<SparseCorrelation>(threads, offset)) {
+                if let Some(mark) = d.observe(&pattern(threads, offset)) {
                     fired_this_phase += 1;
                     fired_windows.push(mark.window);
                 }

@@ -87,27 +87,28 @@ fn mass_at_distance(corr: &CorrelationMatrix, d: usize) -> u64 {
 /// boundary-crossing neighbor pairs; blocks do not).
 fn best_block(corr: &CorrelationMatrix) -> Option<usize> {
     let n = corr.num_threads();
-    let total: u64 = corr.pairs().map(|(_, _, v)| v).sum();
+    let total = corr.total_correlation() / 2; // unordered pairs
     if total == 0 {
         return None;
     }
+    let all_pairs = n * n.saturating_sub(1) / 2;
     let mut b = 2;
     while b <= n / 2 {
         if n.is_multiple_of(b) {
             // Contrast: mean in-block pair value must dominate the mean
             // cross-block pair value (robust to broad weak backgrounds,
-            // like LU's perimeter sharing).
-            let (mut in_mass, mut in_pairs) = (0u64, 0u64);
-            let (mut cross_mass, mut cross_pairs) = (0u64, 0u64);
-            for (a, c, v) in corr.pairs() {
+            // like LU's perimeter sharing). Every pair counts, zero pairs
+            // included: `n / b` blocks of `b(b - 1) / 2` pairs each, and
+            // the rest of the pairs cross blocks.
+            let in_pairs = (n / b * (b * (b - 1) / 2)) as u64;
+            let cross_pairs = all_pairs as u64 - in_pairs;
+            let mut in_mass = 0u64;
+            corr.for_each_edge(|a, c, v| {
                 if a / b == c / b {
                     in_mass += v;
-                    in_pairs += 1;
-                } else {
-                    cross_mass += v;
-                    cross_pairs += 1;
                 }
-            }
+            });
+            let cross_mass = total - in_mass;
             let in_mean = in_mass as f64 / in_pairs.max(1) as f64;
             let cross_mean = cross_mass as f64 / cross_pairs.max(1) as f64;
             // Edge sharpness at distance 1: aligned boundaries must be
@@ -159,9 +160,9 @@ fn best_block(corr: &CorrelationMatrix) -> Option<usize> {
 /// ```
 pub fn profile_map(corr: &CorrelationMatrix) -> MapProfile {
     let n = corr.num_threads();
-    let total: u64 = corr.pairs().map(|(_, _, v)| v).sum();
-    let sharing_pairs = corr.pairs().filter(|&(_, _, v)| v > 0).count();
-    let all_pairs = n * (n - 1) / 2;
+    let total = corr.total_correlation() / 2; // unordered pairs
+    let sharing_pairs = corr.edge_count();
+    let all_pairs = n * n.saturating_sub(1) / 2;
     let density = if all_pairs == 0 {
         0.0
     } else {
@@ -310,6 +311,21 @@ mod tests {
         let p = profile_map(&c);
         assert_eq!(p.structure, Structure::Blocked { block: 8 });
         assert_eq!(p.density, 1.0);
+    }
+
+    #[test]
+    fn blocks_with_a_sparse_cross_background_stay_blocked() {
+        // Clean blocks of 4 plus eight cross-block pairs at half the block
+        // weight. Over all 96 cross-block pairs, zero pairs included, the
+        // background is faint; over its non-zero pairs alone it would read
+        // as half the block weight and the map as all-to-all.
+        let mut c = blocks(16, 4, 10);
+        for a in 0..8 {
+            c.set(a, a + 8, 5);
+        }
+        let p = profile_map(&c);
+        assert_eq!(p.structure, Structure::Blocked { block: 4 });
+        assert_eq!(p.density, 32.0 / 120.0);
     }
 
     #[test]

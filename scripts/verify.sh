@@ -123,4 +123,19 @@ echo "$serve_out" | grep -q "timeline digest: fnv1a:c1f8ea0555e529bd" &&
     exit 1
 }
 
+echo "==> benchmark smoke (paper-64x8 study digests, built through the benchmark's own manifest)"
+# The only check of the 11 paper-64x8 study digests (adaptive_study over
+# the suite apps and Drift at 64x8), and the only build through the
+# benchmark package's own Cargo.lock, which the facade must keep
+# compiling. --seconds 0 runs the fewest units.
+bench_out="$(cargo run --release --quiet --offline --locked \
+    --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+    --workload paper-64x8 --seconds 0)"
+echo "$bench_out" | grep -q "digest_pinned=true" &&
+    echo "$bench_out" | grep -q "failed 0" || {
+    echo "error: paper-64x8 study digests drifted or a unit failed:" >&2
+    echo "$bench_out" >&2
+    exit 1
+}
+
 echo "==> OK"

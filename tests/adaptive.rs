@@ -3,6 +3,7 @@
 
 use active_correlation_tracking::apps::Drift;
 use active_correlation_tracking::experiment::Workbench;
+use active_correlation_tracking::obs::stats_digest;
 use active_correlation_tracking::track::CorrelationMatrix;
 
 #[test]
@@ -39,6 +40,25 @@ fn adaptive_policy_beats_static_on_traffic() {
         study.static_stats.remote_misses
     );
     assert!(study.adaptive_migrations > 0, "it must actually migrate");
+    let digests = [
+        &study.static_stats,
+        &study.track_once_stats,
+        &study.adaptive_stats,
+    ]
+    .map(stats_digest);
+    assert_eq!(
+        (digests, study.adaptive_migrations),
+        (
+            [
+                "fnv1a:dacc95e8215827fc",
+                "fnv1a:5ec0d8cd630b0c99",
+                "fnv1a:c6aa80ec108fe33d"
+            ]
+            .map(String::from),
+            28
+        ),
+        "pinned policy runs"
+    );
 }
 
 #[test]
@@ -100,6 +120,21 @@ fn drift_triggered_retracking_spends_fewer_tracked_iterations() {
         "on-demand {} vs scheduled {}",
         study.on_demand.remote_misses,
         study.scheduled.remote_misses
+    );
+    assert_eq!(
+        (
+            stats_digest(&study.scheduled),
+            study.scheduled_tracks,
+            stats_digest(&study.on_demand),
+            study.on_demand_tracks,
+        ),
+        (
+            "fnv1a:e588d8adca8de983".into(),
+            12,
+            "fnv1a:eeb668aed80c3cad".into(),
+            4
+        ),
+        "pinned policy runs"
     );
 }
 

@@ -10,7 +10,7 @@ use active_correlation_tracking::experiment::Workbench;
 use active_correlation_tracking::obs::{json, Analysis, RunManifest};
 use active_correlation_tracking::sched::Schedule;
 use active_correlation_tracking::sim::{forall, DetRng, FaultPlan};
-use active_correlation_tracking::track::{render_csv, CorrelationMatrix};
+use active_correlation_tracking::track::{profile_map, render_csv, CorrelationMatrix};
 
 /// Bytes the grammars care about, so random strings get past the first
 /// character often enough to reach the deeper parser states.
@@ -93,11 +93,19 @@ fn manifest_from_json_never_panics() {
 
 #[test]
 fn correlation_csv_never_panics() {
+    // Fixed inputs first: cells whose sum overflows the kernels' integers,
+    // and a file with no rows, which `acorr profile` reads as zero threads.
+    let max = u64::MAX;
+    let big = format!("0,{max},0,0\n{max},0,0,0\n0,0,0,{max}\n0,0,{max},0\n");
+    assert!(CorrelationMatrix::from_csv(&big).is_err());
+    profile_map(&CorrelationMatrix::from_csv("").unwrap());
     let mut corr = CorrelationMatrix::zeros(4);
     corr.set(0, 1, 7);
     corr.set(2, 3, 1_000_000);
     corr.set(1, 1, 42);
-    never_panics(&[render_csv(&corr)], CorrelationMatrix::from_csv);
+    never_panics(&[render_csv(&corr), big], |text| {
+        CorrelationMatrix::from_csv(text).map(|m| profile_map(&m))
+    });
 }
 
 #[test]
@@ -127,7 +135,12 @@ fn event_log_analysis_never_panics() {
         .with_observer()
         .phase_scan(|| Drift::new(32, 4, 2), 6, 2)
         .unwrap();
-    assert!(!scan.shifts.is_empty());
+    let marks: Vec<_> = scan
+        .shifts
+        .iter()
+        .map(|m| (m.window, m.delta_ppm))
+        .collect();
+    assert_eq!(marks, [(1, 400_000)], "pinned phase scan");
     let events = scan.observation.unwrap().events_jsonl;
     never_panics(&[events], |text| {
         Analysis::from_events(text, scan.threads, scan.pages)

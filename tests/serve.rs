@@ -209,6 +209,14 @@ fn engine_backed_serve_migrates_a_drifting_app_mid_run() {
     assert!(report.accepted >= 1, "re-map accepted");
     assert!(report.migrated > 0, "threads actually moved");
     assert!(report.served_cut < report.static_cut);
+    assert_eq!(
+        (report.timeline_digest(), report.final_mapping_digest()),
+        (
+            "fnv1a:c0d4334ee84b87e0".into(),
+            "fnv1a:bcffd1650d4f4ed5".into()
+        ),
+        "pinned engine-backed run"
+    );
 }
 
 #[test]
