@@ -8,6 +8,11 @@
 //!
 //! Three policies over the same run, all costs (tracking iterations and
 //! migrations) included.
+//!
+//! Usage: `adaptive [--period P] [--phases N] [--threads T]` (defaults: a
+//! phase every 12 iterations, 4 phases, all available worker threads).
+//! The policies of each study run side by side on `T` workers; output is
+//! byte-identical at any `--threads` value.
 
 use acorr::apps::Drift;
 use acorr::dsm::DsmConfig;
@@ -19,6 +24,11 @@ use acorr_bench::arg_usize;
 fn main() {
     let period = arg_usize("--period", 12);
     let phases = arg_usize("--phases", 4);
+    let threads = arg_usize("--threads", 0);
+    if period < 2 || phases == 0 {
+        eprintln!("error: --period must be at least 2 and --phases at least 1");
+        std::process::exit(2);
+    }
     let total = period * phases;
     println!(
         "Drift: 2048 particles, 64 threads on 8 nodes, partner offset jumps\n\
@@ -32,7 +42,9 @@ fn main() {
             latency: SimDuration::from_micros(latency_us),
             ..NetworkModel::default()
         };
-        let bench = Workbench::new(8, 64).expect("8x64 cluster");
+        let bench = Workbench::new(8, 64)
+            .expect("8x64 cluster")
+            .with_threads(threads);
         let cluster = bench.cluster;
         let bench = bench.with_config(DsmConfig::new(cluster).with_network(net));
         let study = bench
@@ -50,7 +62,9 @@ fn main() {
     }
     // When to re-track: fixed schedule vs drift detection on passive
     // observations.
-    let bench = Workbench::new(8, 64).expect("8x64 cluster");
+    let bench = Workbench::new(8, 64)
+        .expect("8x64 cluster")
+        .with_threads(threads);
     let study = bench
         .on_demand_study(|| Drift::new(2048, 64, period), total, 4, 400_000, 0.25)
         .expect("study");

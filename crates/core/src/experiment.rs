@@ -19,8 +19,8 @@ use acorr_mem::AccessMatrix;
 use acorr_obs::{ObsHandle, Observation};
 use acorr_place::{min_cost, place, Strategy};
 use acorr_sim::{
-    linear_fit, par_map_indexed, par_map_range, ClusterConfig, DetRng, FaultPlan, LinearFit,
-    Mapping, SimDuration,
+    linear_fit, par_join, par_map_indexed, par_map_range, ClusterConfig, DetRng, FaultPlan,
+    LinearFit, Mapping, SimDuration,
 };
 use acorr_track::{
     cut_cost, sharing_degree, AgedCorrelation, CorrelationMatrix, PhaseDetector, PhaseShiftMark,
@@ -36,8 +36,10 @@ pub struct Workbench {
     pub config: DsmConfig,
     /// Root seed for randomized methodology (forked per use).
     pub seed: u64,
-    /// Worker threads for the randomized drivers (1 = sequential). Every
-    /// sample forks its own RNG stream from `seed` up-front and results are
+    /// Worker threads for every driver that runs independent DSM
+    /// instances (1 = sequential): the ground-truth twins, the cut-cost
+    /// samples, the heuristic strategies and the §7 policies. A randomized
+    /// run forks its own RNG stream from `seed` up-front and results are
     /// collected in index order, so output is bit-identical at any worker
     /// count (see [`acorr_sim::pool`]).
     pub threads: usize,
@@ -73,9 +75,9 @@ impl Workbench {
         self
     }
 
-    /// Sets the worker-thread count for the randomized drivers (`0` means
-    /// the host's available parallelism, `1` exact sequential execution —
-    /// results are bit-identical either way).
+    /// Sets the worker-thread count for the drivers that run independent
+    /// DSM instances (`0` means the host's available parallelism, `1` exact
+    /// sequential execution — results are bit-identical either way).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = acorr_sim::resolve_threads(threads);
@@ -523,13 +525,19 @@ impl Workbench {
     /// All tracking and migration costs are charged inside the reported
     /// statistics, so the comparison is end-to-end fair.
     ///
+    /// Each policy runs its own DSM instance on a program built on the
+    /// calling thread, so the three fan out across the workbench's worker
+    /// threads and come back in policy order; the study is bit-identical
+    /// at any worker count.
+    ///
     /// # Errors
     ///
-    /// Propagates engine errors.
+    /// Propagates engine errors. When several policies fail, the error is
+    /// the first one in the order above.
     ///
     /// # Panics
     ///
-    /// Panics if `retrack_every` is zero.
+    /// Panics if `total_iterations` is zero or `retrack_every` is below 2.
     pub fn adaptive_study<P, F>(
         &self,
         factory: F,
@@ -541,60 +549,38 @@ impl Workbench {
         P: Program,
         F: Fn() -> P,
     {
+        assert!(total_iterations >= 1, "total_iterations must be at least 1");
         assert!(retrack_every >= 2, "retrack_every must be at least 2");
-        let threads = self.cluster.num_threads();
-        let stretch = Mapping::stretch(&self.cluster);
-
-        // Policy 1: static stretch.
-        let mut static_dsm = self.dsm(factory(), stretch.clone())?;
-        let static_stats = static_dsm.run_iterations(total_iterations)?;
-        let app = static_dsm.program().name().to_owned();
-
-        // Policy 2: track once, place, never adapt.
-        let mut once_dsm = self.dsm(factory(), stretch.clone())?;
-        let (mut track_once_stats, access) = once_dsm.run_tracked_iteration()?;
-        let corr = CorrelationMatrix::from_access(&access);
-        once_dsm.migrate_to(min_cost(&corr, &self.cluster))?;
-        track_once_stats += once_dsm.run_iterations(total_iterations - 1)?;
-
-        // Policy 3: periodic re-tracking with aged correlations.
-        let mut adaptive_dsm = self.dsm(factory(), stretch)?;
-        let mut aged = AgedCorrelation::new(threads, decay);
-        let mut adaptive_stats = IterStats::new();
-        let mut migrations = 0;
-        let mut done = 0;
-        while done < total_iterations {
-            // Let one ordinary iteration re-cache first (latency hiding
-            // on), so the pinned tracking iteration is not also paying
-            // serialized cold misses.
-            adaptive_stats += adaptive_dsm.run_iterations(1)?;
-            done += 1;
-            if done >= total_iterations {
-                break;
-            }
-            let (tracked, access) = adaptive_dsm.run_tracked_iteration()?;
-            adaptive_stats += tracked;
-            done += 1;
-            aged.observe(&CorrelationMatrix::from_access(&access));
-            let target = min_cost(&aged.snapshot(), &self.cluster);
-            migrations += adaptive_dsm.migrate_to(target)?.moved;
-            let rest = (retrack_every - 2).min(total_iterations - done);
-            adaptive_stats += adaptive_dsm.run_iterations(rest)?;
-            done += rest;
-        }
+        let policies = [
+            Policy::Static,
+            Policy::TrackOnce,
+            Policy::Periodic {
+                every: retrack_every,
+                decay,
+            },
+        ];
+        let work: Vec<(Policy, P)> = policies.map(|policy| (policy, factory())).into();
+        let app = work[0].1.name().to_owned();
+        let runs: Vec<PolicyRun> = par_map_indexed(self.threads, work, |_, (policy, program)| {
+            self.run_policy(policy, program, total_iterations)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
+        let [fixed, once, adaptive]: [PolicyRun; 3] = runs.try_into().expect("one run per policy");
         Ok(AdaptiveStudy {
             app,
-            static_stats,
-            track_once_stats,
-            adaptive_stats,
-            adaptive_migrations: migrations,
+            static_stats: fixed.stats,
+            track_once_stats: once.stats,
+            adaptive_stats: adaptive.stats,
+            adaptive_migrations: adaptive.migrations,
         })
     }
 
     /// Compares two answers to §7's "when should we re-track?":
     ///
     /// * **scheduled** — an active tracking phase (plus re-placement) every
-    ///   `check_every` iterations, unconditionally;
+    ///   `check_every` iterations, unconditionally: the periodic policy of
+    ///   [`Workbench::adaptive_study`];
     /// * **drift-triggered** — run each window with cheap passive tracking
     ///   on; re-track actively only when the passive correlation snapshot
     ///   diverges from the previous window's by at least `threshold_ppm`
@@ -608,13 +594,18 @@ impl Workbench {
     /// *consistently* biased, so window-over-window divergence is a clean
     /// phase-change signal.
     ///
+    /// The two policies run side by side on the workbench's worker threads,
+    /// each on its own DSM instance; the study is bit-identical at any
+    /// worker count.
+    ///
     /// # Errors
     ///
-    /// Propagates engine errors.
+    /// Propagates engine errors. When both policies fail, the error is the
+    /// scheduled policy's.
     ///
     /// # Panics
     ///
-    /// Panics if `check_every < 2`.
+    /// Panics if `total_iterations` is zero or `check_every` is below 2.
     pub fn on_demand_study<P, F>(
         &self,
         factory: F,
@@ -627,67 +618,162 @@ impl Workbench {
         P: Program,
         F: Fn() -> P,
     {
+        assert!(total_iterations >= 1, "total_iterations must be at least 1");
         assert!(check_every >= 2, "check_every must be at least 2");
-        // Policy A: scheduled (reuses the adaptive_study loop).
-        let scheduled_full = self.adaptive_study(&factory, total_iterations, check_every, decay)?;
-        let scheduled_tracks = total_iterations.div_ceil(check_every);
-
-        // Policy B: drift-triggered. One tracked placement up front, then
-        // passive windows; migration changes which threads fault, so the
-        // first window after each migration only calibrates a new baseline.
-        let mut dsm = self.dsm(factory(), Mapping::stretch(&self.cluster))?;
-        let mut aged = AgedCorrelation::new(self.cluster.num_threads(), decay);
-        let mut stats = IterStats::new();
-        let mut tracks = 0usize;
-        let mut done = 0usize;
-        {
-            let (tracked, access) = dsm.run_tracked_iteration()?;
-            stats += tracked;
-            done += 1;
-            tracks += 1;
-            aged.observe(&CorrelationMatrix::from_access(&access));
-            dsm.migrate_to(min_cost(&aged.snapshot(), &self.cluster))?;
-        }
-        let detector = || {
-            PhaseDetector::with_thresholds(
-                self.cluster.num_threads(),
-                1,
-                threshold_ppm,
-                threshold_ppm,
-                0.0,
-            )
+        let scheduled = Policy::Periodic {
+            every: check_every,
+            decay,
         };
-        // A fresh detector's first window only calibrates its baseline.
-        let mut drift = detector();
-        while done < total_iterations {
-            let window = check_every.min(total_iterations - done);
-            dsm.enable_passive_tracking();
-            stats += dsm.run_iterations(window)?;
-            done += window;
-            let observed = dsm
-                .take_passive_observations()
-                .expect("passive tracking was enabled");
-            let shifted = drift
-                .observe(&CorrelationMatrix::from_access(&observed))
-                .is_some();
-            if shifted && done < total_iterations {
+        let drift = Policy::DriftTriggered {
+            window: check_every,
+            threshold_ppm,
+            decay,
+        };
+        let (scheduled_program, drift_program) = (factory(), factory());
+        let app = scheduled_program.name().to_owned();
+        let (scheduled, on_demand) = par_join(
+            self.threads,
+            || self.run_policy(scheduled, scheduled_program, total_iterations),
+            || self.run_policy(drift, drift_program, total_iterations),
+        );
+        let (scheduled, on_demand) = (scheduled?, on_demand?);
+        Ok(OnDemandStudy {
+            app,
+            scheduled: scheduled.stats,
+            scheduled_tracks: scheduled.tracks,
+            on_demand: on_demand.stats,
+            on_demand_tracks: on_demand.tracks,
+        })
+    }
+
+    /// Runs one §7 placement policy for `total_iterations` on a DSM
+    /// instance of its own, starting from the stretch placement, and drops
+    /// the instance when the policy ends.
+    fn run_policy<P: Program>(
+        &self,
+        policy: Policy,
+        program: P,
+        total_iterations: usize,
+    ) -> Result<PolicyRun, DsmError> {
+        let threads = self.cluster.num_threads();
+        let mut dsm = self.dsm(program, Mapping::stretch(&self.cluster))?;
+        let mut run = PolicyRun::default();
+        match policy {
+            Policy::Static => run.stats += dsm.run_iterations(total_iterations)?,
+            Policy::TrackOnce => {
                 let (tracked, access) = dsm.run_tracked_iteration()?;
-                stats += tracked;
-                done += 1;
-                tracks += 1;
-                aged.observe(&CorrelationMatrix::from_access(&access));
-                let target = min_cost(&aged.snapshot(), &self.cluster);
-                dsm.migrate_to(target)?;
-                drift = detector(); // recalibrate under the new mapping
+                run.stats += tracked;
+                run.tracks += 1;
+                let corr = CorrelationMatrix::from_access(&access);
+                run.migrations += dsm.migrate_to(min_cost(&corr, &self.cluster))?.moved;
+                run.stats += dsm.run_iterations(total_iterations - 1)?;
+            }
+            Policy::Periodic { every, decay } => {
+                let mut aged = AgedCorrelation::new(threads, decay);
+                let mut done = 0;
+                while done < total_iterations {
+                    // Let one ordinary iteration re-cache first (latency
+                    // hiding on), so the pinned tracking iteration is not
+                    // also paying serialized cold misses.
+                    run.stats += dsm.run_iterations(1)?;
+                    done += 1;
+                    if done >= total_iterations {
+                        break;
+                    }
+                    run.retrack(&mut dsm, &mut aged, &self.cluster)?;
+                    done += 1;
+                    let rest = (every - 2).min(total_iterations - done);
+                    run.stats += dsm.run_iterations(rest)?;
+                    done += rest;
+                }
+            }
+            Policy::DriftTriggered {
+                window,
+                threshold_ppm,
+                decay,
+            } => {
+                // One tracked placement up front, then passive windows;
+                // migration changes which threads fault, so the first
+                // window after each migration only calibrates a new
+                // baseline.
+                let mut aged = AgedCorrelation::new(threads, decay);
+                run.retrack(&mut dsm, &mut aged, &self.cluster)?;
+                let mut done = 1;
+                let detector = || {
+                    PhaseDetector::with_thresholds(threads, 1, threshold_ppm, threshold_ppm, 0.0)
+                };
+                // A fresh detector's first window only calibrates its
+                // baseline.
+                let mut drift = detector();
+                while done < total_iterations {
+                    let span = window.min(total_iterations - done);
+                    dsm.enable_passive_tracking();
+                    run.stats += dsm.run_iterations(span)?;
+                    done += span;
+                    let observed = dsm
+                        .take_passive_observations()
+                        .expect("passive tracking was enabled");
+                    let shifted = drift
+                        .observe(&CorrelationMatrix::from_access(&observed))
+                        .is_some();
+                    if shifted && done < total_iterations {
+                        run.retrack(&mut dsm, &mut aged, &self.cluster)?;
+                        done += 1;
+                        drift = detector(); // recalibrate under the new mapping
+                    }
+                }
             }
         }
-        Ok(OnDemandStudy {
-            app: dsm.program().name().to_owned(),
-            scheduled: scheduled_full.adaptive_stats,
-            scheduled_tracks,
-            on_demand: stats,
-            on_demand_tracks: tracks,
-        })
+        Ok(run)
+    }
+}
+
+/// One placement policy of the §7 studies ([`Workbench::adaptive_study`],
+/// [`Workbench::on_demand_study`]).
+#[derive(Debug, Clone, Copy)]
+enum Policy {
+    /// Static stretch placement throughout.
+    Static,
+    /// One tracked iteration up front, min-cost placement, no adaptation.
+    TrackOnce,
+    /// A tracked iteration every `every` iterations, folded into
+    /// correlations aged by `decay`, then min-cost re-placement.
+    Periodic { every: usize, decay: f64 },
+    /// Passive windows of `window` iterations; a tracked iteration and
+    /// re-placement whenever a window drifts by `threshold_ppm`.
+    DriftTriggered {
+        window: usize,
+        threshold_ppm: u64,
+        decay: f64,
+    },
+}
+
+/// What one policy run charged: its statistics (tracked iterations and
+/// migrations included), the threads it migrated and the tracked
+/// iterations it spent.
+#[derive(Debug, Default)]
+struct PolicyRun {
+    stats: IterStats,
+    migrations: usize,
+    tracks: usize,
+}
+
+impl PolicyRun {
+    /// One re-tracking step: an actively tracked iteration folded into
+    /// `aged`, then min-cost re-placement on the aged snapshot and
+    /// migration.
+    fn retrack<P: Program>(
+        &mut self,
+        dsm: &mut Dsm<P>,
+        aged: &mut AgedCorrelation,
+        cluster: &ClusterConfig,
+    ) -> Result<(), DsmError> {
+        let (tracked, access) = dsm.run_tracked_iteration()?;
+        self.stats += tracked;
+        self.tracks += 1;
+        aged.observe(&CorrelationMatrix::from_access(&access));
+        self.migrations += dsm.migrate_to(min_cost(&aged.snapshot(), cluster))?.moved;
+        Ok(())
     }
 }
 

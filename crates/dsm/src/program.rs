@@ -86,7 +86,13 @@ impl Op {
 /// [`Op::Barrier`]s (the engine appends an implicit barrier at the end of
 /// each iteration). Lock/unlock pairs must be properly matched within one
 /// iteration.
-pub trait Program {
+///
+/// Implementations must be `Send + Sync`: an experiment driver builds each
+/// program on the calling thread (a `Box<dyn Program>` included) and moves
+/// it to a worker of the deterministic pool, whose closures run behind
+/// shared references. A program is an immutable script read through
+/// `&self`, so this costs no synchronization.
+pub trait Program: Send + Sync {
     /// Human-readable application name (e.g. `"SOR"`).
     fn name(&self) -> &str;
 

@@ -123,6 +123,25 @@ echo "$serve_out" | grep -q "timeline digest: fnv1a:c1f8ea0555e529bd" &&
     exit 1
 }
 
+echo "==> adaptive smoke (§7 policy studies: pinned stdout at 1 and 2 workers, zero iterations rejected)"
+# Each study runs its policies side by side on the pool, so stdout must be
+# the pinned capture byte for byte at every worker count. Zero iterations
+# must be a flag error; the timeout catches a hang.
+adaptive_dir="$(mktemp -d)"
+for workers in 1 2; do
+    ./target/release/adaptive --threads "$workers" > "$adaptive_dir/out.txt"
+    diff results/adaptive.txt "$adaptive_dir/out.txt" || {
+        echo "error: adaptive --threads $workers drifted from results/adaptive.txt" >&2
+        exit 1
+    }
+done
+status=0
+timeout 10 ./target/release/adaptive --phases 0 2> "$adaptive_dir/err.txt" || status=$?
+cat "$adaptive_dir/err.txt"
+[ "$status" -eq 2 ] && grep -q "^error:" "$adaptive_dir/err.txt" || {
+    echo "error: adaptive --phases 0 exited $status" >&2; exit 1; }
+rm -rf "$adaptive_dir"
+
 echo "==> benchmark smoke (paper-64x8 study digests, built through the benchmark's own manifest)"
 # The only check of the 11 paper-64x8 study digests (adaptive_study over
 # the suite apps and Drift at 64x8), and the only build through the

@@ -28,37 +28,41 @@ fn drift_correlations_change_between_phases() {
 
 #[test]
 fn adaptive_policy_beats_static_on_traffic() {
-    let bench = Workbench::new(4, 16).unwrap();
-    let period = 8;
-    let study = bench
-        .adaptive_study(|| Drift::new(512, 16, period), 4 * period, period, 0.25)
-        .unwrap();
-    assert!(
-        study.adaptive_stats.remote_misses < study.static_stats.remote_misses,
-        "adaptive {} vs static {}",
-        study.adaptive_stats.remote_misses,
-        study.static_stats.remote_misses
-    );
-    assert!(study.adaptive_migrations > 0, "it must actually migrate");
-    let digests = [
-        &study.static_stats,
-        &study.track_once_stats,
-        &study.adaptive_stats,
-    ]
-    .map(stats_digest);
-    assert_eq!(
-        (digests, study.adaptive_migrations),
-        (
-            [
-                "fnv1a:dacc95e8215827fc",
-                "fnv1a:5ec0d8cd630b0c99",
-                "fnv1a:c6aa80ec108fe33d"
-            ]
-            .map(String::from),
-            28
-        ),
-        "pinned policy runs"
-    );
+    // The three policies fan out over the pool: one worker runs them in
+    // order, three give each its own, and every count pins the same runs.
+    for workers in [1, 2, 3] {
+        let bench = Workbench::new(4, 16).unwrap().with_threads(workers);
+        let period = 8;
+        let study = bench
+            .adaptive_study(|| Drift::new(512, 16, period), 4 * period, period, 0.25)
+            .unwrap();
+        assert!(
+            study.adaptive_stats.remote_misses < study.static_stats.remote_misses,
+            "adaptive {} vs static {}",
+            study.adaptive_stats.remote_misses,
+            study.static_stats.remote_misses
+        );
+        assert!(study.adaptive_migrations > 0, "it must actually migrate");
+        let digests = [
+            &study.static_stats,
+            &study.track_once_stats,
+            &study.adaptive_stats,
+        ]
+        .map(stats_digest);
+        assert_eq!(
+            (digests, study.adaptive_migrations),
+            (
+                [
+                    "fnv1a:dacc95e8215827fc",
+                    "fnv1a:5ec0d8cd630b0c99",
+                    "fnv1a:c6aa80ec108fe33d"
+                ]
+                .map(String::from),
+                28
+            ),
+            "pinned policy runs at {workers} worker(s)"
+        );
+    }
 }
 
 #[test]
@@ -99,43 +103,73 @@ fn study_charges_tracking_costs() {
 fn drift_triggered_retracking_spends_fewer_tracked_iterations() {
     // Long stable phases: the drift detector should re-track roughly once
     // per phase boundary instead of every window, at comparable traffic.
-    let bench = Workbench::new(4, 16).unwrap();
-    let period = 12; // three checking windows per phase
-    let study = bench
-        .on_demand_study(|| Drift::new(512, 16, period), 4 * period, 4, 400_000, 0.25)
-        .unwrap();
-    assert!(
-        study.on_demand_tracks < study.scheduled_tracks,
-        "on-demand {} vs scheduled {} tracked iterations",
-        study.on_demand_tracks,
-        study.scheduled_tracks
-    );
-    assert!(
-        study.on_demand_tracks >= 1,
-        "it must react to phase changes"
-    );
-    // Traffic stays in the same regime as the scheduled policy.
-    assert!(
-        (study.on_demand.remote_misses as f64) < study.scheduled.remote_misses as f64 * 1.6 + 100.0,
-        "on-demand {} vs scheduled {}",
-        study.on_demand.remote_misses,
-        study.scheduled.remote_misses
-    );
-    assert_eq!(
-        (
-            stats_digest(&study.scheduled),
-            study.scheduled_tracks,
-            stats_digest(&study.on_demand),
+    // The two policies run side by side; every worker count pins the same
+    // runs.
+    for workers in [1, 2, 3] {
+        let bench = Workbench::new(4, 16).unwrap().with_threads(workers);
+        let period = 12; // three checking windows per phase
+        let study = bench
+            .on_demand_study(|| Drift::new(512, 16, period), 4 * period, 4, 400_000, 0.25)
+            .unwrap();
+        assert!(
+            study.on_demand_tracks < study.scheduled_tracks,
+            "on-demand {} vs scheduled {} tracked iterations",
             study.on_demand_tracks,
-        ),
-        (
-            "fnv1a:e588d8adca8de983".into(),
-            12,
-            "fnv1a:eeb668aed80c3cad".into(),
-            4
-        ),
-        "pinned policy runs"
-    );
+            study.scheduled_tracks
+        );
+        assert!(
+            study.on_demand_tracks >= 1,
+            "it must react to phase changes"
+        );
+        // Traffic stays in the same regime as the scheduled policy.
+        assert!(
+            (study.on_demand.remote_misses as f64)
+                < study.scheduled.remote_misses as f64 * 1.6 + 100.0,
+            "on-demand {} vs scheduled {}",
+            study.on_demand.remote_misses,
+            study.scheduled.remote_misses
+        );
+        assert_eq!(
+            (
+                stats_digest(&study.scheduled),
+                study.scheduled_tracks,
+                stats_digest(&study.on_demand),
+                study.on_demand_tracks,
+            ),
+            (
+                "fnv1a:e588d8adca8de983".into(),
+                12,
+                "fnv1a:eeb668aed80c3cad".into(),
+                4
+            ),
+            "pinned policy runs at {workers} worker(s)"
+        );
+    }
+}
+
+#[test]
+fn scheduled_tracks_count_the_tracked_iterations_run() {
+    // 9 iterations in windows of 4: the last window holds one iteration,
+    // which leaves no room for a tracked one, so two windows re-track.
+    let bench = Workbench::new(4, 16).unwrap();
+    let study = bench
+        .on_demand_study(|| Drift::new(512, 16, 4), 9, 4, 400_000, 0.25)
+        .unwrap();
+    assert_eq!(study.scheduled_tracks, 2);
+}
+
+#[test]
+#[should_panic(expected = "total_iterations must be at least 1")]
+fn adaptive_study_rejects_zero_iterations() {
+    let bench = Workbench::new(4, 16).unwrap();
+    let _ = bench.adaptive_study(|| Drift::new(512, 16, 4), 0, 4, 0.25);
+}
+
+#[test]
+#[should_panic(expected = "total_iterations must be at least 1")]
+fn on_demand_study_rejects_zero_iterations() {
+    let bench = Workbench::new(4, 16).unwrap();
+    let _ = bench.on_demand_study(|| Drift::new(512, 16, 4), 0, 4, 400_000, 0.25);
 }
 
 #[test]
