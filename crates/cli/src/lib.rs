@@ -99,7 +99,9 @@ Scale mode: `place --scale 1000000x1000` skips the simulator and places a
 synthetic power-law affinity workload (~`--degree` edges per thread, default
 8) with the multilevel partitioner, reporting generation/placement times,
 cut cost vs the stretch baseline, and a machine-independent `mapping
-digest:` line. Output is bit-identical at any --jobs.
+digest:` line. Output is bit-identical at any --jobs. THREADS must lie in
+2..=4294967295, and NODES in 1..=65535 (node ids are 16-bit) and at most
+THREADS.
 Fault specs: a preset (none, light, moderate, heavy) and/or key=value
 overrides, comma-separated — e.g. `moderate`, `heavy,seed=7`,
 `drop_prob=0.05,max_retries=6`. Plans are deterministic per seed; `verify`

@@ -20,7 +20,7 @@ use acorr_obs::{ObsHandle, Observation};
 use acorr_place::{min_cost, place, Strategy};
 use acorr_sim::{
     linear_fit, par_join, par_map_indexed, par_map_range, ClusterConfig, DetRng, FaultPlan,
-    LinearFit, Mapping, SimDuration,
+    LinearFit, Mapping, SimDuration, TopologyError,
 };
 use acorr_track::{
     cut_cost, sharing_degree, AgedCorrelation, CorrelationMatrix, PhaseDetector, PhaseShiftMark,
@@ -1195,8 +1195,13 @@ pub fn mapping_digest(mapping: &Mapping) -> String {
 ///
 /// # Errors
 ///
-/// Propagates topology validation (`nodes == 0`, `threads < nodes`, node
-/// ids overflowing `u16`).
+/// Returns, before generating anything,
+/// [`TopologyError::ThreadsOutOfRange`] unless `2 <= threads <=
+/// u32::MAX` (affinity edges need two endpoints, and store rows name
+/// partners in 32 bits), and propagates [`ClusterConfig::new`]'s
+/// validation: [`TopologyError::NoNodes`] for `nodes == 0`,
+/// [`TopologyError::TooManyNodes`] for more nodes than 16-bit node ids can
+/// name, and [`TopologyError::TooFewThreads`] for `threads < nodes`.
 pub fn scale_placement_study(
     threads: usize,
     nodes: usize,
@@ -1206,6 +1211,15 @@ pub fn scale_placement_study(
 ) -> Result<ScalePlacement, DsmError> {
     use acorr_place::{multilevel_place, power_law_affinity};
 
+    let max = u32::MAX as usize;
+    if !(2..=max).contains(&threads) {
+        return Err(TopologyError::ThreadsOutOfRange {
+            threads,
+            min: 2,
+            max,
+        }
+        .into());
+    }
     let cluster = ClusterConfig::new(nodes, threads)?;
     let start = std::time::Instant::now();
     let corr = power_law_affinity(threads, degree, seed, jobs);
@@ -1421,6 +1435,25 @@ mod tests {
     #[test]
     fn scale_placement_study_rejects_bad_topology() {
         assert!(scale_placement_study(4, 8, 4, 1, 1).is_err());
+        let out_of_range = |threads| {
+            DsmError::from(TopologyError::ThreadsOutOfRange {
+                threads,
+                min: 2,
+                max: u32::MAX as usize,
+            })
+        };
+        for threads in [0, 1, u32::MAX as usize + 1, 5_000_000_000] {
+            assert_eq!(
+                scale_placement_study(threads, 1, 4, 1, 1),
+                Err(out_of_range(threads))
+            );
+        }
+        assert_eq!(
+            scale_placement_study(70_000, 70_000, 4, 1, 1),
+            Err(DsmError::from(TopologyError::TooManyNodes {
+                nodes: 70_000
+            }))
+        );
     }
 
     #[test]

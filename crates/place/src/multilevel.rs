@@ -18,6 +18,14 @@
 //!    multilevel path and the paper's direct path converge on the same
 //!    machinery.
 //!
+//! Refinement keeps a per-vertex `slack`, its weight to other nodes minus
+//! its weight to its own node, which bounds `conn(p) − conn(own)` for every
+//! other node `p`. A vertex with `slack ≤ 0` cannot gain by moving, and a
+//! swap of `v` and `u` across an edge of weight `w` cannot gain when
+//! `slack[v] + slack[u] − 2w ≤ 0`, so those candidates are skipped without
+//! reading their rows. Every skipped candidate has gain `≤ 0`, which the
+//! full scan would reject too: the skips change no output bit.
+//!
 //! Every stage visits vertices and neighbors in ascending order with
 //! explicit tie-breaks and contains no randomness or parallelism, so the
 //! result is a pure function of the input store — bit-identical across
@@ -81,32 +89,23 @@ impl Graph {
         self.xadj[v + 1] - self.xadj[v]
     }
 
+    /// The level-0 graph: one sequential copy of each store row, because
+    /// [`CorrelationMatrix::neighbors`] is already the CSR row this graph
+    /// wants (sorted, mirrored, free of self-pairs).
     fn from_store(corr: &CorrelationMatrix) -> Graph {
         let n = corr.num_threads();
-        let mut deg = vec![0usize; n];
-        corr.for_each_edge(|a, b, _| {
-            deg[a] += 1;
-            deg[b] += 1;
-        });
+        let total = 2 * corr.edge_count();
         let mut xadj = Vec::with_capacity(n + 1);
-        let mut total = 0;
+        let mut nbr = Vec::with_capacity(total);
+        let mut wgt = Vec::with_capacity(total);
         xadj.push(0);
-        for d in &deg {
-            total += d;
-            xadj.push(total);
+        for t in 0..n {
+            for &(u, v) in corr.neighbors(t) {
+                nbr.push(u);
+                wgt.push(v.min(u32::MAX as u64) as u32);
+            }
+            xadj.push(nbr.len());
         }
-        let mut cursor: Vec<usize> = xadj[..n].to_vec();
-        let mut nbr = vec![0u32; total];
-        let mut wgt = vec![0u32; total];
-        corr.for_each_edge(|a, b, v| {
-            let w = v.min(u32::MAX as u64) as u32;
-            nbr[cursor[a]] = b as u32;
-            wgt[cursor[a]] = w;
-            cursor[a] += 1;
-            nbr[cursor[b]] = a as u32;
-            wgt[cursor[b]] = w;
-            cursor[b] += 1;
-        });
         Graph {
             xadj,
             nbr,
@@ -286,6 +285,8 @@ fn initial_partition(g: &Graph, quotas: &[u64]) -> Vec<u16> {
     let nodes = quotas.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| g.vwgt[b].cmp(&g.vwgt[a]).then(a.cmp(&b)));
+    // `u16::MAX` marks "unplaced": `ClusterConfig::new` caps a cluster at
+    // 65535 nodes, so it is never a real node.
     let mut part = vec![u16::MAX; n];
     let mut loads = vec![0u64; nodes];
     let mut scratch = ConnScratch::new(nodes);
@@ -329,14 +330,68 @@ fn initial_partition(g: &Graph, quotas: &[u64]) -> Vec<u16> {
     part
 }
 
+/// Each vertex's `slack`: its weight to other nodes minus its weight to
+/// its own node. For every node `p` other than its own, `conn(p)` is part
+/// of the first sum, so `conn(p) − conn(own) ≤ slack`: a vertex with
+/// `slack ≤ 0` has no neighbor node it connects to more than its own.
+fn slacks(g: &Graph, part: &[u16]) -> Vec<i64> {
+    (0..g.len())
+        .map(|v| {
+            g.neighbors(v)
+                .filter(|&(u, _)| u != v)
+                .map(|(u, w)| {
+                    if part[u] == part[v] {
+                        -(w as i64)
+                    } else {
+                        w as i64
+                    }
+                })
+                .sum()
+        })
+        .collect()
+}
+
+/// Moves `v` to node `to` and keeps every [`slacks`] entry exact in
+/// `O(deg)`: `v`'s own is recounted, and a neighbor's changes by twice the
+/// edge weight when `v` leaves its node (`+`) or joins it (`−`).
+fn move_vertex(g: &Graph, part: &mut [u16], slack: &mut [i64], v: usize, to: u16) {
+    let from = part[v];
+    part[v] = to;
+    let mut own = 0;
+    for (u, w) in g.neighbors(v) {
+        if u == v {
+            continue;
+        }
+        let w = w as i64;
+        if part[u] == to {
+            slack[u] -= 2 * w;
+            own -= w;
+        } else {
+            if part[u] == from {
+                slack[u] += 2 * w;
+            }
+            own += w;
+        }
+    }
+    slack[v] = own;
+}
+
 /// Affinity-driven single-vertex moves: each vertex may move to the
 /// neighbor node it connects to most, when that strictly improves
 /// connectivity and the target has quota room. `O(E)` per pass.
+///
+/// A vertex whose [`slacks`] entry is `≤ 0` cannot strictly improve, so
+/// it is skipped without gathering its connectivity; the skip is exact,
+/// and the visiting order and every choice are those of the full scan.
 fn refine_moves(g: &Graph, part: &mut [u16], loads: &mut [u64], quotas: &[u64], passes: usize) {
     let mut scratch = ConnScratch::new(quotas.len());
+    let mut slack = slacks(g, part);
     for _ in 0..passes {
         let mut moved = false;
         for v in 0..g.len() {
+            if slack[v] <= 0 {
+                continue;
+            }
             let cur = part[v];
             let w = g.vwgt[v];
             scratch.gather(g, part, v, |u| u != v);
@@ -361,7 +416,7 @@ fn refine_moves(g: &Graph, part: &mut [u16], loads: &mut [u64], quotas: &[u64], 
             if let Some((_, node)) = best {
                 loads[cur as usize] -= w;
                 loads[node as usize] += w;
-                part[v] = node;
+                move_vertex(g, part, &mut slack, v, node);
                 moved = true;
             }
         }
@@ -375,34 +430,50 @@ fn refine_moves(g: &Graph, part: &mut [u16], loads: &mut [u64], quotas: &[u64], 
 /// different nodes (loads are invariant): first positive gain wins, applied
 /// immediately, vertices and neighbors in ascending order. `O(Σ deg²)` per
 /// pass, bounded by [`SWAP_DEGREE_CAP`] against hub blowup.
+///
+/// Swapping `v` and `u` across an edge of weight `w` gains
+/// `dv + du − 2w`, where `dv = conn_v(pu) − conn_v(pv)` is at most
+/// `slack[v]` and `du` at most `slack[u]` (see [`slacks`]). A pair with
+/// `slack[v] + slack[u] − 2w ≤ 0` is skipped before either row is read,
+/// `v`'s connectivity is gathered only for a pair that passes, and `u`'s
+/// only when `dv + slack[u] − 2w > 0`. Every skipped pair has gain `≤ 0`,
+/// so the swaps applied are exactly those of the full scan.
 fn refine_swaps(g: &Graph, part: &mut [u16], nodes: usize, passes: usize) {
     let mut conn_v = ConnScratch::new(nodes);
     let mut conn_u = ConnScratch::new(nodes);
+    let mut slack = slacks(g, part);
     for _ in 0..passes {
         let mut swapped = false;
         for v in 0..g.len() {
             if g.degree(v) > SWAP_DEGREE_CAP {
                 continue;
             }
-            conn_v.gather(g, part, v, |t| t != v);
+            let mut gathered = false;
             for i in self_range(g, v) {
                 let u = g.nbr[i] as usize;
-                let w = g.wgt[i];
+                let w = g.wgt[i] as i64;
                 if u <= v || part[u] == part[v] || g.vwgt[u] != g.vwgt[v] {
                     continue;
                 }
-                if g.degree(u) > SWAP_DEGREE_CAP {
+                if g.degree(u) > SWAP_DEGREE_CAP || slack[v] + slack[u] - 2 * w <= 0 {
                     continue;
                 }
                 let (pv, pu) = (part[v], part[u]);
-                conn_u.gather(g, part, u, |t| t != u);
-                let gain = (conn_v.get(pu) - conn_v.get(pv)) + (conn_u.get(pv) - conn_u.get(pu))
-                    - 2 * w as i64;
-                if gain > 0 {
-                    part[v] = pu;
-                    part[u] = pv;
-                    swapped = true;
+                if !gathered {
                     conn_v.gather(g, part, v, |t| t != v);
+                    gathered = true;
+                }
+                let dv = conn_v.get(pu) - conn_v.get(pv);
+                if dv + slack[u] - 2 * w <= 0 {
+                    continue;
+                }
+                conn_u.gather(g, part, u, |t| t != u);
+                let gain = dv + (conn_u.get(pv) - conn_u.get(pu)) - 2 * w;
+                if gain > 0 {
+                    move_vertex(g, part, &mut slack, v, pu);
+                    move_vertex(g, part, &mut slack, u, pv);
+                    swapped = true;
+                    gathered = false;
                 }
             }
         }
@@ -574,8 +645,220 @@ fn node_loads(g: &Graph, part: &[u16], nodes: usize) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::mincost::min_cost;
-    use acorr_sim::DetRng;
+    use acorr_sim::{forall, DetRng};
     use acorr_track::cut_cost;
+
+    /// The two-pass level-0 build `Graph::from_store` replaced: count each
+    /// vertex's degree, then scatter every edge into both endpoint rows.
+    fn reference_from_store(corr: &CorrelationMatrix) -> Graph {
+        let n = corr.num_threads();
+        let mut deg = vec![0usize; n];
+        corr.for_each_edge(|a, b, _| {
+            deg[a] += 1;
+            deg[b] += 1;
+        });
+        let mut xadj = Vec::with_capacity(n + 1);
+        let mut total = 0;
+        xadj.push(0);
+        for d in &deg {
+            total += d;
+            xadj.push(total);
+        }
+        let mut cursor: Vec<usize> = xadj[..n].to_vec();
+        let mut nbr = vec![0u32; total];
+        let mut wgt = vec![0u32; total];
+        corr.for_each_edge(|a, b, v| {
+            let w = v.min(u32::MAX as u64) as u32;
+            nbr[cursor[a]] = b as u32;
+            wgt[cursor[a]] = w;
+            cursor[a] += 1;
+            nbr[cursor[b]] = a as u32;
+            wgt[cursor[b]] = w;
+            cursor[b] += 1;
+        });
+        Graph {
+            xadj,
+            nbr,
+            wgt,
+            vwgt: vec![1; n],
+        }
+    }
+
+    /// `refine_moves` without the slack bound: gathers every vertex.
+    fn reference_moves(
+        g: &Graph,
+        part: &mut [u16],
+        loads: &mut [u64],
+        quotas: &[u64],
+        passes: usize,
+    ) {
+        let mut scratch = ConnScratch::new(quotas.len());
+        for _ in 0..passes {
+            let mut moved = false;
+            for v in 0..g.len() {
+                let cur = part[v];
+                let w = g.vwgt[v];
+                scratch.gather(g, part, v, |u| u != v);
+                let here = scratch.get(cur);
+                let mut best: Option<(i64, u16)> = None;
+                for &node in &scratch.touched {
+                    if node == cur || loads[node as usize] + w > quotas[node as usize] {
+                        continue;
+                    }
+                    let conn = scratch.get(node);
+                    if conn <= here {
+                        continue;
+                    }
+                    let better = match best {
+                        None => true,
+                        Some((bc, bn)) => conn > bc || (conn == bc && node < bn),
+                    };
+                    if better {
+                        best = Some((conn, node));
+                    }
+                }
+                if let Some((_, node)) = best {
+                    loads[cur as usize] -= w;
+                    loads[node as usize] += w;
+                    part[v] = node;
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+    }
+
+    /// `refine_swaps` without the slack bound: gathers both rows of every
+    /// candidate pair.
+    fn reference_swaps(g: &Graph, part: &mut [u16], nodes: usize, passes: usize) {
+        let mut conn_v = ConnScratch::new(nodes);
+        let mut conn_u = ConnScratch::new(nodes);
+        for _ in 0..passes {
+            let mut swapped = false;
+            for v in 0..g.len() {
+                if g.degree(v) > SWAP_DEGREE_CAP {
+                    continue;
+                }
+                conn_v.gather(g, part, v, |t| t != v);
+                for i in self_range(g, v) {
+                    let u = g.nbr[i] as usize;
+                    let w = g.wgt[i];
+                    if u <= v || part[u] == part[v] || g.vwgt[u] != g.vwgt[v] {
+                        continue;
+                    }
+                    if g.degree(u) > SWAP_DEGREE_CAP {
+                        continue;
+                    }
+                    let (pv, pu) = (part[v], part[u]);
+                    conn_u.gather(g, part, u, |t| t != u);
+                    let gain = (conn_v.get(pu) - conn_v.get(pv))
+                        + (conn_u.get(pv) - conn_u.get(pu))
+                        - 2 * w as i64;
+                    if gain > 0 {
+                        part[v] = pu;
+                        part[u] = pv;
+                        swapped = true;
+                        conn_v.gather(g, part, v, |t| t != v);
+                    }
+                }
+            }
+            if !swapped {
+                break;
+            }
+        }
+    }
+
+    /// A refinement input: a store, vertex weights, a starting part and
+    /// per-node quotas that leave some nodes over and some under.
+    #[derive(Debug)]
+    struct RefineCase {
+        corr: CorrelationMatrix,
+        vwgt: Vec<u64>,
+        part: Vec<u16>,
+        quotas: Vec<u64>,
+    }
+
+    fn refine_case(rng: &mut DetRng) -> RefineCase {
+        let n = rng.range(2, 121) as usize;
+        let nodes = rng.range(1, 10) as usize;
+        // Mostly sparse rows, sometimes rows past `SWAP_DEGREE_CAP`.
+        let pairs = if rng.chance(0.2) {
+            rng.index(n * n / 2 + 1)
+        } else {
+            rng.index(6 * n + 1)
+        };
+        let edges = (0..pairs)
+            .map(|_| {
+                let (a, b) = (rng.index(n) as u32, rng.index(n) as u32);
+                // Some weights at and just past `u32::MAX`, so that the
+                // graph's saturated `u32` weights are exercised.
+                let w = match rng.next_below(16) {
+                    0 => u32::MAX as u64 - rng.next_below(2),
+                    1 => u32::MAX as u64 + 1 + rng.next_below(2),
+                    _ => rng.range(1, 21),
+                };
+                (a, b, w)
+            })
+            .collect::<Vec<_>>();
+        let heaviest = rng.range(1, 5);
+        let vwgt: Vec<u64> = (0..n).map(|_| rng.range(1, heaviest + 1)).collect();
+        let part: Vec<u16> = (0..n).map(|_| rng.index(nodes) as u16).collect();
+        let mut loads = vec![0u64; nodes];
+        for v in 0..n {
+            loads[part[v] as usize] += vwgt[v];
+        }
+        let spread = 1 + vwgt.iter().sum::<u64>() / nodes as u64;
+        let quotas = loads
+            .iter()
+            .map(|&l| (l + rng.range(0, 2 * spread + 1)).saturating_sub(spread))
+            .collect();
+        RefineCase {
+            corr: CorrelationMatrix::from_edges(n, edges),
+            vwgt,
+            part,
+            quotas,
+        }
+    }
+
+    #[test]
+    fn pruned_refinement_and_row_copy_match_the_full_scans() {
+        forall(400, 0, refine_case, |case| {
+            let mut g = Graph::from_store(&case.corr);
+            let want = reference_from_store(&case.corr);
+            assert_eq!(
+                (&g.xadj, &g.nbr, &g.wgt, &g.vwgt),
+                (&want.xadj, &want.nbr, &want.wgt, &want.vwgt),
+                "from_store"
+            );
+            g.vwgt.clone_from(&case.vwgt);
+            let nodes = case.quotas.len();
+            for passes in 1..=3 {
+                let mut part = case.part.clone();
+                let mut want = case.part.clone();
+                refine_swaps(&g, &mut part, nodes, passes);
+                reference_swaps(&g, &mut want, nodes, passes);
+                assert_eq!(part, want, "swaps from the start, {passes} passes");
+
+                let mut part = case.part.clone();
+                let mut loads = node_loads(&g, &part, nodes);
+                let mut want = part.clone();
+                let mut want_loads = loads.clone();
+                refine_moves(&g, &mut part, &mut loads, &case.quotas, passes);
+                reference_moves(&g, &mut want, &mut want_loads, &case.quotas, passes);
+                assert_eq!(
+                    (&part, &loads),
+                    (&want, &want_loads),
+                    "moves, {passes} passes"
+                );
+                refine_swaps(&g, &mut part, nodes, passes);
+                reference_swaps(&g, &mut want, nodes, passes);
+                assert_eq!(part, want, "swaps after moves, {passes} passes");
+                assert_eq!(node_loads(&g, &part, nodes), loads, "swaps keep loads");
+            }
+        });
+    }
 
     fn blocks(n: usize, block: usize, w: u64) -> CorrelationMatrix {
         let mut edges = Vec::new();

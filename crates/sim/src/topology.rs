@@ -25,17 +25,37 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// The most nodes a cluster may have: every id fits a [`NodeId`], and
+/// `u16::MAX` itself is never a node, so placement code can use it to mark
+/// "no node yet".
+const MAX_NODES: usize = u16::MAX as usize;
+
 /// Errors from constructing topologies or mappings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
     /// The cluster must contain at least one node.
     NoNodes,
+    /// The cluster has more nodes than 16-bit node ids can name (65535;
+    /// the id `u16::MAX` is reserved).
+    TooManyNodes {
+        /// Number of nodes requested.
+        nodes: usize,
+    },
     /// There must be at least one thread per node.
     TooFewThreads {
         /// Number of threads requested.
         threads: usize,
         /// Number of nodes requested.
         nodes: usize,
+    },
+    /// A thread count lies outside the range a computation supports.
+    ThreadsOutOfRange {
+        /// Number of threads requested.
+        threads: usize,
+        /// The fewest threads supported.
+        min: usize,
+        /// The most threads supported.
+        max: usize,
     },
     /// A mapping referenced a node outside the cluster.
     NodeOutOfRange {
@@ -62,8 +82,20 @@ impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TopologyError::NoNodes => write!(f, "cluster must contain at least one node"),
+            TopologyError::TooManyNodes { nodes } => {
+                write!(
+                    f,
+                    "{nodes} nodes exceed the limit of {MAX_NODES} (node ids are 16-bit)"
+                )
+            }
             TopologyError::TooFewThreads { threads, nodes } => {
                 write!(f, "{threads} threads cannot populate {nodes} nodes")
+            }
+            TopologyError::ThreadsOutOfRange { threads, min, max } => {
+                write!(
+                    f,
+                    "{threads} threads: supported thread counts are {min}..={max}"
+                )
             }
             TopologyError::NodeOutOfRange { node, nodes } => {
                 write!(f, "node index {node} out of range for {nodes}-node cluster")
@@ -100,12 +132,16 @@ impl ClusterConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::NoNodes`] for an empty cluster and
+    /// Returns [`TopologyError::NoNodes`] for an empty cluster,
+    /// [`TopologyError::TooManyNodes`] for more than 65535 nodes, and
     /// [`TopologyError::TooFewThreads`] when there are fewer threads than
     /// nodes (every node must host at least one thread).
     pub fn new(num_nodes: usize, num_threads: usize) -> Result<Self, TopologyError> {
         if num_nodes == 0 {
             return Err(TopologyError::NoNodes);
+        }
+        if num_nodes > MAX_NODES {
+            return Err(TopologyError::TooManyNodes { nodes: num_nodes });
         }
         if num_threads < num_nodes {
             return Err(TopologyError::TooFewThreads {
@@ -373,6 +409,21 @@ mod tests {
         assert!(ClusterConfig::new(8, 64).is_ok());
         assert_eq!(cluster(8, 64).threads_per_node(), 8);
         assert_eq!(cluster(3, 8).threads_per_node(), 3);
+    }
+
+    #[test]
+    fn node_ids_stay_within_u16_and_below_its_max() {
+        assert_eq!(
+            ClusterConfig::new(65_536, 70_000),
+            Err(TopologyError::TooManyNodes { nodes: 65_536 })
+        );
+        let err = ClusterConfig::new(70_000, 70_000).unwrap_err();
+        assert!(err.to_string().contains("70000 nodes"), "{err}");
+        let widest = cluster(65_535, 70_000);
+        let m = Mapping::stretch(&widest);
+        assert_eq!(m.node_of(69_999), NodeId(65_534));
+        assert_eq!(widest.nodes().count(), 65_535);
+        assert!(m.node_counts().iter().all(|&c| c >= 1));
     }
 
     #[test]

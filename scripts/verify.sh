@@ -64,7 +64,7 @@ done
 grep -q "^failure_token=s1!1$" "$mc_dir/injected.log"
 rm -rf "$mc_dir"
 
-echo "==> scale smoke (100k- and 1M-thread multilevel placement, pinned digests)"
+echo "==> scale smoke (100k- and 1M-thread multilevel placement, pinned digests, bad shape rejected)"
 # The assignment digest and cut are pure functions of (threads, nodes,
 # degree, seed) — machine-independent — so any behaviour drift in the
 # sparse store, the synthetic generator or the multilevel partitioner
@@ -76,6 +76,13 @@ echo "$scale_out" | grep -q "digest: fnv1a:e1285098d3c4cfcd" || {
     echo "$scale_out" >&2
     exit 1
 }
+# A second 100k pin, at a seed no refinement change was written against.
+scale_out="$(timeout 120 ./target/release/acorr place --scale 100000x256 --seed 7)"
+echo "$scale_out" | grep -q "digest: fnv1a:2fdbe9c0b735db8d" || {
+    echo "error: 100000x256 seed-7 placement digest drifted from the pinned value:" >&2
+    echo "$scale_out" >&2
+    exit 1
+}
 scale_out="$(timeout 300 ./target/release/acorr place --scale 1000000x1000)"
 echo "$scale_out" | grep -q "digest: fnv1a:abcdd71d87d9eced" &&
     echo "$scale_out" | grep -q "cut 39910110 " || {
@@ -83,6 +90,15 @@ echo "$scale_out" | grep -q "digest: fnv1a:abcdd71d87d9eced" &&
     echo "$scale_out" >&2
     exit 1
 }
+# More nodes than 16-bit node ids can name is an error line and exit 1,
+# not a panic; the timeout catches a run that starts anyway.
+scale_err="$(mktemp)"
+status=0
+timeout 10 ./target/release/acorr place --scale 70000x70000 2> "$scale_err" || status=$?
+cat "$scale_err"
+[ "$status" -eq 1 ] && grep -q "^error:" "$scale_err" || {
+    echo "error: place --scale 70000x70000 exited $status" >&2; exit 1; }
+rm -f "$scale_err"
 
 echo "==> serve smoke (online placement service, pinned timelines at 64 and 100k threads)"
 # The hotspot decision timeline is a pure function of (seed, scenario,
