@@ -116,20 +116,6 @@ pub fn suite(threads: usize) -> Vec<Box<dyn Program>> {
         .collect()
 }
 
-/// Reduced-size variants of every application, for fast tests and
-/// examples: same access-pattern structure, much smaller footprints.
-pub fn mini_suite(threads: usize) -> Vec<Box<dyn Program>> {
-    vec![
-        Box::new(Barnes::new(1024, threads)),
-        Box::new(Fft::new("FFT-mini", 16, 16, 16, threads)),
-        Box::new(Lu::new("LU-mini", 256, threads)),
-        Box::new(Ocean::new(64, threads)),
-        Box::new(Spatial::new(threads)),
-        Box::new(Sor::new(256, 256, threads)),
-        Box::new(Water::new(128, threads)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,7 +142,19 @@ mod tests {
 
     #[test]
     fn mini_suite_validates() {
-        for app in mini_suite(8) {
+        // Reduced-size variants of every application: same access-pattern
+        // structure, much smaller footprints.
+        let threads = 8;
+        let mini: Vec<Box<dyn Program>> = vec![
+            Box::new(Barnes::new(1024, threads)),
+            Box::new(Fft::new("FFT-mini", 16, 16, 16, threads)),
+            Box::new(Lu::new("LU-mini", 256, threads)),
+            Box::new(Ocean::new(64, threads)),
+            Box::new(Spatial::new(threads)),
+            Box::new(Sor::new(256, 256, threads)),
+            Box::new(Water::new(128, threads)),
+        ];
+        for app in mini {
             validate_iteration(&app, 0).unwrap();
             validate_iteration(&app, 3).unwrap();
         }

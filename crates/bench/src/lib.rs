@@ -102,37 +102,48 @@ pub fn write_artifact(name: &str, contents: &str) {
 /// integer, prints `error: …` and exits with status 2.
 pub fn arg_usize(flag: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    match parse_usize_flag(&args, flag, default) {
-        Ok(value) => value,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        }
-    }
+    or_exit(parse_usize_flag(&args, flag, default))
 }
 
 /// [`arg_usize`] over an explicit argument list.
 fn parse_usize_flag(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
+    let Some(value) = flag_value(args, flag)? else {
         return Ok(default);
     };
-    let value = args
-        .get(i + 1)
-        .ok_or_else(|| format!("{flag} needs a value"))?;
     value
         .parse()
         .map_err(|_| format!("bad {flag} value `{value}` (expected a non-negative integer)"))
 }
 
 /// Parses `--flag value` style string options from the command line, with a
-/// default. E.g. `arg_str("--plans", "none,light")`.
+/// default when the flag is absent. E.g. `arg_str("--plans", "none,light")`.
+///
+/// A flag without a value prints `error: …` and exits with status 2.
 pub fn arg_str(flag: &str, default: &str) -> String {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
+    or_exit(flag_value(&args, flag))
+        .unwrap_or(default)
+        .to_string()
+}
+
+/// The argument after `flag`: `None` when the flag is absent, an error when
+/// it is the last argument.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .map(|value| Some(value.as_str()))
+            .ok_or_else(|| format!("{flag} needs a value")),
+    }
+}
+
+/// A parsed flag, or `error: …` on stderr and exit status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// A simple markdown table builder for terminal reports.
@@ -318,5 +329,21 @@ mod tests {
         assert!(err.contains("--samples") && err.contains("`abc`"), "{err}");
         assert!(parse(&["table2", "--samples", "-1"]).is_err());
         assert!(parse(&["table2", "--samples"]).is_err());
+    }
+
+    #[test]
+    fn string_flags_without_a_value_are_errors_not_defaults() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let value =
+            |list: &[&str]| flag_value(&args(list), "--plans").map(|v| v.map(str::to_owned));
+        assert_eq!(value(&["chaos"]), Ok(None));
+        assert_eq!(
+            value(&["chaos", "--plans", "light"]),
+            Ok(Some("light".to_owned()))
+        );
+        assert_eq!(
+            value(&["chaos", "--iters", "1", "--plans"]),
+            Err("--plans needs a value".to_owned())
+        );
     }
 }

@@ -245,29 +245,6 @@ impl<P: Program> Dsm<P> {
         self.total
     }
 
-    /// Per-node page residency: how many pages each node currently holds
-    /// valid, and how many of those are writable (twinned or owned). A
-    /// cheap snapshot of replication state for observability.
-    pub fn page_residency(&self) -> Vec<(usize, usize)> {
-        self.nodes
-            .iter()
-            .map(|n| (n.pages.count_valid(), n.pages.count_read_write()))
-            .collect()
-    }
-
-    /// Cumulative remote misses per node since construction — exposes load
-    /// imbalance in the coherence traffic.
-    pub fn node_misses(&self) -> Vec<u64> {
-        self.nodes.iter().map(|n| n.remote_misses).collect()
-    }
-
-    /// Cumulative tracking faults per node since construction. §4.2 notes
-    /// that tracking cost is incurred locally and in parallel; this is the
-    /// per-node breakdown behind that claim.
-    pub fn node_tracking_faults(&self) -> Vec<u64> {
-        self.nodes.iter().map(|n| n.tracking_faults).collect()
-    }
-
     /// Current global virtual time (all nodes are synchronized between
     /// iterations).
     pub fn now(&self) -> SimTime {
@@ -301,11 +278,6 @@ impl<P: Program> Dsm<P> {
     /// never reach the bounded trace ring.
     pub fn attach_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sink = Some(sink);
-    }
-
-    /// Detaches and returns the attached sink, if any.
-    pub fn take_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take()
     }
 
     /// Records `event` at node `i`'s current time, when tracing or an
@@ -397,11 +369,6 @@ impl<P: Program> Dsm<P> {
     /// unsteered engine bit-for-bit; detaching restores FIFO behavior.
     pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
         self.policy = Some(policy);
-    }
-
-    /// Detaches and returns the scheduling policy, if any.
-    pub fn take_schedule_policy(&mut self) -> Option<Box<dyn SchedulePolicy>> {
-        self.policy.take()
     }
 
     /// Decision points consulted so far (0 while no policy is attached).
@@ -812,28 +779,6 @@ impl<P: Program> Dsm<P> {
         })
     }
 
-    /// Unilateral thread export matched by an import (§5): swaps two
-    /// threads between their nodes, preserving every node's thread count.
-    /// A no-op (zero moves) when both threads already share a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsmError::MappingMismatch`] if either index is out of
-    /// range.
-    pub fn swap_threads(&mut self, a: usize, b: usize) -> Result<MigrationReport, DsmError> {
-        if a >= self.threads.len() || b >= self.threads.len() {
-            return Err(DsmError::MappingMismatch {
-                mapping_threads: a.max(b) + 1,
-                program_threads: self.threads.len(),
-            });
-        }
-        let mut target = self.mapping.clone();
-        let (na, nb) = (target.node_of(a), target.node_of(b));
-        target.set_node_of(a, nb);
-        target.set_node_of(b, na);
-        self.migrate_to(target)
-    }
-
     // ------------------------------------------------------------------
     // Iteration driver
     // ------------------------------------------------------------------
@@ -1122,7 +1067,6 @@ impl<P: Program> Dsm<P> {
                 .expect("tracking matrix present while tracked")
                 .record(t, page);
             self.nodes[i].time += self.config.cost.tracking_fault;
-            self.nodes[i].tracking_faults += 1;
             self.cur.tracking_faults += 1;
             self.emit(i, Event::CorrelationFault { thread: t, page });
         }
@@ -1345,7 +1289,6 @@ impl<P: Program> Dsm<P> {
     fn record_miss(&mut self, i: usize, t: usize, page: PageId) {
         self.cur.remote_misses += 1;
         self.cur.coherence_faults += 1;
-        self.nodes[i].remote_misses += 1;
         self.nodes[i].time += self.config.cost.coherence_fault;
         if let Some(passive) = self.passive.as_mut() {
             passive.record(t, page);

@@ -7,7 +7,7 @@
 //! * **Multi-writer lazy release consistency** — twins on first write,
 //!   word-range diffs finalized at releases and barriers, write notices,
 //!   version-based invalidation, and periodic garbage collection that
-//!   consolidates diffs and invalidates replicas ([`protocol`]).
+//!   consolidates diffs and invalidates replicas.
 //! * **Per-node multithreading** — threads on one node interleave and hide
 //!   each other's remote-fetch latency; context switches and protection
 //!   sweeps are costed ([`engine`]).
@@ -28,10 +28,10 @@
 //!   timestamped protocol events for debugging and observability.
 //! * **Fault injection & conformance** — a deterministic [`FaultPlan`]
 //!   (delay jitter, bounded reordering, transient drops with retry,
-//!   per-node slowdown windows) perturbs every send, while the
-//!   [`CoherenceOracle`] ([`Dsm::enable_oracle`]) shadows the protocol
-//!   with a sequential reference memory and checks release-consistency
-//!   expectations at every barrier and lock release ([`oracle`]).
+//!   per-node slowdown windows) perturbs every send, while the coherence
+//!   oracle ([`Dsm::enable_oracle`]) shadows the protocol with a
+//!   sequential reference memory and checks release-consistency
+//!   expectations at every barrier and lock release ([`OracleReport`]).
 //! * **Controllable scheduling** — a [`SchedulePolicy`]
 //!   ([`Dsm::set_schedule_policy`]) steers the engine's legal-but-arbitrary
 //!   choices (ready-queue dispatch, lock-grant order) for schedule-space
@@ -52,21 +52,21 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod ids;
-pub mod locks;
-pub mod node;
-pub mod oracle;
+mod locks;
+mod node;
+mod oracle;
 pub mod program;
-pub mod protocol;
+mod protocol;
 pub mod stats;
 pub mod steer;
-pub mod thread;
+mod thread;
 pub mod trace;
 
 pub use config::{DsmConfig, InjectedBug, WriteMode};
 pub use engine::{Dsm, MigrationReport};
 pub use error::DsmError;
 pub use ids::ThreadId;
-pub use oracle::{CoherenceOracle, OracleReport};
+pub use oracle::OracleReport;
 pub use program::{validate_iteration, LockId, Op, Program, ScriptError};
 pub use stats::IterStats;
 pub use steer::{DecisionPoint, FifoPolicy, SchedulePolicy};

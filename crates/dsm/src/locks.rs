@@ -27,11 +27,6 @@ impl LockState {
     pub fn new() -> Self {
         LockState::default()
     }
-
-    /// Whether the lock is currently held.
-    pub fn is_held(&self) -> bool {
-        self.holder.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -41,7 +36,7 @@ mod tests {
     #[test]
     fn fresh_lock_is_free() {
         let l = LockState::new();
-        assert!(!l.is_held());
+        assert_eq!(l.holder, None);
         assert!(l.queue.is_empty());
         assert_eq!(l.last_node, None);
         assert_eq!(l.free_at, SimTime::ZERO);

@@ -29,10 +29,6 @@ pub struct NodeState {
     pub pinned: Option<usize>,
     /// The local index that ran last (for context-switch accounting).
     pub last_ran: Option<usize>,
-    /// Remote misses taken by this node's threads (cumulative).
-    pub remote_misses: u64,
-    /// Tracking faults taken by this node's threads (cumulative).
-    pub tracking_faults: u64,
 }
 
 impl NodeState {
@@ -48,8 +44,6 @@ impl NodeState {
             ready: VecDeque::new(),
             pinned: None,
             last_ran: None,
-            remote_misses: 0,
-            tracking_faults: 0,
         }
     }
 
@@ -62,11 +56,6 @@ impl NodeState {
     /// Clears every correlation bit (end of the tracking phase).
     pub fn disarm_all_pages(&mut self) {
         self.pages.disarm_all();
-    }
-
-    /// Number of local threads.
-    pub fn num_threads(&self) -> usize {
-        self.threads.len()
     }
 }
 

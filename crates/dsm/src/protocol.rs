@@ -93,11 +93,6 @@ impl PageDirectory {
         }
     }
 
-    /// Number of pages tracked.
-    pub fn num_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Read access to one page's global state.
     ///
     /// # Panics
@@ -131,12 +126,8 @@ impl PageDirectory {
         pg.version
     }
 
-    /// Computes what a node must fetch to bring its copy of `page` current.
-    ///
-    /// `applied_version` is the version the node's copy reflects and
-    /// `has_copy` whether the node holds any (possibly stale) image. Diffs
-    /// authored by `requester` itself are never refetched — the node already
-    /// has its own modifications in place.
+    /// An allocating [`fetch_plan_into`](Self::fetch_plan_into), for tests.
+    #[cfg(test)]
     pub fn fetch_plan(
         &self,
         page: PageId,
@@ -149,9 +140,14 @@ impl PageDirectory {
         plan
     }
 
-    /// Like [`fetch_plan`](Self::fetch_plan), but reuses `out`'s diff buffer
-    /// instead of allocating a fresh one — the engine keeps one scratch plan
-    /// and every coherence fault fills it in place.
+    /// Computes into `out` what a node must fetch to bring its copy of
+    /// `page` current, reusing `out`'s diff buffer — the engine keeps one
+    /// scratch plan and every coherence fault fills it in place.
+    ///
+    /// `applied_version` is the version the node's copy reflects and
+    /// `has_copy` whether the node holds any (possibly stale) image. Diffs
+    /// authored by `requester` itself are never refetched — the node already
+    /// has its own modifications in place.
     pub fn fetch_plan_into(
         &self,
         page: PageId,
@@ -224,7 +220,7 @@ mod tests {
     #[test]
     fn initial_state_is_owned_and_clean() {
         let d = PageDirectory::new(4, N0);
-        assert_eq!(d.num_pages(), 4);
+        assert_eq!(d.pages.len(), 4);
         assert_eq!(d.version(P), 0);
         assert_eq!(d.pending_records(), 0);
         assert_eq!(d.page(P).owner, N0);

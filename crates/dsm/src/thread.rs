@@ -77,11 +77,6 @@ impl ThreadState {
         self.lock_writes.clear();
     }
 
-    /// The op at the program counter, if the script has not ended.
-    pub fn current_op(&self) -> Option<Op> {
-        self.script.get(self.pc).copied()
-    }
-
     /// True when the script is exhausted.
     pub fn finished(&self) -> bool {
         self.pc >= self.script.len()
@@ -100,10 +95,10 @@ mod tests {
         t.load(vec![Op::Barrier]);
         assert_eq!(t.pc, 0);
         assert_eq!(t.status, ThreadStatus::Ready);
-        assert_eq!(t.current_op(), Some(Op::Barrier));
+        assert_eq!(t.script.get(t.pc), Some(&Op::Barrier));
         assert!(!t.finished());
         t.pc = 1;
         assert!(t.finished());
-        assert_eq!(t.current_op(), None);
+        assert_eq!(t.script.get(t.pc), None);
     }
 }

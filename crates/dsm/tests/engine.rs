@@ -679,51 +679,6 @@ fn mapping_mismatch_rejected_at_construction() {
 }
 
 #[test]
-fn swap_threads_is_a_balanced_export_import() {
-    let p = Scripted::new(2, vec![vec![vec![Op::read(0, 8)], vec![Op::read(PAGE, 8)]]]);
-    let cluster = ClusterConfig::new(2, 2).unwrap();
-    let mut dsm = Dsm::new(DsmConfig::new(cluster), p, Mapping::stretch(&cluster)).unwrap();
-    dsm.run_iterations(1).unwrap();
-    let counts_before = dsm.mapping().node_counts();
-    let report = dsm.swap_threads(0, 1).unwrap();
-    assert_eq!(report.moved, 2);
-    assert_eq!(dsm.mapping().node_counts(), counts_before, "balance kept");
-    assert_eq!(dsm.mapping().node_of(0), NodeId(1));
-    assert_eq!(dsm.mapping().node_of(1), NodeId(0));
-    // Swapping threads on the same node is free.
-    let same = dsm.swap_threads(0, 0).unwrap();
-    assert_eq!(same.moved, 0);
-    // Out-of-range indices are rejected.
-    assert!(matches!(
-        dsm.swap_threads(0, 99),
-        Err(DsmError::MappingMismatch { .. })
-    ));
-    // The application still runs.
-    dsm.run_iterations(1).unwrap();
-}
-
-#[test]
-fn per_node_counters_partition_the_totals() {
-    // Two nodes, each with one thread missing on its own distinct page.
-    let p = Scripted::new(
-        3,
-        vec![vec![vec![Op::read(PAGE, 8)], vec![Op::read(2 * PAGE, 8)]]],
-    );
-    let mut dsm = dsm_for(2, p);
-    let stats = dsm.run_iterations(1).unwrap();
-    let per_node = dsm.node_misses();
-    assert_eq!(per_node.iter().sum::<u64>(), stats.remote_misses);
-    assert_eq!(per_node, vec![0, 1], "only node 1 lacks its page");
-    let (tracked, _) = dsm.run_tracked_iteration().unwrap();
-    let faults = dsm.node_tracking_faults();
-    assert_eq!(faults.iter().sum::<u64>(), tracked.tracking_faults);
-    assert!(
-        faults.iter().all(|&f| f > 0),
-        "both nodes fault in parallel"
-    );
-}
-
-#[test]
 fn tracing_records_protocol_event_sequence() {
     use acorr_dsm::trace::Event;
     // t0 writes page 0; t1 (remote) reads it next iteration.

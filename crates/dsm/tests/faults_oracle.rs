@@ -319,7 +319,11 @@ fn oracle_clean_during_tracked_iterations_and_migration() {
     dsm.enable_oracle();
     dsm.run_iterations(2).unwrap();
     dsm.run_tracked_iteration().unwrap();
-    dsm.swap_threads(0, 2).unwrap();
+    let mut swapped = dsm.mapping().clone();
+    let (n0, n2) = (swapped.node_of(0), swapped.node_of(2));
+    swapped.set_node_of(0, n2);
+    swapped.set_node_of(2, n0);
+    dsm.migrate_to(swapped).unwrap();
     dsm.run_iterations(2).unwrap();
     assert_eq!(dsm.oracle_report().unwrap().violations, 0);
     assert!(dsm.total_stats().migrations > 0);

@@ -5,10 +5,9 @@
 //! with flat byte addresses; [`span_pages`] splits a byte range into the
 //! per-page subranges the engine needs for fault checks and dirty-range
 //! recording. [`PageTable`] holds one node's per-page protocol state in
-//! struct-of-arrays layout: the boolean flags live in
-//! [`FixedBitset`](crate::FixedBitset) masks (so whole-table sweeps are
-//! word fills) and the dirty state in a dense
-//! [`DirtyMask`](crate::DirtyMask) array.
+//! struct-of-arrays layout: the boolean flags live in [`FixedBitset`]
+//! masks (so whole-table sweeps are word fills) and the dirty state in a
+//! dense [`DirtyMask`] array.
 
 use crate::bitset::FixedBitset;
 use crate::prot::Protection;
@@ -194,11 +193,6 @@ impl PageTable {
         }
     }
 
-    /// Number of valid pages (word-parallel popcount).
-    pub fn count_valid(&self) -> usize {
-        self.valid.count()
-    }
-
     /// Whether the node holds any (possibly stale) image of page `p`.
     pub fn has_copy(&self, p: usize) -> bool {
         self.has_copy.contains(p)
@@ -235,14 +229,6 @@ impl PageTable {
     /// Sets page `p`'s protection.
     pub fn set_prot(&mut self, p: usize, prot: Protection) {
         self.prot[p] = prot;
-    }
-
-    /// Number of pages at [`Protection::ReadWrite`].
-    pub fn count_read_write(&self) -> usize {
-        self.prot
-            .iter()
-            .filter(|&&p| p == Protection::ReadWrite)
-            .count()
     }
 
     /// The version page `p`'s local copy reflects.
@@ -284,11 +270,6 @@ impl PageTable {
     /// Clears every correlation bit (end of the tracking phase).
     pub fn disarm_all(&mut self) {
         self.corr_armed.clear();
-    }
-
-    /// Whether any correlation bit is armed.
-    pub fn any_armed(&self) -> bool {
-        !self.corr_armed.is_empty()
     }
 }
 
@@ -355,12 +336,12 @@ mod tests {
         let t = PageTable::new(130, true);
         assert_eq!(t.len(), 130);
         assert!(!t.is_empty());
-        assert_eq!(t.count_valid(), 130);
+        assert_eq!(t.valid.count(), 130);
         assert!((0..130).all(|p| t.valid(p) && t.has_copy(p)));
         assert!((0..130).all(|p| t.prot(p) == Protection::Read));
         assert!((0..130).all(|p| !t.twin(p) && !t.corr_armed(p)));
         let u = PageTable::new(130, false);
-        assert_eq!(u.count_valid(), 0);
+        assert_eq!(u.valid.count(), 0);
         assert!((0..130).all(|p| !u.valid(p) && !u.has_copy(p)));
         assert!((0..130).all(|p| u.prot(p) == Protection::None));
     }
@@ -378,8 +359,14 @@ mod tests {
         assert_eq!(t.prot(69), Protection::ReadWrite);
         assert_eq!(t.applied_version(69), 7);
         assert_eq!(t.dirty(69).total_len(), 100);
-        assert_eq!(t.count_valid(), 1);
-        assert_eq!(t.count_read_write(), 1);
+        assert_eq!(t.valid.count(), 1);
+        assert_eq!(
+            t.prot
+                .iter()
+                .filter(|&&p| p == Protection::ReadWrite)
+                .count(),
+            1
+        );
         t.set_valid(69, false);
         t.set_twin(69, false);
         assert!(!t.valid(69) && !t.twin(69));
@@ -388,13 +375,13 @@ mod tests {
     #[test]
     fn page_table_arm_sweeps_are_word_fills() {
         let mut t = PageTable::new(129, false);
-        assert!(!t.any_armed());
+        assert!(t.corr_armed.is_empty());
         t.arm_all();
-        assert!(t.any_armed());
+        assert!(!t.corr_armed.is_empty());
         assert!((0..129).all(|p| t.corr_armed(p)));
         t.disarm(64);
         assert!(!t.corr_armed(64) && t.corr_armed(65));
         t.disarm_all();
-        assert!(!t.any_armed());
+        assert!(t.corr_armed.is_empty());
     }
 }

@@ -13,7 +13,7 @@
 //!   fetch + lock wait is largest, with the wait decomposed; the slowest
 //!   chain the interval's elapsed time hides.
 //! * **Span totals** — aggregated engine self-profiling spans
-//!   ([`crate::spans`]).
+//!   ([`SpanTotals`]).
 //! * **Phase shifts** — windowed correlation phase-change detection over
 //!   the tracked correlation faults ([`acorr_track::phases`]).
 //!

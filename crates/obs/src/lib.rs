@@ -4,14 +4,15 @@
 //! without perturbing the simulation. Built on the [`EventSink`] hook in
 //! `acorr-dsm`, this crate provides:
 //!
-//! * **Sinks** ([`sinks`]) — a JSONL structured log, a Chrome/Perfetto
-//!   `trace_event` exporter (one track per node, a control lane, latency
-//!   slices and a fault-plan counter lane), and a composite [`MultiSink`]
-//!   that fans out to both of them and the metrics registry.
-//! * **Metrics** ([`metrics`]) — per-barrier-interval time series of
-//!   statistic deltas and log2-bucketed histograms of remote-fetch and
-//!   lock-grant latencies, exportable as CSV.
-//! * **Spans** ([`spans`]) — per-phase totals of the engine's
+//! * **Sinks** — a JSONL structured log, a Chrome/Perfetto `trace_event`
+//!   exporter (one track per node, a control lane, latency slices and a
+//!   fault-plan counter lane), and the composite [`MultiSink`] that fans
+//!   out to both of them and the metrics registry; its [`ObsHandle`]
+//!   collects everything into one [`Observation`].
+//! * **Metrics** — per-barrier-interval time series of statistic deltas
+//!   and log2-bucketed histograms of remote-fetch and lock-grant
+//!   latencies, exported as the observation's two CSVs.
+//! * **Spans** — per-phase totals ([`SpanTotals`]) of the engine's
 //!   `SpanBegin`/`SpanEnd` brackets, which every attached sink receives.
 //! * **Manifests** ([`manifest`]) — a JSON reproducibility record per run
 //!   or artifact: parameters, git revision, and an FNV-1a digest of the
@@ -45,15 +46,14 @@
 pub mod analyze;
 pub mod json;
 pub mod manifest;
-pub mod metrics;
-pub mod sinks;
-pub mod spans;
+mod metrics;
+mod sinks;
+mod spans;
 
 pub use analyze::{Analysis, IntervalPath, PageHeat, ThreadComm};
 pub use manifest::{bytes_digest, fnv1a, git_describe, stats_digest, RunManifest};
-pub use metrics::{Log2Histogram, MetricsRegistry};
-pub use sinks::{ChromeTraceSink, JsonlSink, MultiSink, ObsHandle, Observation};
-pub use spans::{SpanProfile, SpanTotals};
+pub use sinks::{MultiSink, ObsHandle, Observation};
+pub use spans::SpanTotals;
 
 use acorr_dsm::trace::EventSink;
 use std::io;

@@ -17,26 +17,15 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone)]
 pub struct Log2Histogram {
     buckets: [u64; 64],
-    count: u64,
-    sum_ns: u128,
 }
 
 impl Default for Log2Histogram {
     fn default() -> Self {
-        Log2Histogram {
-            buckets: [0; 64],
-            count: 0,
-            sum_ns: 0,
-        }
+        Log2Histogram { buckets: [0; 64] }
     }
 }
 
 impl Log2Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Log2Histogram::default()
-    }
-
     /// Bucket index for a duration: `floor(log2(ns))`, with 0 ns in
     /// bucket 0.
     pub fn bucket_of(d: SimDuration) -> usize {
@@ -51,27 +40,6 @@ impl Log2Histogram {
     /// Records one sample.
     pub fn record(&mut self, d: SimDuration) {
         self.buckets[Self::bucket_of(d)] += 1;
-        self.count += 1;
-        self.sum_ns += u128::from(d.as_nanos());
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples, in nanoseconds.
-    pub fn sum_ns(&self) -> u128 {
-        self.sum_ns
-    }
-
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
     }
 
     /// Occupied `(bucket_index, lo_ns, hi_ns, count)` rows, ascending.
@@ -203,12 +171,10 @@ mod tests {
         // A 0-tick sample shares bucket 0 with 1 ns; a u64::MAX-tick sample
         // fills bucket 63, whose reported upper bound saturates to u64::MAX
         // (2^64 is unrepresentable) while its count stays exact.
-        let mut h = Log2Histogram::new();
+        let mut h = Log2Histogram::default();
         h.record(SimDuration::ZERO);
         h.record(SimDuration::from_nanos(1));
         h.record(SimDuration::from_nanos(u64::MAX));
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum_ns(), 1 + u128::from(u64::MAX));
         assert_eq!(h.rows(), vec![(0, 0, 2, 2), (63, 1 << 63, u64::MAX, 1)]);
         // The CSV export carries the same saturated bound.
         let mut m = MetricsRegistry::new();
@@ -224,13 +190,10 @@ mod tests {
 
     #[test]
     fn histogram_rows_and_moments() {
-        let mut h = Log2Histogram::new();
+        let mut h = Log2Histogram::default();
         h.record(SimDuration::from_nanos(5));
         h.record(SimDuration::from_nanos(6));
         h.record(SimDuration::from_nanos(100));
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum_ns(), 111);
-        assert!((h.mean_ns() - 37.0).abs() < 1e-9);
         let rows = h.rows();
         assert_eq!(rows, vec![(2, 4, 8, 2), (6, 64, 128, 1)]);
     }

@@ -32,11 +32,6 @@ pub struct SpanProfile {
 }
 
 impl SpanProfile {
-    /// An empty profile.
-    pub fn new() -> Self {
-        SpanProfile::default()
-    }
-
     /// Records a span begin at `ts_ns`.
     pub fn begin(&mut self, id: u64, phase: &str, ts_ns: u64) {
         self.open.insert(id, (phase.to_string(), ts_ns));
@@ -52,11 +47,6 @@ impl SpanProfile {
             entry.1 = entry.1.saturating_add(dur);
             entry.2 = entry.2.max(dur);
         }
-    }
-
-    /// Spans begun but never ended (a well-formed log leaves none).
-    pub fn open_count(&self) -> usize {
-        self.open.len()
     }
 
     /// Per-phase totals, sorted by phase name for deterministic output.
@@ -91,7 +81,7 @@ mod tests {
 
     #[test]
     fn pairs_spans_and_accumulates_totals() {
-        let mut p = SpanProfile::new();
+        let mut p = SpanProfile::default();
         p.begin(0, "fetch", 100);
         p.begin(1, "apply", 150);
         p.end(1, 180);
@@ -108,21 +98,21 @@ mod tests {
         assert_eq!(totals[1].count, 2);
         assert_eq!(totals[1].total_ns, 400);
         assert_eq!(totals[1].max_ns, 300);
-        assert_eq!(p.open_count(), 0);
+        assert_eq!(p.open.len(), 0);
     }
 
     #[test]
     fn unmatched_ends_are_ignored() {
-        let mut p = SpanProfile::new();
+        let mut p = SpanProfile::default();
         p.end(9, 100);
         assert!(p.totals().is_empty());
         p.begin(3, "lock_grant", 50);
-        assert_eq!(p.open_count(), 1);
+        assert_eq!(p.open.len(), 1);
     }
 
     #[test]
     fn csv_is_deterministic() {
-        let mut p = SpanProfile::new();
+        let mut p = SpanProfile::default();
         p.begin(0, "twin_create", 10);
         p.end(0, 25);
         assert_eq!(

@@ -22,6 +22,11 @@
 //!   the ROADMAP's 10⁶-thread scale (synthetic instances from
 //!   [`synth::power_law_affinity`]).
 //!
+//! Re-mapping a running program goes through [`plan_migration`]: the
+//! paper's greedy adoption of a candidate mapping, or a NUMA-style
+//! interchange of a bounded number of profitable pairwise swaps, behind
+//! the [`MigrationCostModel`] accept gate.
+//!
 //! ```
 //! use acorr_place::{min_cost, Strategy};
 //! use acorr_sim::ClusterConfig;
@@ -51,14 +56,12 @@ pub mod multilevel;
 pub mod optimal;
 pub mod strategy;
 pub mod synth;
-pub mod weighted;
 
 pub use anneal::{anneal, AnnealConfig};
 pub use jarvis_patrick::jarvis_patrick;
-pub use migrate::{interchange_migration, plan_migration, MigrationCostModel, MigrationPolicy};
+pub use migrate::{plan_migration, MigrationCostModel, MigrationPolicy};
 pub use mincost::{min_cost, refine_kl, DegreeCache};
 pub use multilevel::multilevel_place;
 pub use optimal::optimal;
 pub use strategy::{place, Strategy};
 pub use synth::power_law_affinity;
-pub use weighted::{imbalance, min_cost_weighted, node_loads};

@@ -140,7 +140,7 @@ pub fn plan_migration(
 /// # Panics
 ///
 /// Panics if the mappings or matrix cover different thread counts.
-pub fn interchange_migration(
+fn interchange_migration(
     corr: &CorrelationMatrix,
     current: &Mapping,
     candidate: &Mapping,

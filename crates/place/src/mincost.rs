@@ -67,13 +67,13 @@ impl DegreeCache {
     }
 
     /// The total correlation between `t` and the threads on `node`.
-    pub fn conn(&self, t: usize, node: NodeId) -> i64 {
+    fn conn(&self, t: usize, node: NodeId) -> i64 {
         self.conn[t * self.nodes + node.idx()]
     }
 
     /// The KL D-value of moving `t` from `from` to `to`: external-becomes-
     /// internal minus internal-becomes-external connectivity.
-    pub fn d_value(&self, t: usize, from: NodeId, to: NodeId) -> i64 {
+    fn d_value(&self, t: usize, from: NodeId, to: NodeId) -> i64 {
         self.conn(t, to) - self.conn(t, from)
     }
 
@@ -108,12 +108,6 @@ impl DegreeCache {
             self.conn[t * self.nodes + nb.idx()] -= v;
             self.conn[t * self.nodes + na.idx()] += v;
         }
-    }
-
-    /// True when the cache equals a from-scratch rebuild for `mapping` —
-    /// the invariant the equivalence tests check after every swap.
-    pub fn matches_rebuild(&self, corr: &CorrelationMatrix, mapping: &Mapping) -> bool {
-        *self == DegreeCache::new(corr, mapping)
     }
 }
 

@@ -40,6 +40,8 @@
 use crate::mincost::refine_kl;
 use acorr_sim::{ClusterConfig, Mapping, NodeId};
 use acorr_track::CorrelationMatrix;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 // Tuning. The mapping digests pinned in the tests and the scale smokes
 // depend on every one of these values; change one and the output
@@ -290,6 +292,13 @@ fn initial_partition(g: &Graph, quotas: &[u64]) -> Vec<u16> {
     let mut part = vec![u16::MAX; n];
     let mut loads = vec![0u64; nodes];
     let mut scratch = ConnScratch::new(nodes);
+    // The fallback's max-heap of (remaining, lowest id). Loads only grow,
+    // so an entry can only overstate its node's remaining capacity: a
+    // stale top is lowered to the current value until the top is exact,
+    // and that top is the node a scan of every node would pick.
+    let mut roomiest: BinaryHeap<(i64, Reverse<u16>)> = (0..nodes)
+        .map(|node| (quotas[node] as i64, Reverse(node as u16)))
+        .collect();
     for v in order {
         let w = g.vwgt[v];
         scratch.gather(g, &part, v, |u| part[u] != u16::MAX);
@@ -309,20 +318,17 @@ fn initial_partition(g: &Graph, quotas: &[u64]) -> Vec<u16> {
         }
         let node = match best {
             Some((_, node)) => node,
-            None => {
-                // Most remaining capacity, lowest id on ties; allow
-                // overflow (fixed during uncoarsening) if nothing fits.
-                let mut fallback = 0u16;
-                let mut most: i64 = i64::MIN;
-                for node in 0..nodes {
-                    let rem = quotas[node] as i64 - loads[node] as i64;
-                    if rem > most {
-                        most = rem;
-                        fallback = node as u16;
-                    }
+            // Most remaining capacity, lowest id on ties; allow overflow
+            // (fixed during uncoarsening) if nothing fits.
+            None => loop {
+                let mut top = roomiest.peek_mut().expect("a cluster has a node");
+                let Reverse(node) = top.1;
+                let rem = quotas[node as usize] as i64 - loads[node as usize] as i64;
+                if top.0 == rem {
+                    break node;
                 }
-                fallback
-            }
+                top.0 = rem;
+            },
         };
         part[v] = node;
         loads[node as usize] += w;
@@ -768,6 +774,90 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// `initial_partition` as it was before the fallback heap: the
+    /// fallback scans every node for the most remaining capacity.
+    fn reference_initial_partition(g: &Graph, quotas: &[u64]) -> Vec<u16> {
+        let n = g.len();
+        let nodes = quotas.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| g.vwgt[b].cmp(&g.vwgt[a]).then(a.cmp(&b)));
+        let mut part = vec![u16::MAX; n];
+        let mut loads = vec![0u64; nodes];
+        let mut scratch = ConnScratch::new(nodes);
+        for v in order {
+            let w = g.vwgt[v];
+            scratch.gather(g, &part, v, |u| part[u] != u16::MAX);
+            let mut best: Option<(i64, u16)> = None;
+            for &node in &scratch.touched {
+                if loads[node as usize] + w > quotas[node as usize] {
+                    continue;
+                }
+                let conn = scratch.get(node);
+                let better = match best {
+                    None => true,
+                    Some((bc, bn)) => conn > bc || (conn == bc && node < bn),
+                };
+                if better {
+                    best = Some((conn, node));
+                }
+            }
+            let node = match best {
+                Some((_, node)) => node,
+                None => {
+                    let mut fallback = 0u16;
+                    let mut most: i64 = i64::MIN;
+                    for node in 0..nodes {
+                        let rem = quotas[node] as i64 - loads[node] as i64;
+                        if rem > most {
+                            most = rem;
+                            fallback = node as u16;
+                        }
+                    }
+                    fallback
+                }
+            };
+            part[v] = node;
+            loads[node as usize] += w;
+        }
+        part
+    }
+
+    /// A partition input: a sparse graph (isolated vertices fall back at
+    /// once), vertex weights, and per-node quotas that are balanced,
+    /// ragged, or so small that nothing fits.
+    fn partition_case(rng: &mut DetRng) -> (CorrelationMatrix, Vec<u64>, Vec<u64>) {
+        let n = rng.range(1, 121) as usize;
+        let nodes = rng.range(1, 41) as usize;
+        let pairs = rng.index(3 * n + 1);
+        let edges = (0..pairs)
+            .map(|_| (rng.index(n) as u32, rng.index(n) as u32, rng.range(1, 21)))
+            .collect::<Vec<_>>();
+        let heaviest = rng.range(1, 5);
+        let vwgt: Vec<u64> = (0..n).map(|_| rng.range(1, heaviest + 1)).collect();
+        let fair = vwgt.iter().sum::<u64>().div_ceil(nodes as u64);
+        let quotas = match rng.next_below(3) {
+            // Balanced, as `multilevel_place` passes them.
+            0 => vec![fair; nodes],
+            // Ragged: the total may fall short of the weight.
+            1 => (0..nodes).map(|_| rng.next_below(2 * fair + 1)).collect(),
+            // Over-full: nearly nothing fits.
+            _ => (0..nodes).map(|_| rng.next_below(2)).collect(),
+        };
+        (CorrelationMatrix::from_edges(n, edges), vwgt, quotas)
+    }
+
+    #[test]
+    fn fallback_heap_matches_the_scan_of_every_node() {
+        forall(400, 0, partition_case, |(corr, vwgt, quotas)| {
+            let mut g = Graph::from_store(corr);
+            g.vwgt.clone_from(vwgt);
+            assert_eq!(
+                initial_partition(&g, quotas),
+                reference_initial_partition(&g, quotas)
+            );
+        });
     }
 
     /// A refinement input: a store, vertex weights, a starting part and

@@ -4,8 +4,8 @@
 //! service's accept/reject gate hold their contracts.
 
 use acorr_place::{
-    anneal, imbalance, interchange_migration, jarvis_patrick, min_cost, min_cost_weighted,
-    node_loads, optimal, refine_kl, AnnealConfig, MigrationCostModel,
+    anneal, jarvis_patrick, min_cost, optimal, plan_migration, refine_kl, AnnealConfig,
+    MigrationCostModel, MigrationPolicy,
 };
 use acorr_sim::{forall, ClusterConfig, DetRng, Mapping};
 use acorr_track::{cut_cost, CorrelationMatrix};
@@ -66,33 +66,6 @@ fn optimal_lower_bounds_heuristics() {
     });
 }
 
-/// Weighted placement respects its capacity bound whenever the bound is
-/// satisfiable, and never leaves a node empty.
-#[test]
-fn weighted_respects_capacity() {
-    let input = |rng: &mut DetRng| {
-        let weights: Vec<u64> = (0..10).map(|_| rng.range(1, 8)).collect();
-        (matrix(rng, 10), weights, rng.range(5, 60))
-    };
-    forall(48, 0, input, |&(ref corr, ref weights, tol_pct)| {
-        let cluster = ClusterConfig::new(2, 10).expect("cluster");
-        let tolerance = 1.0 + tol_pct as f64 / 100.0;
-        let m = min_cost_weighted(corr, &cluster, weights, tolerance);
-        assert!(m.node_counts().iter().all(|&c| c > 0));
-        let total: u64 = weights.iter().sum();
-        let capacity = ((total as f64 / 2.0) * tolerance).floor() as u64;
-        let capacity = capacity.max(total.div_ceil(2));
-        // Satisfiable iff no single weight exceeds capacity (then first-fit
-        // decreasing over 2 nodes always fits within the floor+tolerance).
-        if weights.iter().all(|&w| w <= capacity) {
-            for load in node_loads(&m, weights) {
-                assert!(load <= capacity, "load {load} > capacity {capacity}");
-            }
-            assert!(imbalance(&m, weights) <= 2.0);
-        }
-    });
-}
-
 /// Moving more pages never costs less, and adding threads to a
 /// migration never costs less either.
 #[test]
@@ -149,7 +122,13 @@ fn interchange_is_safe_on_arbitrary_matrices() {
         let cluster = ClusterConfig::new(nodes, 12).expect("cluster");
         let current = Mapping::random_balanced(&cluster, &mut DetRng::new(seed));
         let candidate = Mapping::random_balanced(&cluster, &mut DetRng::new(seed ^ 0xA5A5));
-        let planned = interchange_migration(corr, &current, &candidate, max_swaps);
+        let planned = plan_migration(
+            MigrationPolicy::Interchange,
+            corr,
+            &current,
+            &candidate,
+            max_swaps,
+        );
         assert!(cut_cost(corr, &planned) <= cut_cost(corr, &current));
         assert_eq!(planned.node_counts(), current.node_counts());
         assert!(planned.moves_from(&current) <= 2 * max_swaps);

@@ -104,12 +104,6 @@ impl Default for NetworkModel {
 }
 
 impl NetworkModel {
-    /// Myrinet-class parameters (the paper's testbed interconnect); equal to
-    /// [`NetworkModel::default`].
-    pub fn myrinet() -> Self {
-        NetworkModel::default()
-    }
-
     /// Commodity-Ethernet-class parameters of the era: higher latency,
     /// lower bandwidth. Useful for sensitivity studies — placement matters
     /// more on slower networks.
@@ -316,10 +310,9 @@ mod tests {
 
     #[test]
     fn presets_are_ordered_by_speed() {
-        let myri = NetworkModel::myrinet();
+        let myri = NetworkModel::default();
         let eth = NetworkModel::ethernet();
         assert!(eth.transfer_time(4096) > myri.transfer_time(4096) * 2);
-        assert_eq!(myri, NetworkModel::default());
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl std::error::Error for TopologyError {}
 /// ```
 /// use acorr_sim::ClusterConfig;
 /// let c = ClusterConfig::new(8, 64)?;
-/// assert_eq!(c.threads_per_node(), 8);
+/// assert_eq!((c.num_nodes(), c.num_threads()), (8, 64));
 /// # Ok::<(), acorr_sim::TopologyError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,11 +163,6 @@ impl ClusterConfig {
     /// Total number of application threads.
     pub const fn num_threads(&self) -> usize {
         self.num_threads
-    }
-
-    /// Threads per node under a balanced mapping (rounded up).
-    pub const fn threads_per_node(&self) -> usize {
-        self.num_threads.div_ceil(self.num_nodes)
     }
 
     /// Iterates over all node ids.
@@ -368,11 +363,6 @@ impl Mapping {
             .filter(|(a, b)| a != b)
             .count()
     }
-
-    /// The raw per-thread assignment.
-    pub fn as_slice(&self) -> &[NodeId] {
-        &self.assignment
-    }
 }
 
 impl fmt::Display for Mapping {
@@ -407,8 +397,6 @@ mod tests {
             })
         );
         assert!(ClusterConfig::new(8, 64).is_ok());
-        assert_eq!(cluster(8, 64).threads_per_node(), 8);
-        assert_eq!(cluster(3, 8).threads_per_node(), 3);
     }
 
     #[test]

@@ -49,7 +49,6 @@
 pub mod aging;
 pub mod correlation;
 pub mod cut;
-pub mod estimate;
 pub mod map;
 pub mod pages;
 pub mod phases;
@@ -59,7 +58,6 @@ pub mod structure;
 pub use aging::AgedCorrelation;
 pub use correlation::CorrelationMatrix;
 pub use cut::{cut_cost, internal_cost, pair_is_cut};
-pub use estimate::MissModel;
 pub use map::{render_ascii, render_csv, render_pgm, render_svg, MapStyle};
 pub use pages::{
     hottest_pages, page_report, page_sharers, sharer_histogram, sharers_of, PageReport, PageSharers,

@@ -13,6 +13,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace (RUSTDOCFLAGS=-D warnings)"
+# A deleted or private item must not leave a dangling doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -64,7 +68,7 @@ done
 grep -q "^failure_token=s1!1$" "$mc_dir/injected.log"
 rm -rf "$mc_dir"
 
-echo "==> scale smoke (100k- and 1M-thread multilevel placement, pinned digests, bad shape rejected)"
+echo "==> scale smoke (100k- and 1M-thread and 65535-node multilevel placement, pinned digests, bad shape rejected)"
 # The assignment digest and cut are pure functions of (threads, nodes,
 # degree, seed) — machine-independent — so any behaviour drift in the
 # sparse store, the synthetic generator or the multilevel partitioner
@@ -87,6 +91,15 @@ scale_out="$(timeout 300 ./target/release/acorr place --scale 1000000x1000)"
 echo "$scale_out" | grep -q "digest: fnv1a:abcdd71d87d9eced" &&
     echo "$scale_out" | grep -q "cut 39910110 " || {
     echo "error: 1000000x1000 placement digest or cut drifted from the pinned values:" >&2
+    echo "$scale_out" >&2
+    exit 1
+}
+# The widest cluster: one thread per node, so almost every vertex of the
+# initial partition takes the most-room fallback.
+scale_out="$(timeout 120 ./target/release/acorr place --scale 65535x65535)"
+echo "$scale_out" | grep -q "digest: fnv1a:4c2bd704988b7717" &&
+    echo "$scale_out" | grep -q "cut 8812732 " || {
+    echo "error: 65535x65535 placement digest or cut drifted from the pinned values:" >&2
     echo "$scale_out" >&2
     exit 1
 }

@@ -151,60 +151,3 @@ fn aged_correlations_follow_a_phase_change() {
     let snap = aged.snapshot();
     assert!(snap.get(2, 3) > snap.get(0, 1));
 }
-
-#[test]
-fn calibrated_miss_model_predicts_held_out_configurations() {
-    use active_correlation_tracking::track::MissModel;
-    // Calibrate a miss model on a few random SOR configurations, then
-    // predict a held-out one; SOR's cut-miss relation is essentially exact,
-    // so the prediction should land within a few percent.
-    let bench = Workbench::new(4, 16).unwrap();
-    let app = || Sor::new(512, 512, 16);
-    let truth = bench.ground_truth(app).unwrap();
-    let rng = DetRng::new(99);
-    let run_misses = |mapping: &Mapping| -> u64 {
-        let mut dsm = bench.dsm(app(), mapping.clone()).unwrap();
-        dsm.run_iterations(1).unwrap();
-        dsm.run_iterations(1).unwrap().remote_misses
-    };
-    let mut observations = Vec::new();
-    let mut holdout = None;
-    for s in 0..7 {
-        let mapping = Mapping::random_balanced(&bench.cluster, &mut rng.fork(s));
-        let cut = cut_cost(&truth.corr, &mapping);
-        let misses = run_misses(&mapping);
-        if s == 6 {
-            holdout = Some((mapping, misses));
-        } else {
-            observations.push((cut, misses));
-        }
-    }
-    let model = MissModel::calibrate(&observations).expect("calibrates");
-    let (mapping, actual) = holdout.unwrap();
-    let predicted = model.predict_mapping(&truth.corr, &mapping);
-    let err = (predicted - actual as f64).abs() / actual.max(1) as f64;
-    assert!(
-        err < 0.10,
-        "predicted {predicted:.0} vs actual {actual} ({:.1}% error)",
-        err * 100.0
-    );
-}
-
-#[test]
-fn weighted_placement_trades_balance_for_affinity() {
-    use active_correlation_tracking::place::{imbalance, min_cost_weighted, node_loads};
-    // Real correlations from Water; synthetic weights where the first
-    // threads carry double work.
-    let bench = Workbench::new(4, 16).unwrap();
-    let truth = bench.ground_truth(|| Water::new(256, 16)).unwrap();
-    let weights: Vec<u64> = (0..16).map(|t| if t < 4 { 2 } else { 1 }).collect();
-    let m = min_cost_weighted(&truth.corr, &bench.cluster, &weights, 1.15);
-    assert!(
-        imbalance(&m, &weights) <= 1.16,
-        "{:?}",
-        node_loads(&m, &weights)
-    );
-    // Still a sane mapping for the DSM.
-    let mut dsm = bench.dsm(Water::new(256, 16), m).unwrap();
-    dsm.run_iterations(1).unwrap();
-}
