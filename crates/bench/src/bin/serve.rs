@@ -12,7 +12,7 @@ use acorr::experiment::Workbench;
 use acorr::place::MigrationPolicy;
 use acorr::sim::Scenario;
 use acorr::ServeOptions;
-use acorr_bench::{arg_usize, try_write_artifact, Table};
+use acorr_bench::{arg_usize, write_artifact, Table};
 
 fn main() {
     let steps = arg_usize("--steps", 48);
@@ -84,7 +84,5 @@ fn main() {
     );
     println!("jobs invariance (hotspot timeline digest): {}", digests[0]);
 
-    if let Err(e) = try_write_artifact("serve.csv", &csv) {
-        eprintln!("skipping artifact: {e}");
-    }
+    write_artifact("serve.csv", &csv);
 }

@@ -5,8 +5,9 @@
 //! two threads per node, not necessarily balanced), run each and record
 //! remote misses, then fit `misses = slope * cut + intercept`.
 //!
-//! Also writes the per-application Figure 1 scatter data to
-//! `results/figure1_<app>.csv`.
+//! Figure 1 is the same studies drawn as scatters: after the table, each
+//! application's fit and ASCII scatter plot (cut cost on x, remote misses
+//! on y), with the data in `results/figure1_<app>.csv`.
 //!
 //! Applications fan out across pool workers and each application's samples
 //! fan out across its workbench's share of the remaining threads; output is
@@ -20,7 +21,7 @@
 use acorr::apps;
 use acorr::experiment::Workbench;
 use acorr::sim::{par_map_indexed, resolve_threads};
-use acorr_bench::{arg_usize, write_artifact, Table};
+use acorr_bench::{arg_usize, ascii_scatter, write_artifact, Table};
 
 fn main() {
     let samples = arg_usize("--samples", 300);
@@ -70,6 +71,9 @@ fn main() {
                 .expect("study")
         },
     );
+    let mut figure = format!(
+        "Figure 1: cut costs (x) versus remote misses (y), {samples} random configurations\n\n"
+    );
     for (&(name, paper_slope, paper_r), study) in paper.iter().zip(studies) {
         let fit = study.fit.expect("non-degenerate fit");
         table.row(&[
@@ -81,6 +85,14 @@ fn main() {
             format!("{paper_r:.3}"),
         ]);
         write_artifact(&format!("figure1_{name}.csv"), &study.to_csv());
+        let points: Vec<(f64, f64)> = study
+            .samples
+            .iter()
+            .map(|s| (s.cut_cost as f64, s.remote_misses as f64))
+            .collect();
+        let scatter = ascii_scatter(&points, 60, 16);
+        figure.push_str(&format!("--- {name} ---\nfit: {fit}\n{scatter}\n"));
     }
     println!("{}", table.render());
+    print!("{figure}");
 }

@@ -2,17 +2,15 @@
 //! threads.
 //!
 //! Each map is printed as ASCII art (origin lower-left, darker = more
-//! sharing, as in the paper) and written as a PGM image plus a CSV matrix
-//! under `results/maps/`.
+//! sharing, as in the paper) and written as a PGM image, a CSV matrix and
+//! an SVG under `results/maps/`.
 
 use acorr::apps;
 use acorr::experiment::Workbench;
 use acorr::track::{profile_map, render_ascii, render_csv, render_pgm, render_svg, MapStyle};
-use acorr_bench::results_dir;
+use acorr_bench::write_artifact;
 
 fn main() {
-    let maps_dir = results_dir().join("maps");
-    std::fs::create_dir_all(&maps_dir).expect("create maps dir");
     println!("Table 3: correlation maps (darker = more sharing, origin lower-left)\n");
     for name in apps::SUITE_NAMES {
         for threads in [32usize, 48, 64] {
@@ -23,23 +21,14 @@ fn main() {
             println!("--- {name}, {threads} threads ---");
             println!("{}", render_ascii(&truth.corr, &MapStyle::default()));
             println!("  detected structure: {}", profile_map(&truth.corr));
-            let stem = format!("{name}_{threads}");
-            std::fs::write(
-                maps_dir.join(format!("{stem}.pgm")),
-                render_pgm(&truth.corr),
-            )
-            .expect("write pgm");
-            std::fs::write(
-                maps_dir.join(format!("{stem}.csv")),
-                render_csv(&truth.corr),
-            )
-            .expect("write csv");
-            std::fs::write(
-                maps_dir.join(format!("{stem}.svg")),
-                render_svg(&truth.corr, &MapStyle::default()),
-            )
-            .expect("write svg");
-            println!("  wrote results/maps/{stem}.pgm, .csv and .svg\n");
+            let stem = format!("maps/{name}_{threads}");
+            write_artifact(&format!("{stem}.pgm"), &render_pgm(&truth.corr));
+            write_artifact(&format!("{stem}.csv"), &render_csv(&truth.corr));
+            write_artifact(
+                &format!("{stem}.svg"),
+                &render_svg(&truth.corr, &MapStyle::default()),
+            );
+            println!();
         }
     }
 }

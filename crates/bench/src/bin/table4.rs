@@ -10,13 +10,11 @@ use acorr::apps::Fft;
 use acorr::experiment::Workbench;
 use acorr::mem::PAGE_SIZE;
 use acorr::track::{profile_map, render_ascii, render_pgm, MapStyle};
-use acorr_bench::results_dir;
+use acorr_bench::write_artifact;
 
 type FftVariant = (&'static str, fn(usize) -> Fft);
 
 fn main() {
-    let maps_dir = results_dir().join("maps");
-    std::fs::create_dir_all(&maps_dir).expect("create maps dir");
     let bench = Workbench::new(8, 64).expect("cluster");
     println!("Table 4: 64-thread FFT versus input set\n");
     let variants: [FftVariant; 3] = [
@@ -36,11 +34,7 @@ fn main() {
         );
         println!("{}", render_ascii(&truth.corr, &MapStyle::default()));
         println!("  detected structure: {}", profile_map(&truth.corr));
-        std::fs::write(
-            maps_dir.join(format!("table4_{name}.pgm")),
-            render_pgm(&truth.corr),
-        )
-        .expect("write pgm");
-        println!("  wrote results/maps/table4_{name}.pgm\n");
+        write_artifact(&format!("maps/table4_{name}.pgm"), &render_pgm(&truth.corr));
+        println!();
     }
 }

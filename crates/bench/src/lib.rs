@@ -1,48 +1,27 @@
 //! # acorr-bench — the table/figure regeneration harness
 //!
-//! One binary per table and figure of the paper:
+//! One binary per table and figure of the paper (Table 2 and Figure 1
+//! share one):
 //!
 //! | Binary    | Regenerates |
 //! |-----------|-------------|
 //! | `table1`  | Application characteristics |
-//! | `table2`  | Remote misses as a function of cut cost (also writes the Figure 1 scatter CSVs) |
+//! | `table2`  | Remote misses as a function of cut cost, and Figure 1's scatter plots and CSVs |
 //! | `table3`  | Correlation maps at 32/48/64 threads |
 //! | `table4`  | 64-thread FFT maps versus input set |
 //! | `table5`  | 64-thread tracking overhead |
 //! | `table6`  | 8-node performance by placement heuristic |
-//! | `figure1` | ASCII scatter plots of cut cost vs remote misses |
 //! | `figure2` | Passive information-gathering per migration round |
 //! | `figure3` | 32-thread FFT free-zone maps on 4/8 nodes + randomized |
 //!
-//! Artifacts (CSV, PGM, TXT) land in `./results/`. Wall-clock timing of
-//! the three pipelines, end to end and per layer, is the `benchmark` bin's
-//! job (see `BENCHMARK.json` at the repository root).
+//! Artifacts (CSV, PGM, SVG, TXT) land in `./results/`, each through
+//! [`write_artifact`] with its manifest. Wall-clock timing of the three
+//! pipelines, end to end and per layer, is the `benchmark` bin's job (see
+//! `BENCHMARK.json` at the repository root).
 
 use acorr::dsm::DsmError;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-
-/// Directory where binaries drop their artifacts (created on demand).
-///
-/// # Errors
-///
-/// Returns [`DsmError::Io`] when the directory cannot be created (e.g. the
-/// working directory is read-only).
-pub fn try_results_dir() -> Result<PathBuf, DsmError> {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir).map_err(|e| DsmError::io(dir.display().to_string(), &e))?;
-    Ok(dir.to_path_buf())
-}
-
-/// Directory where binaries drop their artifacts (created on demand).
-///
-/// # Panics
-///
-/// Panics if the directory cannot be created; callers that want to degrade
-/// gracefully use [`try_results_dir`].
-pub fn results_dir() -> PathBuf {
-    try_results_dir().expect("create results dir")
-}
+use std::path::Path;
 
 /// Name of the currently running bench binary (for manifest provenance).
 fn tool_name() -> String {
@@ -57,42 +36,39 @@ fn tool_name() -> String {
 }
 
 /// Writes an artifact under `results/` and reports the path on stdout.
+/// A `name` with directories, such as `maps/SOR_64.pgm`, creates them.
 ///
 /// Every artifact also gets a companion [`acorr::obs::RunManifest`] under
 /// `results/manifests/<name>.json` recording which binary produced it and an
 /// FNV-1a digest of its bytes, so a regenerated artifact can be compared
 /// against the recorded run without diffing the full contents.
 ///
-/// # Errors
-///
-/// Returns [`DsmError::Io`] with the failing path when `results/` cannot be
-/// created or written (e.g. a read-only checkout).
-pub fn try_write_artifact(name: &str, contents: &str) -> Result<(), DsmError> {
-    let path = try_results_dir()?.join(name);
-    std::fs::write(&path, contents).map_err(|e| DsmError::io(path.display().to_string(), &e))?;
-    println!("  wrote {}", path.display());
-
-    let manifest_dir = try_results_dir()?.join("manifests");
-    std::fs::create_dir_all(&manifest_dir)
-        .map_err(|e| DsmError::io(manifest_dir.display().to_string(), &e))?;
+/// A failed write warns on stderr and continues — a bench run on a
+/// read-only checkout still prints its tables; only the on-disk copy is
+/// lost.
+pub fn write_artifact(name: &str, contents: &str) {
+    let path = Path::new("results").join(name);
+    let manifest_path = Path::new("results/manifests").join(format!("{name}.json"));
     let manifest = acorr::obs::RunManifest::new(&tool_name())
         .param("artifact", name)
         .param("bytes", &contents.len().to_string())
         .with_digest(acorr::obs::bytes_digest(contents.as_bytes()));
-    let manifest_path = manifest_dir.join(format!("{name}.json"));
-    std::fs::write(&manifest_path, manifest.to_json())
-        .map_err(|e| DsmError::io(manifest_path.display().to_string(), &e))?;
-    Ok(())
-}
-
-/// Writes an artifact under `results/`, warning on stderr and continuing if
-/// the write fails — a bench run on a read-only checkout still prints its
-/// tables; only the on-disk copy is lost. Binaries that must report a
-/// failed write themselves use [`try_write_artifact`] instead.
-pub fn write_artifact(name: &str, contents: &str) {
-    if let Err(e) = try_write_artifact(name, contents) {
+    let written = write_file(&path, contents).and_then(|()| {
+        println!("  wrote {}", path.display());
+        write_file(&manifest_path, &manifest.to_json())
+    });
+    if let Err(e) = written {
         eprintln!("  warning: skipping artifact {name}: {e}");
     }
+}
+
+/// Writes `contents` to `path`, creating its directory first.
+fn write_file(path: &Path, contents: &str) -> Result<(), DsmError> {
+    let io_error = |at: &Path, e: std::io::Error| DsmError::io(at.display().to_string(), &e);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(|e| io_error(dir, e))?;
+    }
+    std::fs::write(path, contents).map_err(|e| io_error(path, e))
 }
 
 /// Parses `--flag value` style integer options from the command line, with a
@@ -287,14 +263,11 @@ mod tests {
         assert!(one.contains('.'));
     }
 
-    #[test]
-    fn write_artifact_emits_a_companion_manifest() {
-        let name = "test-artifact-manifest.txt";
-        let contents = "hello, results\n";
-        write_artifact(name, contents);
-
-        let artifact = results_dir().join(name);
-        let manifest_path = results_dir().join("manifests").join(format!("{name}.json"));
+    /// Reads back `name`'s artifact and manifest, checks them against
+    /// `contents`, and removes both.
+    fn check_and_remove_artifact(name: &str, contents: &str) {
+        let artifact = Path::new("results").join(name);
+        let manifest_path = Path::new("results/manifests").join(format!("{name}.json"));
         assert_eq!(std::fs::read_to_string(&artifact).unwrap(), contents);
 
         let manifest_json = std::fs::read_to_string(&manifest_path).unwrap();
@@ -311,6 +284,26 @@ mod tests {
 
         std::fs::remove_file(artifact).unwrap();
         std::fs::remove_file(manifest_path).unwrap();
+    }
+
+    #[test]
+    fn write_artifact_emits_a_companion_manifest() {
+        let name = "test-artifact-manifest.txt";
+        let contents = "hello, results\n";
+        write_artifact(name, contents);
+        check_and_remove_artifact(name, contents);
+    }
+
+    #[test]
+    fn a_nested_artifact_gets_its_directories_and_a_nested_manifest() {
+        let contents = "P2\n1 1\n255\n0\n";
+        write_artifact("maps/x.pgm", contents);
+        assert!(Path::new("results/maps/x.pgm").is_file());
+        assert!(Path::new("results/manifests/maps/x.pgm.json").is_file());
+        check_and_remove_artifact("maps/x.pgm", contents);
+        // Leave no empty directory behind; one still in use stays.
+        std::fs::remove_dir("results/maps").ok();
+        std::fs::remove_dir("results/manifests/maps").ok();
     }
 
     #[test]

@@ -162,16 +162,7 @@ fn list_apps() -> String {
 }
 
 fn strategy_of(name: &str) -> Result<Strategy, String> {
-    Ok(match name {
-        "stretch" => Strategy::Stretch,
-        "random" => Strategy::RandomBalanced,
-        "random-min2" => Strategy::RandomMinTwo,
-        "min-cost" => Strategy::MinCost,
-        "jarvis-patrick" => Strategy::JarvisPatrick,
-        "anneal" => Strategy::Anneal,
-        "optimal" => Strategy::Optimal,
-        other => return Err(format!("unknown strategy `{other}`")),
-    })
+    Strategy::parse(name).ok_or_else(|| format!("unknown strategy `{name}`"))
 }
 
 /// The `--jobs` option: pool worker threads (0 = available parallelism).
@@ -1365,7 +1356,7 @@ mod tests {
             "magic",
         ])
         .unwrap_err();
-        assert!(err.contains("magic"));
+        assert!(err.contains("unknown strategy `magic`"), "{err}");
     }
 
     #[test]

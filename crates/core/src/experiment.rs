@@ -16,7 +16,7 @@
 use acorr_dsm::trace::Event;
 use acorr_dsm::{Dsm, DsmConfig, DsmError, IterStats, OracleReport, Program};
 use acorr_mem::AccessMatrix;
-use acorr_obs::{ObsHandle, Observation};
+use acorr_obs::{MultiSink, ObsHandle, Observation};
 use acorr_place::{min_cost, place, Strategy};
 use acorr_sim::{
     linear_fit, par_join, par_map_indexed, par_map_range, ClusterConfig, DetRng, FaultPlan,
@@ -132,8 +132,8 @@ impl Workbench {
     ) -> Result<(Dsm<P>, Option<ObsHandle>), DsmError> {
         let mut dsm = Dsm::new(config, program, mapping)?;
         let handle = self.observer.then(|| {
-            let (sink, handle) = acorr_obs::observer(self.cluster.num_nodes());
-            dsm.attach_sink(sink);
+            let (sink, handle) = MultiSink::new(self.cluster.num_nodes());
+            dsm.attach_sink(Box::new(sink));
             handle
         });
         Ok((dsm, handle))
@@ -340,21 +340,12 @@ impl Workbench {
             self.threads,
             strategies.to_vec(),
             |i, strategy| -> Result<HeuristicRow, DsmError> {
-                let mut rng = DetRng::new(self.seed).fork(0x6E1 + i as u64);
-                let mapping = place(strategy, &truth.corr, &self.cluster, &mut rng);
-                let cut = cut_cost(&truth.corr, &mapping);
-                let mut dsm = self.dsm(factory(), mapping)?;
-                dsm.run_iterations(1)?; // cold-start warm-up
-                let stats = dsm.run_iterations(iterations)?;
-                Ok(HeuristicRow {
-                    app: truth.app.clone(),
-                    strategy,
-                    time: stats.elapsed,
-                    remote_misses: stats.remote_misses,
-                    total_mbytes: stats.total_mbytes(),
-                    diff_mbytes: stats.diff_mbytes(),
-                    cut_cost: cut,
-                })
+                let (row, ()) = self.table6_run(&truth, i, strategy, |mapping| {
+                    let mut dsm = self.dsm(factory(), mapping)?;
+                    dsm.run_iterations(1)?; // cold-start warm-up
+                    Ok((dsm.run_iterations(iterations)?, ()))
+                })?;
+                Ok(row)
             },
         )
         .into_iter()
@@ -366,12 +357,12 @@ impl Workbench {
     /// **collected**: returns the Table 6 row plus the rendered
     /// observability artifacts (`None` when not observing).
     ///
-    /// The measured run replicates [`Workbench::heuristic_comparison`]
-    /// with `&[strategy]` *exactly* — same ground-truth phase, same forked
-    /// RNG stream (`0x6E1 + 0`), same single warm-up iteration — so the
-    /// returned row is bit-identical to that driver's first row. This is
-    /// the property the manifest replay path (`acorr report`) leans on:
-    /// re-running from a manifest's parameters reproduces the digest.
+    /// The measured run is [`Workbench::heuristic_comparison`]'s run of
+    /// `&[strategy]` — same ground-truth phase, same forked RNG stream
+    /// (`0x6E1 + 0`), same single warm-up iteration — so the returned row
+    /// is bit-identical to that driver's first row. This is the property
+    /// the manifest replay path (`acorr report`) leans on: re-running from
+    /// a manifest's parameters reproduces the digest.
     ///
     /// # Errors
     ///
@@ -387,14 +378,42 @@ impl Workbench {
         F: Fn() -> P + Sync,
     {
         let truth = self.ground_truth(&factory)?;
-        let mut rng = DetRng::new(self.seed).fork(0x6E1);
+        let (row, (stats, pages, handle)) = self.table6_run(&truth, 0, strategy, |mapping| {
+            let (mut dsm, handle) = self.observed_dsm(self.config.clone(), factory(), mapping)?;
+            dsm.run_iterations(1)?; // cold-start warm-up
+            let stats = dsm.run_iterations(iterations)?;
+            Ok((stats, (stats, dsm.num_pages(), handle)))
+        })?;
+        Ok(ObservedRun {
+            row,
+            stats,
+            threads: self.cluster.num_threads(),
+            pages,
+            observation: handle.map(|h| h.finish()),
+        })
+    }
+
+    /// Table 6's run of `strategy` as strategy `i` of a comparison: places
+    /// `truth`'s correlations on the RNG stream forked as `0x6E1 + i`, and
+    /// `measure` runs the mapping for one cold-start warm-up iteration and
+    /// then the measured ones, returning their statistics with anything
+    /// else its caller keeps. The row pairs those statistics with the
+    /// mapping's cut cost. [`Workbench::heuristic_comparison`],
+    /// [`Workbench::observed_heuristic_run`] and [`Workbench::explore_run`]
+    /// all run through here, so their rows agree bit for bit.
+    pub(crate) fn table6_run<T>(
+        &self,
+        truth: &GroundTruth,
+        i: usize,
+        strategy: Strategy,
+        measure: impl FnOnce(Mapping) -> Result<(IterStats, T), DsmError>,
+    ) -> Result<(HeuristicRow, T), DsmError> {
+        let mut rng = DetRng::new(self.seed).fork(0x6E1 + i as u64);
         let mapping = place(strategy, &truth.corr, &self.cluster, &mut rng);
         let cut = cut_cost(&truth.corr, &mapping);
-        let (mut dsm, handle) = self.observed_dsm(self.config.clone(), factory(), mapping)?;
-        dsm.run_iterations(1)?; // cold-start warm-up
-        let stats = dsm.run_iterations(iterations)?;
+        let (stats, kept) = measure(mapping)?;
         let row = HeuristicRow {
-            app: truth.app,
+            app: truth.app.clone(),
             strategy,
             time: stats.elapsed,
             remote_misses: stats.remote_misses,
@@ -402,13 +421,7 @@ impl Workbench {
             diff_mbytes: stats.diff_mbytes(),
             cut_cost: cut,
         };
-        Ok(ObservedRun {
-            row,
-            stats,
-            threads: self.cluster.num_threads(),
-            pages: dsm.num_pages(),
-            observation: handle.map(|h| h.finish()),
-        })
+        Ok((row, kept))
     }
 
     /// Phase-change scan: runs `iterations` actively tracked iterations

@@ -31,12 +31,11 @@
 //! steering with all-default choices is the unsteered engine.
 
 use crate::experiment::{HeuristicRow, Workbench};
-use acorr_dsm::{DsmError, InjectedBug, Program, WriteMode};
+use acorr_dsm::{DsmError, InjectedBug, IterStats, Program, WriteMode};
 use acorr_mem::{PageId, Race, RaceReport};
-use acorr_place::{place, Strategy};
+use acorr_place::Strategy;
 use acorr_sched::{shrink_pair, ExploreMode, Explorer, Schedule, ScheduleDriver};
-use acorr_sim::{DecisionRecord, DetRng, Mapping, SimDuration};
-use acorr_track::cut_cost;
+use acorr_sim::{DecisionRecord, Mapping, SimDuration};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -190,7 +189,7 @@ impl fmt::Display for ExploreReport {
 
 /// One protocol's run of one schedule.
 struct ProtoRun {
-    stats_row: Option<HeuristicRow>,
+    stats: Option<IterStats>,
     races: BTreeSet<Race>,
     report: RaceReport,
     digests: Vec<u64>,
@@ -312,32 +311,16 @@ impl Workbench {
     {
         assert!(options.budget > 0, "budget must be at least 1");
         let truth = self.ground_truth(&factory)?;
-        // Same recipe as heuristic_comparison's first strategy, so the
-        // baseline row is bit-identical to its row.
-        let mut rng = DetRng::new(self.seed).fork(0x6E1);
-        let mapping = place(options.strategy, &truth.corr, &self.cluster, &mut rng);
-        let cut = cut_cost(&truth.corr, &mapping);
-
+        // Table 6's run of the strategy, steered by the default schedule,
+        // so the baseline row is bit-identical to heuristic_comparison's.
         let default = Schedule::default_order();
-        let base_mw = self.steered_run(&factory, &mapping, &default, MW, options)?;
-        let base_sw = self.steered_run(&factory, &mapping, &default, SW, options)?;
-        let baseline = match &base_mw.stats_row {
-            Some(row) => HeuristicRow {
-                app: truth.app.clone(),
-                strategy: options.strategy,
-                cut_cost: cut,
-                ..row.clone()
-            },
-            None => HeuristicRow {
-                app: truth.app.clone(),
-                strategy: options.strategy,
-                time: SimDuration::from_nanos(0),
-                remote_misses: 0,
-                total_mbytes: 0.0,
-                diff_mbytes: 0.0,
-                cut_cost: cut,
-            },
-        };
+        let (baseline, (mapping, base_mw, base_sw)) =
+            self.table6_run(&truth, 0, options.strategy, |mapping| {
+                let mw = self.steered_run(&factory, &mapping, &default, MW, options)?;
+                let sw = self.steered_run(&factory, &mapping, &default, SW, options)?;
+                // A run the oracle stopped measured nothing: its row reads zero.
+                Ok((mw.stats.unwrap_or_default(), (mapping, mw, sw)))
+            })?;
         let mut report = ExploreReport {
             app: truth.app.clone(),
             schedules_run: 1,
@@ -475,19 +458,8 @@ impl Workbench {
         let outcome = dsm
             .run_iterations(1) // cold-start warm-up
             .and_then(|_| dsm.run_iterations(options.iterations));
-        let (stats_row, violation) = match outcome {
-            Ok(stats) => (
-                Some(HeuristicRow {
-                    app: String::new(),
-                    strategy: options.strategy,
-                    time: stats.elapsed,
-                    remote_misses: stats.remote_misses,
-                    total_mbytes: stats.total_mbytes(),
-                    diff_mbytes: stats.diff_mbytes(),
-                    cut_cost: 0,
-                }),
-                None,
-            ),
+        let (stats, violation) = match outcome {
+            Ok(stats) => (Some(stats), None),
             Err(DsmError::OracleViolation { iteration, detail }) => {
                 (None, Some(format!("iteration {iteration}: {detail}")))
             }
@@ -504,7 +476,7 @@ impl Workbench {
             state_key = mix(state_key, u64::from(r.alternatives));
         }
         Ok(ProtoRun {
-            stats_row,
+            stats,
             races: race.races.iter().copied().collect(),
             report: race,
             digests: visible.digests().to_vec(),

@@ -32,7 +32,7 @@ use crate::protocol::{FetchPlan, PageDirectory};
 use crate::stats::IterStats;
 use crate::steer::{DecisionPoint, SchedulePolicy};
 use crate::thread::{OngoingAccess, ThreadState, ThreadStatus};
-use crate::trace::{Event, EventSink, SpanPhase, Trace};
+use crate::trace::{Event, EventSink, SpanPhase};
 use acorr_mem::{
     pages_for, span_pages, AccessKind, AccessMatrix, Arena, HbRaceDetector, PageId, PageSpan,
     Protection, RaceReport, VisibleImage,
@@ -116,7 +116,6 @@ pub struct Dsm<P: Program> {
     cur: IterStats,
     tracking: Option<AccessMatrix>,
     passive: Option<AccessMatrix>,
-    tracer: Option<Trace>,
     sink: Option<Box<dyn EventSink>>,
     /// Monotone ordinal pairing each `SpanBegin` with its `SpanEnd`.
     span_seq: u64,
@@ -198,7 +197,6 @@ impl<P: Program> Dsm<P> {
             cur: IterStats::new(),
             tracking: None,
             passive: None,
-            tracer: None,
             sink: None,
             span_seq: 0,
             interval_mark: IterStats::new(),
@@ -255,18 +253,6 @@ impl<P: Program> Dsm<P> {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Starts recording protocol events into a bounded trace (newest
-    /// `capacity` events are retained). Tracing is off by default and has
-    /// no cost while off.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.tracer = Some(Trace::new(capacity));
-    }
-
-    /// Stops tracing and returns the recorded events, if enabled.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.tracer.take()
-    }
-
     /// Attaches an external event sink. Every protocol event, remote-fetch
     /// latency, lock-grant latency, and per-barrier-interval statistic delta
     /// is forwarded to it, at the same sites the fault injector already
@@ -274,24 +260,15 @@ impl<P: Program> Dsm<P> {
     /// lock grant, barrier close) are bracketed by
     /// [`Event::SpanBegin`]/[`Event::SpanEnd`] pairs for duration
     /// profiling. Sinks are a pure observer: simulated time, statistics and
-    /// scheduling are bit-identical with or without one attached, and spans
-    /// never reach the bounded trace ring.
+    /// scheduling are bit-identical with or without one attached.
     pub fn attach_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sink = Some(sink);
     }
 
-    /// Records `event` at node `i`'s current time, when tracing or an
-    /// external sink is on.
+    /// Forwards `event` to the sink, stamped with node `i`'s current time.
     fn emit(&mut self, i: usize, event: Event) {
-        if self.tracer.is_none() && self.sink.is_none() {
-            return;
-        }
-        let at = self.nodes[i].time;
-        if let Some(tracer) = self.tracer.as_mut() {
-            tracer.record(at, event);
-        }
         if let Some(sink) = self.sink.as_mut() {
-            sink.record_event(at, &event);
+            sink.record_event(self.nodes[i].time, &event);
         }
     }
 
@@ -312,9 +289,9 @@ impl<P: Program> Dsm<P> {
     }
 
     /// Emits one profiling span `[start, start + dur]` for `phase` on node
-    /// `i`, when a sink is attached. Spans bypass the trace ring: they are
-    /// an observability artifact, not a protocol event, and charge no
-    /// simulated time; the span ordinal only advances while emitting.
+    /// `i`, when a sink is attached. Spans are an observability artifact,
+    /// not a protocol event, and charge no simulated time; the span ordinal
+    /// only advances while emitting.
     fn emit_span(&mut self, i: usize, phase: SpanPhase, start: SimTime, dur: SimDuration) {
         let Some(sink) = self.sink.as_mut() else {
             return;

@@ -24,8 +24,8 @@
 //! * **A single-writer protocol mode** ([`WriteMode::SingleWriter`]) with a
 //!   Mirage-style delta interval — §6's comparison point, complete with the
 //!   page ping-ponging it is famous for.
-//! * **Protocol tracing** ([`Dsm::enable_tracing`]) — a bounded ring of
-//!   timestamped protocol events for debugging and observability.
+//! * **Protocol events** ([`Dsm::attach_sink`]) — every protocol event,
+//!   stamped with simulated time, goes to one attached [`EventSink`].
 //! * **Fault injection & conformance** — a deterministic [`FaultPlan`]
 //!   (delay jitter, bounded reordering, transient drops with retry,
 //!   per-node slowdown windows) perturbs every send, while the coherence
@@ -51,7 +51,6 @@
 pub mod config;
 pub mod engine;
 pub mod error;
-pub mod ids;
 mod locks;
 mod node;
 mod oracle;
@@ -65,9 +64,8 @@ pub mod trace;
 pub use config::{DsmConfig, InjectedBug, WriteMode};
 pub use engine::{Dsm, MigrationReport};
 pub use error::DsmError;
-pub use ids::ThreadId;
 pub use oracle::OracleReport;
 pub use program::{validate_iteration, LockId, Op, Program, ScriptError};
 pub use stats::IterStats;
-pub use steer::{DecisionPoint, FifoPolicy, SchedulePolicy};
-pub use trace::{Event, EventSink, Trace};
+pub use steer::{DecisionPoint, SchedulePolicy};
+pub use trace::{Event, EventSink};

@@ -53,26 +53,3 @@ pub trait SchedulePolicy: std::fmt::Debug + Send {
         0
     }
 }
-
-/// The trivial policy: always the engine's FIFO default. Attaching it is
-/// equivalent to attaching no policy at all (useful for purity tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FifoPolicy;
-
-impl SchedulePolicy for FifoPolicy {
-    fn choose(&mut self, _point: DecisionPoint, _alternatives: usize) -> usize {
-        0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fifo_policy_always_answers_zero() {
-        let mut p = FifoPolicy;
-        assert_eq!(p.choose(DecisionPoint::Run { node: NodeId(0) }, 5), 0);
-        assert_eq!(p.choose(DecisionPoint::Grant { lock: 3 }, 2), 0);
-    }
-}

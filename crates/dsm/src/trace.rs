@@ -1,38 +1,44 @@
-//! Protocol event tracing.
+//! Protocol events and the sink they go to.
 //!
-//! A bounded, timestamped log of protocol-level events (faults, fetches,
-//! twins, diffs, ownership transfers, invalidations, barriers, locks,
-//! migrations). Disabled by default and allocation-bounded when enabled, so
-//! it can stay on in long experiments; the cap drops the *oldest* events,
-//! keeping the most recent window — what you want when a run misbehaves at
-//! the end.
+//! The engine stamps every protocol-level event (faults, fetches, twins,
+//! diffs, ownership transfers, barriers, locks, migrations) with simulated
+//! time and hands it to the [`EventSink`] attached with
+//! [`Dsm::attach_sink`](crate::Dsm::attach_sink). With no sink attached,
+//! no event is kept. A sink that wants the protocol timeline alone skips
+//! the profiling spans:
 //!
 //! ```
-//! use acorr_dsm::trace::{Event, Trace};
+//! use acorr_dsm::trace::{Event, EventSink};
 //! use acorr_sim::SimTime;
 //!
-//! let mut trace = Trace::new(2);
-//! trace.record(SimTime::ZERO, Event::BarrierRelease { index: 0 });
-//! trace.record(SimTime::ZERO, Event::BarrierRelease { index: 1 });
-//! trace.record(SimTime::ZERO, Event::BarrierRelease { index: 2 });
-//! assert_eq!(trace.len(), 2);
-//! assert_eq!(trace.dropped(), 1);
+//! #[derive(Debug, Default)]
+//! struct Timeline(Vec<(SimTime, Event)>);
+//!
+//! impl EventSink for Timeline {
+//!     fn record_event(&mut self, at: SimTime, event: &Event) {
+//!         if !matches!(event, Event::SpanBegin { .. } | Event::SpanEnd { .. }) {
+//!             self.0.push((at, *event));
+//!         }
+//!     }
+//! }
+//!
+//! let mut timeline = Timeline::default();
+//! timeline.record_event(SimTime::ZERO, &Event::BarrierRelease { index: 0 });
+//! assert_eq!(timeline.0[0].1.to_string(), "barrier #0");
 //! ```
 
 use crate::stats::IterStats;
 use acorr_mem::PageId;
 use acorr_sim::{NodeId, SimDuration, SimTime};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// A destination for protocol events and derived measurements.
 ///
 /// The engine forwards every [`Event`] (with its simulated timestamp) to the
-/// attached sink, plus three derived streams that external observability
-/// layers want but the bounded [`Trace`] ring does not retain: remote-fetch
-/// latencies, lock-grant latencies, and per-barrier-interval statistic
-/// deltas. All callbacks are **observation-only**: the engine's simulated
-/// time, statistics and scheduling are bit-identical with or without a sink
+/// attached sink, plus three derived streams: remote-fetch latencies,
+/// lock-grant latencies, and per-barrier-interval statistic deltas. All
+/// callbacks are **observation-only**: the engine's simulated time,
+/// statistics and scheduling are bit-identical with or without a sink
 /// attached (the purity tests in `tests/observability.rs` enforce this).
 ///
 /// Implementations must be `Send` because DSM instances run on the
@@ -70,10 +76,9 @@ pub trait EventSink: fmt::Debug + Send {
 /// An engine phase profiled by the span instrumentation.
 ///
 /// Spans are emitted to the attached sink whenever there is one (see
-/// `Dsm::attach_sink`); they never enter the bounded [`Trace`] ring, so
-/// trace-based tooling is unaffected.
-/// `Fetch` nests `Apply` (the diff application inside a remote fetch) —
-/// the Chrome sink renders the pair as nestable duration events.
+/// `Dsm::attach_sink`). `Fetch` nests `Apply` (the diff application inside
+/// a remote fetch) — the Chrome sink renders the pair as nestable duration
+/// events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanPhase {
     /// First-write twin creation (or single-writer re-upgrade).
@@ -340,111 +345,9 @@ impl fmt::Display for Event {
     }
 }
 
-/// A bounded ring of timestamped protocol events.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    events: VecDeque<(SimTime, Event)>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Trace {
-    /// Creates a trace retaining at most `capacity` events (the newest).
-    ///
-    /// A `capacity` of **zero** is valid and deliberate: such a trace
-    /// stores nothing, but every [`Trace::record`] still increments
-    /// [`Trace::dropped`] — a zero-allocation event *counter* for runs
-    /// where only the volume matters.
-    pub fn new(capacity: usize) -> Self {
-        Trace {
-            events: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends an event, evicting the oldest when full. With a capacity of
-    /// zero nothing is ever stored; the event is counted as dropped
-    /// (see [`Trace::new`]).
-    pub fn record(&mut self, at: SimTime, event: Event) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back((at, event));
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted (or refused) due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Iterates over retained `(time, event)` pairs, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &(SimTime, Event)> {
-        self.events.iter()
-    }
-
-    /// Renders the trace as one line per event.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (at, ev) in &self.events {
-            let _ = writeln!(out, "{at:>16}  {ev}");
-        }
-        if self.dropped > 0 {
-            let _ = writeln!(out, "({} earlier events dropped)", self.dropped);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bounded_ring_keeps_newest() {
-        let mut t = Trace::new(3);
-        for i in 0..5 {
-            t.record(SimTime::from_nanos(i), Event::BarrierRelease { index: i });
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let indices: Vec<u64> = t
-            .iter()
-            .map(|(_, e)| match e {
-                Event::BarrierRelease { index } => *index,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(indices, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn zero_capacity_counts_but_stores_nothing() {
-        let mut t = Trace::new(0);
-        t.record(SimTime::ZERO, Event::BarrierRelease { index: 0 });
-        t.record(SimTime::ZERO, Event::BarrierRelease { index: 1 });
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.dropped(), 2);
-        assert_eq!(t.iter().count(), 0);
-        assert!(t.render().contains("2 earlier events dropped"));
-    }
 
     #[test]
     fn event_sink_derived_streams_default_to_no_ops() {
@@ -466,25 +369,6 @@ mod tests {
         sink.record_lock_latency(SimTime::ZERO, NodeId(0), SimDuration::from_micros(1));
         sink.record_interval(SimTime::ZERO, 0, &IterStats::new());
         assert_eq!(events.0, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn render_is_one_line_per_event_plus_drop_note() {
-        let mut t = Trace::new(2);
-        for i in 0..3 {
-            t.record(
-                SimTime::from_nanos(1000 * i),
-                Event::RemoteMiss {
-                    node: NodeId(1),
-                    thread: 4,
-                    page: PageId(7),
-                },
-            );
-        }
-        let txt = t.render();
-        assert_eq!(txt.lines().count(), 3);
-        assert!(txt.contains("miss n1 t4 p7"));
-        assert!(txt.contains("1 earlier events dropped"));
     }
 
     #[test]
@@ -572,6 +456,12 @@ mod tests {
         for ev in samples {
             assert!(!ev.to_string().is_empty());
         }
+        let miss = Event::RemoteMiss {
+            node: NodeId(1),
+            thread: 4,
+            page: PageId(7),
+        };
+        assert_eq!(miss.to_string(), "miss n1 t4 p7");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! merging, locks, garbage collection, migration, and both tracking
 //! mechanisms, exercised through small hand-built programs.
 
-use acorr_dsm::{Dsm, DsmConfig, DsmError, LockId, Op, Program};
+use acorr_dsm::{Dsm, DsmConfig, DsmError, Event, EventSink, LockId, Op, Program};
 use acorr_mem::PAGE_SIZE;
 use acorr_sim::{ClusterConfig, Mapping, NodeId};
 
@@ -678,9 +678,32 @@ fn mapping_mismatch_rejected_at_construction() {
     ));
 }
 
+/// A test-local sink recording every protocol event it is handed.
+#[derive(Debug, Clone, Default)]
+struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<Event>>>);
+
+impl EventSink for Recorder {
+    fn record_event(&mut self, _at: acorr_sim::SimTime, event: &Event) {
+        self.0.lock().unwrap().push(*event);
+    }
+}
+
+impl Recorder {
+    /// Attaches a fresh recorder to `dsm` and returns a handle to it.
+    fn attach(dsm: &mut Dsm<Scripted>) -> Self {
+        let sink = Recorder::default();
+        dsm.attach_sink(Box::new(sink.clone()));
+        sink
+    }
+
+    /// The events recorded so far.
+    fn events(&self) -> Vec<Event> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
 #[test]
 fn tracing_records_protocol_event_sequence() {
-    use acorr_dsm::trace::Event;
     // t0 writes page 0; t1 (remote) reads it next iteration.
     let p = Scripted::new(
         1,
@@ -690,11 +713,9 @@ fn tracing_records_protocol_event_sequence() {
         ]],
     );
     let mut dsm = dsm_for(2, p);
-    dsm.enable_tracing(1024);
+    let sink = Recorder::attach(&mut dsm);
     dsm.run_iterations(1).unwrap();
-    let trace = dsm.take_trace().unwrap();
-    assert!(trace.dropped() == 0);
-    let events: Vec<&Event> = trace.iter().map(|(_, e)| e).collect();
+    let events = sink.events();
     // The write fault (twin) precedes its diff, which precedes the reader's
     // remote miss.
     let twin_pos = events
@@ -718,78 +739,43 @@ fn tracing_records_protocol_event_sequence() {
             .count()
             >= 2
     );
-    // Timestamps are non-decreasing per node ordering at barriers.
-    let render = trace.render();
-    assert!(render.contains("barrier"));
-}
-
-#[test]
-fn tracing_is_off_by_default_and_bounded_when_on() {
-    let p = Scripted::new(1, vec![vec![vec![Op::write(0, 8)], vec![Op::read(0, 8)]]]);
-    let mut dsm = dsm_for(2, p);
-    assert!(dsm.take_trace().is_none(), "off by default");
-    dsm.enable_tracing(2);
-    dsm.run_iterations(3).unwrap();
-    let trace = dsm.take_trace().unwrap();
-    assert_eq!(trace.len(), 2);
-    assert!(trace.dropped() > 0);
 }
 
 #[test]
 fn tracing_sees_migrations_and_tracked_faults() {
-    use acorr_dsm::trace::Event;
     let p = Scripted::new(2, vec![vec![vec![Op::read(0, 8)], vec![Op::read(PAGE, 8)]]]);
     let cluster = ClusterConfig::new(2, 2).unwrap();
     let mut dsm = Dsm::new(DsmConfig::new(cluster), p, Mapping::stretch(&cluster)).unwrap();
-    dsm.enable_tracing(4096);
+    let sink = Recorder::attach(&mut dsm);
     dsm.run_tracked_iteration().unwrap();
     let swapped = Mapping::from_assignment(&cluster, vec![NodeId(1), NodeId(0)]).unwrap();
     dsm.migrate_to(swapped).unwrap();
-    let trace = dsm.take_trace().unwrap();
-    assert!(trace
+    let events = sink.events();
+    assert!(events
         .iter()
-        .any(|(_, e)| matches!(e, Event::CorrelationFault { .. })));
+        .any(|e| matches!(e, Event::CorrelationFault { .. })));
     assert_eq!(
-        trace
+        events
             .iter()
-            .filter(|(_, e)| matches!(e, Event::Migration { .. }))
+            .filter(|e| matches!(e, Event::Migration { .. }))
             .count(),
         2
     );
 }
 
-/// A test-local sink recording every protocol event it is handed.
-#[derive(Debug, Clone, Default)]
-struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<acorr_dsm::trace::Event>>>);
-
-impl acorr_dsm::trace::EventSink for Recorder {
-    fn record_event(&mut self, _at: acorr_sim::SimTime, event: &acorr_dsm::trace::Event) {
-        self.0.lock().unwrap().push(*event);
-    }
-}
-
 #[test]
-fn an_attached_sink_alone_gets_balanced_spans_and_the_trace_ring_none() {
-    use acorr_dsm::trace::Event;
+fn an_attached_sink_gets_balanced_spans() {
     // A locked write on node 0 read after the barrier on node 1: twins,
     // diffs, a fetch with its apply, a lock grant and barrier closes.
-    let run = |tracing: bool| {
-        let l = LockId(0);
-        let scripts = vec![vec![
-            vec![Op::Lock(l), Op::write(0, 64), Op::Unlock(l), Op::Barrier],
-            vec![Op::Barrier, Op::read(0, 64)],
-        ]];
-        let mut dsm = dsm_for(2, Scripted::new(1, scripts).with_locks(1));
-        let sink = Recorder::default();
-        dsm.attach_sink(Box::new(sink.clone()));
-        if tracing {
-            dsm.enable_tracing(4096);
-        }
-        dsm.run_iterations(2).unwrap();
-        let events = sink.0.lock().unwrap().clone();
-        (events, dsm.take_trace())
-    };
-    let (events, _) = run(false);
+    let l = LockId(0);
+    let scripts = vec![vec![
+        vec![Op::Lock(l), Op::write(0, 64), Op::Unlock(l), Op::Barrier],
+        vec![Op::Barrier, Op::read(0, 64)],
+    ]];
+    let mut dsm = dsm_for(2, Scripted::new(1, scripts).with_locks(1));
+    let sink = Recorder::attach(&mut dsm);
+    dsm.run_iterations(2).unwrap();
+    let events = sink.events();
     let mut open = std::collections::BTreeMap::new();
     for event in &events {
         match *event {
@@ -802,11 +788,6 @@ fn an_attached_sink_alone_gets_balanced_spans_and_the_trace_ring_none() {
     }
     assert!(open.is_empty(), "unclosed spans: {open:?}");
     assert!(events.iter().any(|e| matches!(e, Event::SpanEnd { .. })));
-    // With the ring on too, it keeps the protocol events and no span.
-    let trace = run(true).1.unwrap();
-    assert!(!trace.is_empty());
-    let span = |e: &Event| matches!(e, Event::SpanBegin { .. } | Event::SpanEnd { .. });
-    assert!(!trace.iter().any(|(_, e)| span(e)));
 }
 
 #[test]

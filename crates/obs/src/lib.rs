@@ -1,8 +1,9 @@
 //! # acorr-obs — structured observability for the DSM reproduction
 //!
 //! Turns the engine's protocol event stream into inspectable artifacts
-//! without perturbing the simulation. Built on the [`EventSink`] hook in
-//! `acorr-dsm`, this crate provides:
+//! without perturbing the simulation. Built on the
+//! [`EventSink`](acorr_dsm::trace::EventSink) hook in `acorr-dsm`, this
+//! crate provides:
 //!
 //! * **Sinks** — a JSONL structured log, a Chrome/Perfetto `trace_event`
 //!   exporter (one track per node, a control lane, latency slices and a
@@ -55,16 +56,8 @@ pub use manifest::{bytes_digest, fnv1a, git_describe, stats_digest, RunManifest}
 pub use sinks::{MultiSink, ObsHandle, Observation};
 pub use spans::SpanTotals;
 
-use acorr_dsm::trace::EventSink;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Builds a boxed composite sink (ready for `Dsm::attach_sink`) and its
-/// collection handle for a cluster of `nodes` nodes.
-pub fn observer(nodes: usize) -> (Box<dyn EventSink>, ObsHandle) {
-    let (sink, handle) = MultiSink::new(nodes);
-    (Box::new(sink), handle)
-}
 
 impl Observation {
     /// Writes the four artifacts into `dir` (created if needed) under
@@ -94,22 +87,13 @@ impl Observation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acorr_dsm::trace::Event;
+    use acorr_dsm::trace::{Event, EventSink};
     use acorr_sim::SimTime;
-
-    #[test]
-    fn observer_builds_boxed_sink() {
-        let (mut sink, handle) = observer(2);
-        sink.record_event(SimTime::ZERO, &Event::BarrierRelease { index: 0 });
-        let obs = handle.finish();
-        assert_eq!(obs.events_jsonl.lines().count(), 1);
-        assert!(obs.chrome_trace.contains("\"barrier_release\""));
-    }
 
     #[test]
     fn write_to_emits_standard_names() {
         let dir = std::env::temp_dir().join(format!("acorr-obs-test-{}", std::process::id()));
-        let (mut sink, handle) = observer(1);
+        let (mut sink, handle) = MultiSink::new(1);
         sink.record_event(SimTime::ZERO, &Event::BarrierRelease { index: 0 });
         let obs = handle.finish();
         let written = obs.write_to(&dir).unwrap();

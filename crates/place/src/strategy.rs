@@ -37,19 +37,30 @@ impl Strategy {
         Strategy::Anneal,
         Strategy::Optimal,
     ];
+
+    /// The CLI and report name (`stretch`, `random`, `random-min2`,
+    /// `min-cost`, `jarvis-patrick`, `anneal`, `optimal`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Strategy::Stretch => "stretch",
+            Strategy::RandomBalanced => "random",
+            Strategy::RandomMinTwo => "random-min2",
+            Strategy::MinCost => "min-cost",
+            Strategy::JarvisPatrick => "jarvis-patrick",
+            Strategy::Anneal => "anneal",
+            Strategy::Optimal => "optimal",
+        }
+    }
+
+    /// Parses a CLI name back into a strategy.
+    pub fn parse(name: &str) -> Option<Strategy> {
+        Strategy::ALL.into_iter().find(|s| s.name() == name)
+    }
 }
 
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Strategy::Stretch => write!(f, "stretch"),
-            Strategy::RandomBalanced => write!(f, "random"),
-            Strategy::RandomMinTwo => write!(f, "random-min2"),
-            Strategy::MinCost => write!(f, "min-cost"),
-            Strategy::JarvisPatrick => write!(f, "jarvis-patrick"),
-            Strategy::Anneal => write!(f, "anneal"),
-            Strategy::Optimal => write!(f, "optimal"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -115,5 +126,14 @@ mod tests {
         assert_eq!(Strategy::MinCost.to_string(), "min-cost");
         assert_eq!(Strategy::Stretch.to_string(), "stretch");
         assert_eq!(Strategy::ALL.len(), 7);
+    }
+
+    #[test]
+    fn every_strategy_round_trips_through_its_name() {
+        for s in Strategy::ALL {
+            assert_eq!(Strategy::parse(s.name()), Some(s), "{s}");
+            assert_eq!(s.to_string(), s.name());
+        }
+        assert_eq!(Strategy::parse("magic"), None);
     }
 }

@@ -24,8 +24,8 @@
 //! * [`structure`] — machine classification of a map's dominant sharing
 //!   structure (nearest-neighbor / blocked / all-to-all) with a node-size
 //!   advisor, mechanizing §3's by-eye judgement.
-//! * [`pages`] — per-page sharer counts, hot-page ranking and histograms:
-//!   the page-level complement to the thread-pair view.
+//! * [`pages`] — per-page sharer counts and the hot-page ranking: the
+//!   page-level complement to the thread-pair view.
 //!
 //! ```
 //! use acorr_mem::{AccessMatrix, PageId};
@@ -59,9 +59,7 @@ pub use aging::AgedCorrelation;
 pub use correlation::CorrelationMatrix;
 pub use cut::{cut_cost, internal_cost, pair_is_cut};
 pub use map::{render_ascii, render_csv, render_pgm, render_svg, MapStyle};
-pub use pages::{
-    hottest_pages, page_report, page_sharers, sharer_histogram, sharers_of, PageReport, PageSharers,
-};
+pub use pages::{hottest_pages, page_report, page_sharers, PageReport, PageSharers};
 pub use phases::{PhaseDetector, PhaseShiftMark};
 pub use sharing::{node_page_unions, sharing_degree};
 pub use structure::{compatible_node_sizes, profile_map, MapProfile, Structure};

@@ -2,11 +2,11 @@
 //!
 //! Thread correlations aggregate away *which* pages carry the sharing; this
 //! module keeps them. From an [`AccessMatrix`] it derives per-page sharer
-//! counts, the hot-page ranking (the pages that will ping-pong hardest if
-//! their sharers are separated), and a sharer histogram — the page-level
-//! complement to §1's thread-pair view, useful both for tuning (move the
-//! one hot structure) and for validating the cut-cost model (most pages
-//! should have few sharers).
+//! counts and the hot-page ranking (the pages that will ping-pong hardest
+//! if their sharers are separated) — the page-level complement to §1's
+//! thread-pair view, useful both for tuning (move the one hot structure)
+//! and for validating the cut-cost model (most pages should have few
+//! sharers).
 
 use acorr_mem::AccessMatrix;
 use acorr_mem::PageId;
@@ -47,26 +47,6 @@ pub fn hottest_pages(access: &AccessMatrix, k: usize) -> Vec<PageSharers> {
     all.sort_by(|a, b| b.sharers.cmp(&a.sharers).then(a.page.cmp(&b.page)));
     all.truncate(k);
     all
-}
-
-/// The threads that touch `page`, ascending.
-pub fn sharers_of(access: &AccessMatrix, page: PageId) -> Vec<usize> {
-    (0..access.num_threads())
-        .filter(|&t| access.observed(t, page))
-        .collect()
-}
-
-/// Histogram of sharer counts: `histogram[s]` = number of pages touched by
-/// exactly `s` threads (index 0 counts untouched pages).
-pub fn sharer_histogram(access: &AccessMatrix) -> Vec<usize> {
-    let mut hist = vec![0usize; access.num_threads() + 1];
-    let mut touched = 0usize;
-    for entry in page_sharers(access) {
-        hist[entry.sharers] += 1;
-        touched += 1;
-    }
-    hist[0] = access.num_pages() - touched;
-    hist
 }
 
 /// A compact textual report of the sharing distribution.
@@ -165,21 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn sharers_of_lists_threads() {
-        let m = sample();
-        assert_eq!(sharers_of(&m, PageId(0)), vec![0, 1, 2, 3]);
-        assert_eq!(sharers_of(&m, PageId(1)), vec![0, 1]);
-        assert_eq!(sharers_of(&m, PageId(7)), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn histogram_accounts_for_every_page() {
-        let hist = sharer_histogram(&sample());
-        assert_eq!(hist, vec![5, 1, 1, 0, 1]);
-        assert_eq!(hist.iter().sum::<usize>(), 8);
-    }
-
-    #[test]
     fn report_summarizes() {
         let report = page_report(&sample(), 1);
         assert_eq!(report.touched_pages, 3);
@@ -197,6 +162,5 @@ mod tests {
         assert_eq!(report.touched_pages, 0);
         assert_eq!(report.mean_sharers, 0.0);
         assert!(report.hottest.is_empty());
-        assert_eq!(sharer_histogram(&AccessMatrix::new(2, 4)), vec![4, 0, 0]);
     }
 }

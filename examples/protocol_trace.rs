@@ -1,17 +1,31 @@
 //! Watching the protocol work: event tracing.
 //!
-//! Enables the bounded protocol trace on a tiny two-node run and prints the
-//! event timeline — write faults creating twins, diffs finalized at the
-//! barrier, the reader's remote miss, the barrier releases. Then switches
-//! the same program to the single-writer protocol and shows the ownership
-//! ping-pong §6 talks about.
+//! Attaches a small event sink to a tiny two-node run and prints the event
+//! timeline — write faults creating twins, diffs finalized at the barrier,
+//! the reader's remote miss, the barrier releases. Then switches the same
+//! program to the single-writer protocol and shows the ownership ping-pong
+//! §6 talks about.
 //!
 //! Run with: `cargo run --release --example protocol_trace`
 
 use active_correlation_tracking::dsm::{
-    trace::Event, Dsm, DsmConfig, DsmError, Op, Program, WriteMode,
+    Dsm, DsmConfig, DsmError, Event, EventSink, Op, Program, WriteMode,
 };
-use active_correlation_tracking::sim::{ClusterConfig, Mapping, SimDuration};
+use active_correlation_tracking::sim::{ClusterConfig, Mapping, SimDuration, SimTime};
+use std::sync::{Arc, Mutex};
+
+/// Keeps every protocol event the engine hands it, skipping the profiling
+/// spans.
+#[derive(Debug, Clone, Default)]
+struct Timeline(Arc<Mutex<Vec<(SimTime, Event)>>>);
+
+impl EventSink for Timeline {
+    fn record_event(&mut self, at: SimTime, event: &Event) {
+        if !matches!(event, Event::SpanBegin { .. } | Event::SpanEnd { .. }) {
+            self.0.lock().unwrap().push((at, *event));
+        }
+    }
+}
 
 /// Two threads on two nodes, taking turns with one shared page.
 #[derive(Clone)]
@@ -43,15 +57,19 @@ fn run_with(mode: WriteMode) -> Result<(), DsmError> {
         PingPong,
         Mapping::stretch(&cluster),
     )?;
-    dsm.enable_tracing(64);
+    let timeline = Timeline::default();
+    dsm.attach_sink(Box::new(timeline.clone()));
     dsm.run_iterations(2)?;
-    let trace = dsm.take_trace().expect("tracing was enabled");
-    println!("{}", trace.render());
-    let transfers = trace
+    let events = timeline.0.lock().unwrap();
+    for (at, event) in events.iter() {
+        println!("{at}  {event}");
+    }
+    println!();
+    let transfers = events
         .iter()
         .filter(|(_, e)| matches!(e, Event::OwnershipTransfer { .. }))
         .count();
-    let diffs = trace
+    let diffs = events
         .iter()
         .filter(|(_, e)| matches!(e, Event::DiffCreated { .. }))
         .count();

@@ -1,11 +1,19 @@
 #!/usr/bin/env sh
-# The full PR gate, identical to .github/workflows/ci.yml — run before
-# pushing. Zero external dependencies, so it works offline. The build and
-# test steps are the tier-1 command; `default-members` in the workspace
-# Cargo.toml makes them cover every crate.
+# The full PR gate — run before pushing; CI's `verify` job runs this script.
+# Zero external dependencies, so it works offline. The build and test steps
+# are the tier-1 command; `default-members` in the workspace Cargo.toml
+# makes them cover every crate.
+#
+# The smokes keep their files under target/verify/: cleared when the script
+# starts and left in place when it ends, so a failed step can be read
+# afterwards (CI uploads the trace analysis, the model-check logs and the
+# serve timeline from there).
 set -eu
 
 cd "$(dirname "$0")/.."
+scratch=target/verify
+rm -rf "$scratch"
+mkdir -p "$scratch"
 
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
@@ -31,7 +39,7 @@ for src in examples/*.rs; do
 done
 
 echo "==> observability smoke (run --obs-dir + analyze + manifest replay + foreign thread)"
-obs_dir="$(mktemp -d)"
+obs_dir="$scratch/obs"
 ./target/release/acorr run --app SOR --threads 8 --nodes 2 \
     --iters 2 --faults moderate --obs-dir "$obs_dir"
 ./target/release/acorr analyze --obs-dir "$obs_dir"
@@ -51,10 +59,10 @@ cat "$obs_dir.foreign.err"
 [ "$status" -eq 1 ] &&
     grep -q "^error: .*line [0-9]*: thread 3000000 " "$obs_dir.foreign.err" || {
     echo "error: analyze on a foreign-thread bundle exited $status" >&2; exit 1; }
-rm -rf "$obs_dir" "$obs_dir.foreign" "$obs_dir.foreign.err"
 
 echo "==> model-check smoke (bounded fault x schedule sweep + seeded bug)"
-mc_dir="$(mktemp -d)"
+mc_dir="$scratch/model-check"
+mkdir -p "$mc_dir"
 # Clean sweep: two apps through the bounded fault x schedule space.
 for app in sor water; do
     ./target/release/acorr explore --app "$app" --threads 8 --nodes 2 \
@@ -66,7 +74,6 @@ done
     --mode model-check --budget 8 --inject lose-partitioned-invalidations \
     --decision-log "$mc_dir/injected.log"
 grep -q "^failure_token=s1!1$" "$mc_dir/injected.log"
-rm -rf "$mc_dir"
 
 echo "==> scale smoke (100k- and 1M-thread and 65535-node multilevel placement, pinned digests, bad shape rejected)"
 # The assignment digest and cut are pure functions of (threads, nodes,
@@ -105,19 +112,19 @@ echo "$scale_out" | grep -q "digest: fnv1a:4c2bd704988b7717" &&
 }
 # More nodes than 16-bit node ids can name is an error line and exit 1,
 # not a panic; the timeout catches a run that starts anyway.
-scale_err="$(mktemp)"
+scale_err="$scratch/scale-shape.err"
 status=0
 timeout 10 ./target/release/acorr place --scale 70000x70000 2> "$scale_err" || status=$?
 cat "$scale_err"
 [ "$status" -eq 1 ] && grep -q "^error:" "$scale_err" || {
     echo "error: place --scale 70000x70000 exited $status" >&2; exit 1; }
-rm -f "$scale_err"
 
 echo "==> serve smoke (online placement service, pinned timelines at 64 and 100k threads)"
 # The hotspot decision timeline is a pure function of (seed, scenario,
 # jobs) — the digest grep trips on any drift in the traffic driver, the
 # phase detector, the candidate placement, or the migration gate.
-serve_dir="$(mktemp -d)"
+serve_dir="$scratch/serve"
+mkdir -p "$serve_dir"
 serve_out="$(./target/release/acorr serve --scenario hotspot --steps 48 \
     --timeline "$serve_dir/timeline.txt")"
 echo "$serve_out" | grep -q "timeline digest: fnv1a:f2e8753835019d00" || {
@@ -127,7 +134,6 @@ echo "$serve_out" | grep -q "timeline digest: fnv1a:f2e8753835019d00" || {
     cat "$serve_dir/timeline.txt" >&2
     exit 1
 }
-rm -rf "$serve_dir"
 # The 100k-thread churn run exercises what the hotspot smoke does not: the
 # sparse stores at serve scale and the multilevel candidate. Both digests
 # are pure functions of the same inputs; the timeout only catches a
@@ -156,7 +162,8 @@ echo "==> adaptive smoke (§7 policy studies: pinned stdout at 1 and 2 workers, 
 # Each study runs its policies side by side on the pool, so stdout must be
 # the pinned capture byte for byte at every worker count. Zero iterations
 # must be a flag error; the timeout catches a hang.
-adaptive_dir="$(mktemp -d)"
+adaptive_dir="$scratch/adaptive"
+mkdir -p "$adaptive_dir"
 for workers in 1 2; do
     ./target/release/adaptive --threads "$workers" > "$adaptive_dir/out.txt"
     diff results/adaptive.txt "$adaptive_dir/out.txt" || {
@@ -169,7 +176,6 @@ timeout 10 ./target/release/adaptive --phases 0 2> "$adaptive_dir/err.txt" || st
 cat "$adaptive_dir/err.txt"
 [ "$status" -eq 2 ] && grep -q "^error:" "$adaptive_dir/err.txt" || {
     echo "error: adaptive --phases 0 exited $status" >&2; exit 1; }
-rm -rf "$adaptive_dir"
 
 echo "==> benchmark smoke (paper-64x8 study digests, built through the benchmark's own manifest)"
 # The only check of the 11 paper-64x8 study digests (adaptive_study over
