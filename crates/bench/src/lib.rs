@@ -47,8 +47,13 @@ fn tool_name() -> String {
 /// read-only checkout still prints its tables; only the on-disk copy is
 /// lost.
 pub fn write_artifact(name: &str, contents: &str) {
-    let path = Path::new("results").join(name);
-    let manifest_path = Path::new("results/manifests").join(format!("{name}.json"));
+    write_artifact_under(Path::new("results"), name, contents);
+}
+
+/// [`write_artifact`] under `root` instead of `results/`.
+fn write_artifact_under(root: &Path, name: &str, contents: &str) {
+    let path = root.join(name);
+    let manifest_path = root.join("manifests").join(format!("{name}.json"));
     let manifest = acorr::obs::RunManifest::new(&tool_name())
         .param("artifact", name)
         .param("bytes", &contents.len().to_string())
@@ -263,14 +268,22 @@ mod tests {
         assert!(one.contains('.'));
     }
 
-    /// Reads back `name`'s artifact and manifest, checks them against
-    /// `contents`, and removes both.
-    fn check_and_remove_artifact(name: &str, contents: &str) {
-        let artifact = Path::new("results").join(name);
-        let manifest_path = Path::new("results/manifests").join(format!("{name}.json"));
-        assert_eq!(std::fs::read_to_string(&artifact).unwrap(), contents);
+    /// A fresh directory of the test's own under the system temp dir, so
+    /// the tests neither race each other nor write into the source tree.
+    fn scratch_root(test: &str) -> std::path::PathBuf {
+        let root = std::env::temp_dir().join(format!("acorr-bench-{test}-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        root
+    }
 
-        let manifest_json = std::fs::read_to_string(&manifest_path).unwrap();
+    /// Reads back `name`'s artifact and manifest under `root` and checks
+    /// them against `contents`.
+    fn check_artifact(root: &Path, name: &str, contents: &str) {
+        let artifact = root.join(name);
+        let manifest_path = root.join("manifests").join(format!("{name}.json"));
+        assert_eq!(std::fs::read_to_string(artifact).unwrap(), contents);
+
+        let manifest_json = std::fs::read_to_string(manifest_path).unwrap();
         let manifest = acorr::obs::RunManifest::from_json(&manifest_json).unwrap();
         assert_eq!(manifest.get("artifact"), Some(name));
         assert_eq!(
@@ -281,29 +294,27 @@ mod tests {
             manifest.digest,
             acorr::obs::bytes_digest(contents.as_bytes())
         );
-
-        std::fs::remove_file(artifact).unwrap();
-        std::fs::remove_file(manifest_path).unwrap();
     }
 
     #[test]
     fn write_artifact_emits_a_companion_manifest() {
+        let root = scratch_root("manifest");
         let name = "test-artifact-manifest.txt";
         let contents = "hello, results\n";
-        write_artifact(name, contents);
-        check_and_remove_artifact(name, contents);
+        write_artifact_under(&root, name, contents);
+        check_artifact(&root, name, contents);
+        std::fs::remove_dir_all(root).unwrap();
     }
 
     #[test]
     fn a_nested_artifact_gets_its_directories_and_a_nested_manifest() {
+        let root = scratch_root("nested");
         let contents = "P2\n1 1\n255\n0\n";
-        write_artifact("maps/x.pgm", contents);
-        assert!(Path::new("results/maps/x.pgm").is_file());
-        assert!(Path::new("results/manifests/maps/x.pgm.json").is_file());
-        check_and_remove_artifact("maps/x.pgm", contents);
-        // Leave no empty directory behind; one still in use stays.
-        std::fs::remove_dir("results/maps").ok();
-        std::fs::remove_dir("results/manifests/maps").ok();
+        write_artifact_under(&root, "maps/x.pgm", contents);
+        assert!(root.join("maps/x.pgm").is_file());
+        assert!(root.join("manifests/maps/x.pgm.json").is_file());
+        check_artifact(&root, "maps/x.pgm", contents);
+        std::fs::remove_dir_all(root).unwrap();
     }
 
     #[test]

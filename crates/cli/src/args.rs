@@ -11,13 +11,22 @@ pub struct Args {
 
 impl Args {
     /// Parses `argv` (without the program name): first token is the
-    /// subcommand, the rest alternate `--key value`.
+    /// subcommand, the rest alternate `--key value`. A `--help` or `-h`
+    /// token in any position makes the command `help`, whatever else the
+    /// line holds.
     ///
     /// # Errors
     ///
     /// Rejects missing subcommands, non-`--` tokens in option position, and
     /// flags without values.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
+        let argv: Vec<String> = argv.into_iter().collect();
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            return Ok(Args {
+                command: "help".to_owned(),
+                options: BTreeMap::new(),
+            });
+        }
         let mut iter = argv.into_iter();
         let command = iter.next().ok_or("missing subcommand")?;
         if command.starts_with("--") {

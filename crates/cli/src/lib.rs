@@ -58,7 +58,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         "explore" => explore(args),
         "hot" => hot(args),
         "verify" => verify(args),
-        "help" | "--help" => Ok(usage()),
+        "help" => Ok(usage()),
         other => Err(format!("unknown command `{other}`\n\n{}", usage())),
     }
 }

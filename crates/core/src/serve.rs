@@ -16,8 +16,14 @@
 //! decision lane). The loop is a pure function of `(seed, scenario,
 //! jobs)`: traffic generation runs tenants in parallel and collects them
 //! in order, and a step's two cut sums run on a second worker beside the
-//! detector's window fold, reading the step's store only. So the timeline
-//! and final mapping are bit-identical at any worker count.
+//! detector's window fold, reading the step's pair list only. So the
+//! timeline and final mapping are bit-identical at any worker count.
+//!
+//! A traffic step stays a pair list (`(a, b, weight)`, `a < b`, ascending)
+//! unless it needs rows: the detector and the two cut sums walk the list
+//! in place, and only a step where the detector fires builds a
+//! [`CorrelationMatrix`] from it, for the candidate, the plan and the
+//! gate. On static traffic no step does.
 //!
 //! [`Workbench::serve_app`] runs the same decision core against a live
 //! DSM engine instead of synthetic traffic, re-mapping threads through
@@ -33,7 +39,7 @@ use acorr_place::{
 use acorr_sim::{
     par_join, ClusterConfig, Mapping, Scenario, SimTime, TrafficConfig, TrafficDriver,
 };
-use acorr_track::{cut_cost, CorrelationMatrix, PhaseDetector, PhaseShiftMark};
+use acorr_track::{cut_cost, pairs_cut_cost, CorrelationMatrix, PhaseDetector, PhaseShiftMark};
 use std::fmt;
 
 /// Knobs of one service run.
@@ -356,15 +362,17 @@ impl Workbench {
         let mut report = ReportBuilder::new(options, handle);
         for step in 0..options.steps as u64 {
             let edges = traffic.step_edges(step, self.threads);
-            let corr = CorrelationMatrix::from_edges(threads, edges);
             // Cut is charged before the step's verdict applies, so an
             // accepted re-map pays off from the next step on. The two sums
-            // only read the step's store, so the second worker takes them
-            // while the detector folds.
+            // only read the step's pair list, so the second worker takes
+            // them while the detector folds the same list.
             let (fired, (served, fixed)) = par_join(
                 self.threads,
-                || detector.observe(&corr),
-                || (cut_cost(&corr, &current), cut_cost(&corr, &initial)),
+                || detector.observe_pairs(&edges),
+                || {
+                    let cut = |mapping| pairs_cut_cost(&edges, mapping);
+                    (cut(&current), cut(&initial))
+                },
             );
             report.served_cut += served;
             report.static_cut += fixed;
@@ -373,6 +381,9 @@ impl Workbench {
                 continue;
             };
             report.shift(step, mark, at);
+            // Only a firing step needs a store: candidate, plan and gate
+            // read its rows.
+            let corr = CorrelationMatrix::from_edges(threads, edges);
             let verdict = evaluate_remap(options, &self.cluster, &corr, &current);
             report.remap(step, &verdict, at, &current);
             if verdict.accepted {

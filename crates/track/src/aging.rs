@@ -17,13 +17,18 @@
 //! resembling it. The firing decision on top of that (threshold and
 //! hysteresis) is [`PhaseDetector`](crate::PhaseDetector).
 //!
-//! The store keeps the flat CSR rows of [`CorrelationMatrix`] with `f64`
-//! values. Per pair, every fold applies `val·decay + round`; pairs absent
-//! from both sides are exact zeros under that recurrence, so dropping them
-//! is lossless, and an edge only leaves the rows when decay underflows it
-//! to exactly `0.0`.
+//! The baseline holds each pair once, as one pair list (see
+//! [`correlation`](crate::correlation)) with `f64` values, beside a dense
+//! diagonal that stays unallocated until a round brings a non-zero one.
+//! Per pair, every fold applies `val·decay + round`; pairs absent from
+//! both sides are exact zeros under that recurrence, so dropping them is
+//! lossless, and a pair only leaves the list when decay underflows it to
+//! exactly `0.0`. A fold is one merge of three ascending streams: the
+//! baseline, the detector's open window and the window's last round.
+//! [`snapshot`](AgedCorrelation::snapshot) mirrors the list once into the
+//! [`CorrelationMatrix`] the placement heuristics read.
 
-use crate::correlation::{for_each_union, CorrelationMatrix, Rows};
+use crate::correlation::{canonical_pairs, coalesce, union_pairs, CorrelationMatrix, Pair};
 use std::fmt;
 
 /// The divergence of two stores from their summed absolute off-diagonal
@@ -58,8 +63,11 @@ pub struct AgedCorrelation {
     /// The snapshot normalizer `Σ decay^r` over the rounds folded so far,
     /// kept running so a close costs no pass over the round count.
     weight: f64,
+    /// Each thread's aged own-page value; empty while every one is zero,
+    /// as in a detector's baseline, whose rounds carry no diagonal.
     diag: Vec<f64>,
-    rows: Rows<f64>,
+    /// Each non-zero pair once, ascending by `(a, b)` with `a < b`.
+    pairs: Vec<(u32, u32, f64)>,
 }
 
 impl AgedCorrelation {
@@ -80,8 +88,8 @@ impl AgedCorrelation {
             decay,
             rounds: 0,
             weight: 0.0,
-            diag: vec![0.0; n],
-            rows: Rows::empty(n),
+            diag: Vec::new(),
+            pairs: Vec::new(),
         }
     }
 
@@ -103,15 +111,17 @@ impl AgedCorrelation {
     pub fn get(&self, a: usize, b: usize) -> f64 {
         assert!(a < self.n && b < self.n, "index out of range");
         if a == b {
-            self.diag[a]
-        } else {
-            self.rows.find(a, b).unwrap_or(0.0)
+            return self.diag.get(a).copied().unwrap_or(0.0);
         }
+        let key = (a.min(b) as u32, a.max(b) as u32);
+        self.pairs
+            .binary_search_by_key(&key, |&(p, q, _)| (p, q))
+            .map_or(0.0, |i| self.pairs[i].2)
     }
 
     /// Number of pairs currently held.
     pub fn edge_count(&self) -> usize {
-        self.rows.pairs()
+        self.pairs.len()
     }
 
     /// The factor that normalizes aged values by the geometric-series
@@ -125,13 +135,19 @@ impl AgedCorrelation {
         }
     }
 
-    /// Folds in a new tracking round.
+    /// Folds in a new tracking round, streaming the store's pairs, and
+    /// returns the round's divergence from the baseline before the fold,
+    /// as [`fold_window`](AgedCorrelation::fold_window) does for a window
+    /// of this one round.
     ///
     /// # Panics
     ///
     /// Panics if the matrix covers a different thread count.
-    pub fn observe(&mut self, round: &CorrelationMatrix) {
-        self.fold_window(None, round);
+    pub fn observe(&mut self, round: &CorrelationMatrix) -> f64 {
+        assert_eq!(round.num_threads(), self.n, "thread counts differ");
+        let delta = self.fold(&[], round.edges());
+        self.add_diagonal(round.diag.iter().enumerate().map(|(t, &w)| (t, w)));
+        delta
     }
 
     /// Rounds the aged values into an integer [`CorrelationMatrix`] usable
@@ -139,96 +155,113 @@ impl AgedCorrelation {
     /// rounded, with pairs that round to zero dropped.
     pub fn snapshot(&self) -> CorrelationMatrix {
         let scale = self.scale();
-        let round = |v: f64| (v * scale).round() as u64;
-        let diag = self.diag.iter().map(|&d| round(d)).collect();
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut entries = Vec::with_capacity(self.rows.entries.len());
-        offsets.push(0);
-        for row in self.rows.iter() {
-            let rounded = row.iter().map(|&(u, v)| (u, round(v)));
-            entries.extend(rounded.filter(|e| e.1 != 0));
-            offsets.push(entries.len());
-        }
-        CorrelationMatrix::from_rows(diag, Rows { offsets, entries })
+        let round = move |v: f64| (v * scale).round() as u64;
+        let diag = match self.diag.as_slice() {
+            [] => vec![0; self.n],
+            diag => diag.iter().map(|&d| round(d)).collect(),
+        };
+        let pairs = self.pairs.iter().map(move |&(a, b, v)| (a, b, round(v)));
+        CorrelationMatrix::from_pairs(diag, pairs.filter(|p| p.2 != 0))
     }
 
-    /// Closes a detector window in one pass: the window is `open + last`
-    /// (`last` alone without `open`). Returns the normalized divergence of
-    /// the rounded [`snapshot`](AgedCorrelation::snapshot) before the fold
-    /// from the window, then folds the window in as one round:
+    /// Closes a detector window given as pair lists: the window is
+    /// `open + last`. Returns the normalized divergence of the rounded
+    /// [`snapshot`](AgedCorrelation::snapshot) before the fold from the
+    /// window, then folds the window in as one round.
+    ///
+    /// Each list may be any list [`CorrelationMatrix::from_edges`] takes:
+    /// one that is not already canonical (ascending by `(a, b)` with
+    /// `a < b`, one entry per pair, no zero values) is normalized as
+    /// `from_edges` normalizes it, self-pairs going to the diagonal. So
+    /// the result is the one the stores `from_edges` builds would give.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range.
+    pub fn fold_window(&mut self, open: &[(u32, u32, u64)], last: &[(u32, u32, u64)]) -> f64 {
+        let n = self.n;
+        let delta = self.fold(
+            &canonical_pairs(n, open),
+            canonical_pairs(n, last).iter().copied(),
+        );
+        // The self-pairs' values sum per thread before the one `f64` add,
+        // as `from_edges` sums them onto its diagonal.
+        let own: Vec<Pair> = open
+            .iter()
+            .chain(last)
+            .filter(|p| p.0 == p.1)
+            .copied()
+            .collect();
+        self.add_diagonal(coalesce(own).into_iter().map(|(t, _, w)| (t as usize, w)));
+        delta
+    }
+
+    /// [`fold_window`](AgedCorrelation::fold_window) over canonical pair
+    /// lists, in one merge of the baseline with the window's two parts.
+    /// Decays the diagonal, which the caller then adds the window's
+    /// diagonal to, if it has one:
     ///
     /// * the snapshot rounds `val / Σ decay^r` per pair, and the diff and
-    ///   mass sums are `u64`, so summing them during the walk gives what
+    ///   mass sums are `u64`, so summing them during the merge gives what
     ///   taking the snapshot first would;
     /// * the fold writes `val·decay + (open + last)` per pair, with the
     ///   `u64` add done first, as merging the rounds would. Pairs the
     ///   decay underflows to exactly `0.0` are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a round covers a different thread count.
-    pub fn fold_window(
-        &mut self,
-        open: Option<&CorrelationMatrix>,
-        last: &CorrelationMatrix,
-    ) -> f64 {
-        for round in open.into_iter().chain([last]) {
-            assert_eq!(round.num_threads(), self.n, "thread counts differ");
-        }
+    pub(crate) fn fold(&mut self, open: &[Pair], last: impl Iterator<Item = Pair>) -> f64 {
         let decay = self.decay;
         let scale = self.scale();
-        for (t, d) in self.diag.iter_mut().enumerate() {
-            let w = last.diag[t] + open.map_or(0, |o| o.diag[t]);
-            *d = *d * decay + w as f64;
-        }
+        self.diag.iter_mut().for_each(|d| *d *= decay);
         let (mut diff, mut mass) = (0u64, 0u64);
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut entries = Vec::with_capacity(self.rows.entries.len().max(last.rows.entries.len()));
-        offsets.push(0);
-        let mut open_rows = open.into_iter().flat_map(|o| o.rows.iter());
-        for (t, (aged, last_row)) in self.rows.iter().zip(last.rows.iter()).enumerate() {
-            // One pair: `val` is its aged value (0.0 when absent), `w` its
-            // window value. Each pair is summed once, from its lower row.
-            let mut fold = |u: u32, val: f64, w: u64| {
-                if u as usize > t {
-                    let snap = (val * scale).round() as u64;
-                    diff += snap.abs_diff(w);
-                    mass += snap + w;
-                }
-                let next = val * decay + w as f64;
-                if next != 0.0 {
-                    entries.push((u, next));
-                }
-            };
-            // The window row streams out of the open/last union in partner
-            // order; aged partners below each window partner go first.
-            let mut i = 0;
-            let open_row = open_rows.next().unwrap_or(&[]);
-            for_each_union(open_row, last_row, |u, o, l| {
-                while let Some(&(p, val)) = aged.get(i).filter(|e| e.0 < u) {
-                    fold(p, val, 0);
-                    i += 1;
-                }
-                let val = match aged.get(i) {
-                    Some(&(p, val)) if p == u => {
-                        i += 1;
-                        val
-                    }
-                    _ => 0.0,
-                };
-                fold(u, val, o.unwrap_or(0) + l.unwrap_or(0));
-            });
-            for &(p, val) in &aged[i..] {
-                fold(p, val, 0);
+        let aged = std::mem::take(&mut self.pairs);
+        let mut next = Vec::with_capacity(aged.len().max(open.len()));
+        // One pair: `val` is its aged value (0.0 when absent), `w` its
+        // window value.
+        let mut fold = |a: u32, b: u32, val: f64, w: u64| {
+            let snap = (val * scale).round() as u64;
+            diff += snap.abs_diff(w);
+            mass += snap + w;
+            let v = val * decay + w as f64;
+            if v != 0.0 {
+                next.push((a, b, v));
             }
-            offsets.push(entries.len());
+        };
+        // The window streams out of the open/last union in pair order;
+        // aged pairs below each window pair go first.
+        let mut i = 0;
+        for (a, b, w) in union_pairs(open.iter().copied(), last) {
+            while let Some(&(p, q, val)) = aged.get(i).filter(|e| (e.0, e.1) < (a, b)) {
+                fold(p, q, val, 0);
+                i += 1;
+            }
+            let val = match aged.get(i) {
+                Some(&(p, q, val)) if (p, q) == (a, b) => {
+                    i += 1;
+                    val
+                }
+                _ => 0.0,
+            };
+            fold(a, b, val, w);
         }
-        self.rows = Rows { offsets, entries };
+        for &(p, q, val) in &aged[i..] {
+            fold(p, q, val, 0);
+        }
+        self.pairs = next;
         // The same terms in the same order as summing from round 0, with
         // the exponent saturated instead of wrapping past `i32::MAX`.
         self.weight += decay.powi(self.rounds.min(i32::MAX as usize) as i32);
         self.rounds += 1;
         normalized_divergence(diff, mass)
+    }
+
+    /// Adds a folded round's diagonal values `(t, w)` onto the decayed
+    /// diagonal, allocating it at the first non-zero one.
+    fn add_diagonal(&mut self, own: impl Iterator<Item = (usize, u64)>) {
+        for (t, w) in own.filter(|&(_, w)| w != 0) {
+            if self.diag.is_empty() {
+                self.diag = vec![0.0; self.n];
+            }
+            self.diag[t] += w as f64;
+        }
     }
 }
 
@@ -256,8 +289,8 @@ mod tests {
     /// the previous window.
     fn delta(a: &CorrelationMatrix, b: &CorrelationMatrix) -> f64 {
         let mut aged = AgedCorrelation::new(a.num_threads(), 0.0);
-        aged.fold_window(None, a);
-        aged.fold_window(None, b)
+        aged.observe(a);
+        aged.observe(b)
     }
 
     #[test]
@@ -317,11 +350,12 @@ mod tests {
         AgedCorrelation::new(2, 0.5).observe(&CorrelationMatrix::zeros(3));
     }
 
+    /// A pair list has no thread count of its own: an open round from a
+    /// wider store names a thread the baseline does not have.
     #[test]
-    #[should_panic(expected = "thread counts differ")]
+    #[should_panic(expected = "edge endpoint out of range")]
     fn fold_of_a_mismatched_open_round_panics() {
-        let last = CorrelationMatrix::zeros(4);
-        AgedCorrelation::new(4, 0.5).fold_window(Some(&CorrelationMatrix::zeros(3)), &last);
+        AgedCorrelation::new(4, 0.5).fold_window(&[(1, 4, 2)], &[]);
     }
 
     #[test]
@@ -397,10 +431,9 @@ mod tests {
     #[test]
     fn aged_keeps_decayed_edges() {
         let mut aged = AgedCorrelation::new(4, 0.5);
-        aged.fold_window(None, &pair(4, 0, 1, 100));
-        let quiet = CorrelationMatrix::zeros(4);
+        aged.observe(&pair(4, 0, 1, 100));
         for _ in 0..20 {
-            aged.fold_window(Some(&quiet), &quiet);
+            aged.fold_window(&[], &[]);
         }
         assert_eq!(aged.edge_count(), 1, "still decaying, still held");
         assert!(aged.get(0, 1) > 0.0);
@@ -411,21 +444,20 @@ mod tests {
         // Exact-zero drops are lossless: 0.0 is absorbing under the
         // recurrence.
         let mut aged = AgedCorrelation::new(2, 0.0);
-        aged.fold_window(None, &pair(2, 0, 1, 7));
+        aged.observe(&pair(2, 0, 1, 7));
         assert_eq!(aged.edge_count(), 1);
         // decay = 0.0 underflows the edge on the next quiet round.
-        aged.fold_window(None, &CorrelationMatrix::zeros(2));
+        aged.observe(&CorrelationMatrix::zeros(2));
         assert_eq!(aged.edge_count(), 0);
         assert_eq!(aged.get(0, 1), 0.0);
     }
 
     #[test]
     fn running_weight_matches_the_sum_from_round_zero() {
-        let quiet = CorrelationMatrix::zeros(1);
         for decay in [0.0, 0.25, 0.5, 0.9, 0.999] {
             let mut aged = AgedCorrelation::new(1, decay);
             for rounds in 1..=10_000usize {
-                aged.fold_window(None, &quiet);
+                aged.fold_window(&[], &[]);
                 // The sum from round 0, checked where it stays cheap.
                 if rounds <= 100 || rounds % 997 == 0 || rounds == 10_000 {
                     let sum: f64 = (0..rounds).map(|r| decay.powi(r as i32)).sum();
@@ -444,14 +476,14 @@ mod tests {
         // A stable service past 2^31 closes: a wrapping exponent would add
         // 0.5^-(2^31) = inf, the snapshot would read zero and the next
         // close would report a full divergence.
-        let round = pair(2, 0, 1, 10);
+        let round = [(0, 1, 10)];
         let mut aged = AgedCorrelation::new(2, 0.5);
         for _ in 0..64 {
-            aged.fold_window(None, &round);
+            aged.fold_window(&[], &round);
         }
         aged.rounds = i32::MAX as usize + 1;
         for _ in 0..2 {
-            assert_eq!(aged.fold_window(None, &round), 0.0, "no spurious shift");
+            assert_eq!(aged.fold_window(&[], &round), 0.0, "no spurious shift");
             assert!(aged.weight.is_finite());
         }
     }

@@ -20,8 +20,18 @@
 //! Every full walk is in ascending `(a, b)` order, so every consumer sum
 //! and tie-break is reproducible. Element-wise [`set`](CorrelationMatrix::set)
 //! splices the flat arrays in `O(E)`; the constructors build whole rows.
+//!
+//! A round also travels without rows, as a *pair list*: each non-zero
+//! off-diagonal pair once as `(a, b, value)` with `a < b`, ascending by
+//! `(a, b)`. That is what [`TrafficDriver::step_edges`](acorr_sim::TrafficDriver::step_edges)
+//! returns and the order [`for_each_edge`](CorrelationMatrix::for_each_edge)
+//! walks, and what the aged baseline, the phase detector's open window and
+//! [`pairs_cut_cost`](crate::pairs_cut_cost) work on: half the entries of
+//! mirrored rows, and no row index to build.
 
 use acorr_mem::AccessMatrix;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// The largest cell total [`CorrelationMatrix::from_csv`] accepts:
@@ -29,49 +39,112 @@ use std::fmt;
 /// multiplies values by 255. Real page counts are far below it.
 const MAX_CSV_TOTAL: u64 = i64::MAX as u64 / 256;
 
+/// One entry of a pair list: `(a, b, value)`.
+pub(crate) type Pair = (u32, u32, u64);
+
+/// `pairs` as a canonical pair list: ascending by `(a, b)` with `a < b`,
+/// one entry per pair, no zero values. A list already in that form, as
+/// every [`TrafficDriver::step_edges`](acorr_sim::TrafficDriver::step_edges)
+/// list is, comes back borrowed after one checking pass. Any other list is
+/// normalized as [`CorrelationMatrix::from_edges`] normalizes it, into a
+/// sorted copy: `(b, a)` reads as `(a, b)`, duplicates sum and zero values
+/// drop. Self-pairs belong to the diagonal, which a pair list does not
+/// hold, so the copy leaves them out.
+///
+/// # Panics
+///
+/// Panics if an endpoint is `n` or above.
+pub(crate) fn canonical_pairs(n: usize, pairs: &[Pair]) -> Cow<'_, [Pair]> {
+    let mut canonical = true;
+    let mut prev = None;
+    for &(a, b, v) in pairs {
+        assert!((a.max(b) as usize) < n, "edge endpoint out of range");
+        canonical &= a < b && v != 0 && prev < Some((a, b));
+        prev = Some((a, b));
+    }
+    if canonical {
+        return Cow::Borrowed(pairs);
+    }
+    let flipped = pairs
+        .iter()
+        .filter(|&&(a, b, v)| a != b && v != 0)
+        .map(|&(a, b, v)| (a.min(b), a.max(b), v));
+    Cow::Owned(coalesce(flipped.collect()))
+}
+
+/// `pairs` sorted by `(a, b)`, with the values of equal pairs summed into
+/// one entry.
+pub(crate) fn coalesce(mut pairs: Vec<Pair>) -> Vec<Pair> {
+    pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
+    pairs.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += next.2;
+        }
+        same
+    });
+    pairs
+}
+
+/// The summed union of two canonical pair lists, itself canonical: a pair
+/// in both comes out once with the two values added.
+pub(crate) fn union_pairs(
+    a: impl IntoIterator<Item = Pair>,
+    b: impl IntoIterator<Item = Pair>,
+) -> impl Iterator<Item = Pair> {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) => match (x.0, x.1).cmp(&(y.0, y.1)) {
+            Ordering::Less => a.next(),
+            Ordering::Greater => b.next(),
+            Ordering::Equal => {
+                let (p, q, v) = a.next()?;
+                Some((p, q, v + b.next()?.2))
+            }
+        },
+        (Some(_), None) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
 /// Flat CSR rows: row `t` is `entries[offsets[t]..offsets[t + 1]]`, sorted
 /// by partner, one entry per partner, no zero values, and mirrored — `u`
 /// sits in row `t` exactly when `t` sits in row `u`, with the same value.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Rows<V> {
-    pub(crate) offsets: Vec<usize>,
-    pub(crate) entries: Vec<(u32, V)>,
+struct Rows {
+    offsets: Vec<usize>,
+    entries: Vec<(u32, u64)>,
 }
 
-impl<V: Copy> Rows<V> {
+impl Rows {
     /// `n` empty rows.
-    pub(crate) fn empty(n: usize) -> Self {
+    fn empty(n: usize) -> Self {
         Rows {
             offsets: vec![0; n + 1],
             entries: Vec::new(),
         }
     }
 
-    fn row(&self, t: usize) -> &[(u32, V)] {
+    fn row(&self, t: usize) -> &[(u32, u64)] {
         &self.entries[self.offsets[t]..self.offsets[t + 1]]
     }
 
     /// Every row in order; cheaper per row than [`row`](Rows::row).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &[(u32, V)]> {
+    fn iter(&self) -> impl Iterator<Item = &[(u32, u64)]> {
         self.offsets.windows(2).map(|w| &self.entries[w[0]..w[1]])
     }
 
     /// The value held for partner `b` in row `a`.
-    pub(crate) fn find(&self, a: usize, b: usize) -> Option<V> {
+    fn find(&self, a: usize, b: usize) -> Option<u64> {
         let row = self.row(a);
         let pos = row.binary_search_by_key(&(b as u32), |e| e.0).ok()?;
         Some(row[pos].1)
     }
 
-    /// Number of unordered pairs held (each pair sits in two rows).
-    pub(crate) fn pairs(&self) -> usize {
-        self.entries.len() / 2
-    }
-
     /// Sets row `a`'s entry for partner `b`, removing it on `None`, and
     /// shifts every later row start: `O(E)`, which only the element-wise
     /// `set`/`add` path pays.
-    fn splice(&mut self, a: usize, b: usize, v: Option<V>) {
+    fn splice(&mut self, a: usize, b: usize, v: Option<u64>) {
         let start = self.offsets[a];
         let found = self.row(a).binary_search_by_key(&(b as u32), |e| e.0);
         match (found, v) {
@@ -90,40 +163,8 @@ impl<V: Copy> Rows<V> {
 }
 
 /// The part of row `t` whose partners exceed `t`.
-fn upper<V>(row: &[(u32, V)], t: usize) -> &[(u32, V)] {
+fn upper(row: &[(u32, u64)], t: usize) -> &[(u32, u64)] {
     &row[row.partition_point(|e| (e.0 as usize) <= t)..]
-}
-
-/// Calls `f(partner, mine, theirs)` for every partner in the sorted union
-/// of two rows, ascending. Inlined: called from aging.rs as a separate
-/// instance, it made the serve loop's window fold about 15% slower.
-#[inline]
-pub(crate) fn for_each_union<A: Copy, B: Copy>(
-    mine: &[(u32, A)],
-    theirs: &[(u32, B)],
-    mut f: impl FnMut(u32, Option<A>, Option<B>),
-) {
-    let (mut i, mut j) = (0, 0);
-    while i < mine.len() && j < theirs.len() {
-        let ((a, va), (b, vb)) = (mine[i], theirs[j]);
-        if a == b {
-            f(a, Some(va), Some(vb));
-            i += 1;
-            j += 1;
-        } else if a < b {
-            f(a, Some(va), None);
-            i += 1;
-        } else {
-            f(b, None, Some(vb));
-            j += 1;
-        }
-    }
-    for &(a, va) in &mine[i..] {
-        f(a, Some(va), None);
-    }
-    for &(b, vb) in &theirs[j..] {
-        f(b, None, Some(vb));
-    }
 }
 
 /// Symmetric matrix of pairwise thread correlations: a dense diagonal
@@ -140,31 +181,11 @@ pub(crate) fn for_each_union<A: Copy, B: Copy>(
 /// assert_eq!(corr.get(0, 1), 1);
 /// assert_eq!(corr.get(0, 0), 2);
 /// ```
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorrelationMatrix {
     n: usize,
     pub(crate) diag: Vec<u64>,
-    pub(crate) rows: Rows<u64>,
-}
-
-impl Clone for CorrelationMatrix {
-    fn clone(&self) -> Self {
-        CorrelationMatrix {
-            n: self.n,
-            diag: self.diag.clone(),
-            rows: self.rows.clone(),
-        }
-    }
-
-    /// Copies into this store's buffers, so copying one window's first
-    /// round into the detector's open window allocates nothing once the
-    /// buffers are large enough.
-    fn clone_from(&mut self, source: &Self) {
-        self.n = source.n;
-        self.diag.clone_from(&source.diag);
-        self.rows.offsets.clone_from(&source.rows.offsets);
-        self.rows.entries.clone_from(&source.rows.entries);
-    }
+    rows: Rows,
 }
 
 impl CorrelationMatrix {
@@ -190,33 +211,18 @@ impl CorrelationMatrix {
         }
     }
 
-    /// The matrix of a diagonal and canonical rows over as many threads.
-    pub(crate) fn from_rows(diag: Vec<u64>, rows: Rows<u64>) -> Self {
-        CorrelationMatrix {
-            n: diag.len(),
-            diag,
-            rows,
-        }
-    }
-
-    /// The matrix whose pair `(a, b)`, `a <= b`, holds `value(a, b)`. The
-    /// non-zero pairs `a < b` come out in ascending order, so row `t`
-    /// receives its partners below `t` (from pairs `(u, t)`) before those
-    /// above it (from pairs `(t, u)`), each group ascending: every row is
-    /// written in order, with no sort.
-    fn from_upper(n: usize, value: impl Fn(usize, usize) -> u64) -> Self {
-        let diag = (0..n).map(|t| value(t, t)).collect();
-        let mut pairs = Vec::new();
+    /// The matrix of a diagonal and a canonical pair list, which must be
+    /// cheap to walk twice: one pass counts each row's entries, the other
+    /// mirrors every pair into its two rows. The pairs come in ascending
+    /// order, so row `t` receives its partners below `t` (from pairs
+    /// `(u, t)`) before those above it (from pairs `(t, u)`), each group
+    /// ascending: every row is written in order, with no sort.
+    pub(crate) fn from_pairs(diag: Vec<u64>, pairs: impl Iterator<Item = Pair> + Clone) -> Self {
+        let n = diag.len();
         let mut offsets = vec![0; n + 1];
-        for a in 0..n {
-            for b in (a + 1)..n {
-                let v = value(a, b);
-                if v > 0 {
-                    pairs.push((a as u32, b as u32, v));
-                    offsets[a + 1] += 1;
-                    offsets[b + 1] += 1;
-                }
-            }
+        for (a, b, _) in pairs.clone() {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
         for t in 0..n {
             offsets[t + 1] += offsets[t];
@@ -229,7 +235,26 @@ impl CorrelationMatrix {
             entries[next[b as usize]] = (a, v);
             next[b as usize] += 1;
         }
-        CorrelationMatrix::from_rows(diag, Rows { offsets, entries })
+        CorrelationMatrix {
+            n,
+            diag,
+            rows: Rows { offsets, entries },
+        }
+    }
+
+    /// The matrix whose pair `(a, b)`, `a <= b`, holds `value(a, b)`.
+    fn from_upper(n: usize, value: impl Fn(usize, usize) -> u64) -> Self {
+        let diag = (0..n).map(|t| value(t, t)).collect();
+        let mut pairs = Vec::new();
+        for a in 0..n {
+            for b in (a + 1)..n {
+                let v = value(a, b);
+                if v > 0 {
+                    pairs.push((a as u32, b as u32, v));
+                }
+            }
+        }
+        CorrelationMatrix::from_pairs(diag, pairs.iter().copied())
     }
 
     /// Builds the matrix from tracked access bitmaps.
@@ -389,7 +414,7 @@ impl CorrelationMatrix {
 
     /// Number of non-zero unordered off-diagonal pairs.
     pub fn edge_count(&self) -> usize {
-        self.rows.pairs()
+        self.rows.entries.len() / 2
     }
 
     /// Sum of all off-diagonal entries (ordered pairs — the paper's
@@ -406,11 +431,17 @@ impl CorrelationMatrix {
     /// Visits every non-zero off-diagonal pair once as `(a, b, v)` with
     /// `a < b`, in ascending order.
     pub fn for_each_edge(&self, mut f: impl FnMut(usize, usize, u64)) {
-        for (t, row) in self.rows.iter().enumerate() {
-            for &(u, v) in upper(row, t) {
-                f(t, u as usize, v);
-            }
-        }
+        self.edges()
+            .for_each(|(a, b, v)| f(a as usize, b as usize, v));
+    }
+
+    /// The store's pairs as a canonical pair list, streamed in
+    /// [`for_each_edge`](CorrelationMatrix::for_each_edge) order.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = Pair> + '_ {
+        self.rows
+            .iter()
+            .enumerate()
+            .flat_map(|(t, row)| upper(row, t).iter().map(move |&(u, v)| (t as u32, u, v)))
     }
 
     /// Sets both symmetric entries (zero removes the pair).
@@ -456,14 +487,25 @@ impl CorrelationMatrix {
             *d += o;
         }
         let mut offsets = Vec::with_capacity(self.n + 1);
-        // The union is about as large as the larger input in the serve loop;
-        // reserving for the sum of both raised its peak memory by half.
+        // Rounds of one workload mostly share their pairs, so the union is
+        // about as large as the larger input; reserving for the sum of both
+        // raised the serve loop's peak memory by half when it merged.
         let mut entries = Vec::with_capacity(self.rows.entries.len().max(other.rows.entries.len()));
         offsets.push(0);
         for (mine, theirs) in self.rows.iter().zip(other.rows.iter()) {
-            for_each_union(mine, theirs, |u, a, b| {
-                entries.push((u, a.unwrap_or(0) + b.unwrap_or(0)));
-            });
+            let (mut i, mut j) = (0, 0);
+            while i < mine.len() && j < theirs.len() {
+                let ((a, va), (b, vb)) = (mine[i], theirs[j]);
+                entries.push(match a.cmp(&b) {
+                    Ordering::Less => (a, va),
+                    Ordering::Greater => (b, vb),
+                    Ordering::Equal => (a, va + vb),
+                });
+                i += usize::from(a <= b);
+                j += usize::from(b <= a);
+            }
+            entries.extend_from_slice(&mine[i..]);
+            entries.extend_from_slice(&theirs[j..]);
             offsets.push(entries.len());
         }
         self.rows = Rows { offsets, entries };
@@ -730,6 +772,28 @@ mod tests {
         assert_eq!(smaller, big, "the copy adopts the source's size");
     }
 
+    /// A canonical list is read in place; a list that departs from the
+    /// form in any one way is normalized into a copy, as `from_edges`
+    /// normalizes it.
+    #[test]
+    fn canonical_pairs_borrows_only_a_canonical_list() {
+        assert!(matches!(canonical_pairs(5, &[]), Cow::Borrowed(_)));
+        let canonical = [(0, 1, 3), (0, 4, 1), (2, 3, 5)];
+        assert!(matches!(canonical_pairs(5, &canonical), Cow::Borrowed(_)));
+        for raw in [
+            &[(0, 1, 3), (0, 1, 2)][..],
+            &[(1, 0, 5)],
+            &[(0, 4, 1), (0, 1, 3)],
+            &[(0, 1, 5), (2, 2, 4)],
+            &[(0, 1, 5), (2, 3, 0)],
+        ] {
+            let pairs = canonical_pairs(5, raw);
+            assert!(matches!(pairs, Cow::Owned(_)), "{raw:?}");
+            let store = CorrelationMatrix::from_edges(5, raw.to_vec());
+            assert_eq!(*pairs, store.edges().collect::<Vec<_>>(), "{raw:?}");
+        }
+    }
+
     /// Correlation never exceeds either thread's own page count, and the
     /// matrix is symmetric by construction.
     #[test]
@@ -794,6 +858,21 @@ mod tests {
 
         fn store(&self) -> CorrelationMatrix {
             CorrelationMatrix::from_raw(self.n, self.vals.clone())
+        }
+
+        /// The non-zero cells `a <= b` as a pair list, ascending, the
+        /// diagonal as self-pairs: canonical when the diagonal is zero.
+        fn pairs(&self) -> Vec<Pair> {
+            let mut pairs = Vec::new();
+            for a in 0..self.n {
+                for b in a..self.n {
+                    let v = self.vals[a * self.n + b];
+                    if v != 0 {
+                        pairs.push((a as u32, b as u32, v));
+                    }
+                }
+            }
+            pairs
         }
     }
 
@@ -886,13 +965,16 @@ mod tests {
                     store.merge(&round.store());
                 }
                 _ => {
-                    // Close a window holding the store, split at random
-                    // into an open part and a last round.
+                    // Close a window holding the store: whole, streamed
+                    // from its rows, or split at random into an open part
+                    // and a last round, each given as a pair list.
                     let (open, last) = random_split(&mut rng, &grid);
                     let expected = aged_grid.snapshot(n).delta(&grid);
                     aged_grid.observe(&grid);
-                    let open = open.map(|o| o.store());
-                    let got = aged.fold_window(open.as_ref(), &last.store());
+                    let got = match open {
+                        None => aged.observe(&last.store()),
+                        Some(open) => aged.fold_window(&open.pairs(), &last.pairs()),
+                    };
                     assert_eq!(got.to_bits(), expected.to_bits(), "fold delta diverged");
                     assert_eq!(aged.snapshot(), aged_grid.snapshot(n).store());
                 }

@@ -7,7 +7,7 @@
 //! which reproduces the magnitudes of Table 6 (e.g. SOR's min-cost cut of
 //! 28 = 7 cross-node neighbor pairs × 2 pages × 2 orders).
 
-use crate::correlation::CorrelationMatrix;
+use crate::correlation::{CorrelationMatrix, Pair};
 use acorr_sim::Mapping;
 
 /// Whether a thread pair crosses a node boundary under `mapping`.
@@ -28,13 +28,27 @@ pub fn cut_cost(corr: &CorrelationMatrix, mapping: &Mapping) -> u64 {
         mapping.num_threads(),
         "matrix and mapping must cover the same threads"
     );
-    let mut cost = 0;
-    corr.for_each_edge(|a, b, v| {
-        if pair_is_cut(mapping, a, b) {
-            cost += 2 * v;
-        }
-    });
-    cost
+    cut_of(corr.edges(), mapping)
+}
+
+/// [`cut_cost`] of a round given as a pair list `(a, b, value)`, walked in
+/// place. Every listed pair counts in both orders, so any list cuts as the
+/// store [`CorrelationMatrix::from_edges`] builds from it: duplicates add,
+/// and self-pairs and zero values add nothing.
+///
+/// # Panics
+///
+/// Panics if an endpoint is not below the mapping's thread count.
+pub fn pairs_cut_cost(pairs: &[(u32, u32, u64)], mapping: &Mapping) -> u64 {
+    cut_of(pairs.iter().copied(), mapping)
+}
+
+/// The cut of a pair stream under `mapping`.
+fn cut_of(pairs: impl Iterator<Item = Pair>, mapping: &Mapping) -> u64 {
+    pairs
+        .filter(|&(a, b, _)| pair_is_cut(mapping, a as usize, b as usize))
+        .map(|(_, _, v)| 2 * v)
+        .sum()
 }
 
 /// The complement of the cut: correlation mass of same-node pairs (the

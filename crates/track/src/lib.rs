@@ -57,7 +57,7 @@ pub mod structure;
 
 pub use aging::AgedCorrelation;
 pub use correlation::CorrelationMatrix;
-pub use cut::{cut_cost, internal_cost, pair_is_cut};
+pub use cut::{cut_cost, internal_cost, pair_is_cut, pairs_cut_cost};
 pub use map::{render_ascii, render_csv, render_pgm, render_svg, MapStyle};
 pub use pages::{hottest_pages, page_report, page_sharers, PageReport, PageSharers};
 pub use phases::{PhaseDetector, PhaseShiftMark};

@@ -10,17 +10,21 @@
 //! phase fires once instead of every window.
 //!
 //! The 64-thread adaptive study, `acorr analyze` and the 10⁵-thread serve
-//! loop run the same detector over the one [`CorrelationMatrix`] store. A
-//! window close is one [`AgedCorrelation::fold_window`] call. The detector
-//! copies a window's first round and never merges its last, so a close
-//! allocates no store.
+//! loop run the same detector. A round arrives as a store
+//! ([`observe`](PhaseDetector::observe), which streams the store's pairs)
+//! or as a pair list ([`observe_pairs`](PhaseDetector::observe_pairs)),
+//! which is how the serve loop hands over a traffic step without building
+//! a store. The open window is one pair list, and a window close is one
+//! merge of the aged baseline, that list and the closing round. Neither
+//! holds a diagonal: the divergence never reads one, and the detector
+//! never snapshots.
 //!
 //! Thresholds are carried in parts-per-million so detection is a pure
 //! integer comparison on a deterministically rounded delta: the same event
 //! stream always yields the same shifts.
 
 use crate::aging::AgedCorrelation;
-use crate::correlation::CorrelationMatrix;
+use crate::correlation::{canonical_pairs, union_pairs, CorrelationMatrix, Pair};
 use std::marker::PhantomData;
 
 /// Default firing threshold: delta ≥ 0.35. Intensity wiggle stays below
@@ -49,9 +53,9 @@ pub struct PhaseDetector<C = CorrelationMatrix> {
     threshold_ppm: u64,
     rearm_ppm: u64,
     aged: AgedCorrelation,
-    /// The open window's rounds but its last. Between windows it holds
-    /// stale rounds, which the next window's first round overwrites.
-    cur: CorrelationMatrix,
+    /// The open window's rounds but its last, summed into one canonical
+    /// pair list; empty between windows.
+    open: Vec<Pair>,
     in_window: usize,
     windows_closed: u64,
     /// Whether the baseline holds at least one full window.
@@ -89,7 +93,7 @@ impl PhaseDetector {
             threshold_ppm,
             rearm_ppm,
             aged: AgedCorrelation::new(threads, decay),
-            cur: CorrelationMatrix::zeros(threads),
+            open: Vec::new(),
             in_window: 0,
             windows_closed: 0,
             primed: false,
@@ -117,10 +121,8 @@ impl PhaseDetector {
     /// Folds one observation unit into the open window; when the window
     /// fills, closes it and returns the shift it fired, if any.
     ///
-    /// The window's first round is copied into the open-window store and
-    /// later rounds are merged into it, except the last: a closing round
-    /// goes straight to [`AgedCorrelation::fold_window`] beside the open
-    /// window.
+    /// The store's pairs stream into the open window, except a closing
+    /// round's: those go straight into the fold beside the open window.
     ///
     /// # Panics
     ///
@@ -128,19 +130,42 @@ impl PhaseDetector {
     pub fn observe(&mut self, round: &CorrelationMatrix) -> Option<PhaseShiftMark> {
         assert_eq!(
             round.num_threads(),
-            self.cur.num_threads(),
+            self.aged.num_threads(),
             "thread counts differ"
         );
+        self.push(round.edges())
+    }
+
+    /// [`observe`](PhaseDetector::observe) for a round given as a pair
+    /// list, with no store built. A canonical list (ascending by `(a, b)`
+    /// with `a < b`, one entry per pair, no zero values), as every
+    /// [`TrafficDriver::step_edges`](acorr_sim::TrafficDriver::step_edges)
+    /// list is, is read in place after one checking pass. Any other list
+    /// is normalized first, as [`CorrelationMatrix::from_edges`] normalizes
+    /// it, so both paths fire the same shifts: `(b, a)` reads as `(a, b)`,
+    /// duplicates sum, zero values drop, and self-pairs, which only the
+    /// diagonal would hold, are left out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not below the detector's thread count.
+    pub fn observe_pairs(&mut self, pairs: &[(u32, u32, u64)]) -> Option<PhaseShiftMark> {
+        let pairs = canonical_pairs(self.aged.num_threads(), pairs);
+        self.push(pairs.iter().copied())
+    }
+
+    /// Adds one canonical round to the open window, or closes the window
+    /// with it.
+    fn push(&mut self, round: impl Iterator<Item = Pair>) -> Option<PhaseShiftMark> {
         self.in_window += 1;
         if self.in_window == self.window {
-            let open = (self.in_window > 1).then_some(&self.cur);
-            let delta = self.aged.fold_window(open, round);
+            let delta = self.aged.fold(&self.open, round);
             return self.close_window(delta);
         }
-        if self.in_window == 1 {
-            self.cur.clone_from(round);
+        if self.open.is_empty() {
+            self.open.extend(round);
         } else {
-            self.cur.merge(round);
+            self.open = union_pairs(std::mem::take(&mut self.open), round).collect();
         }
         None
     }
@@ -151,7 +176,7 @@ impl PhaseDetector {
         if self.in_window == 0 {
             return None;
         }
-        let delta = self.aged.fold_window(None, &self.cur);
+        let delta = self.aged.fold(&self.open, std::iter::empty());
         self.close_window(delta)
     }
 
@@ -176,6 +201,7 @@ impl PhaseDetector {
         }
         self.primed = true;
         self.in_window = 0;
+        self.open.clear();
         self.windows_closed += 1;
         fired
     }
@@ -315,6 +341,12 @@ mod tests {
         d.observe(&pattern(8, 0));
         // The first round of the second window is only copied, not merged.
         d.observe(&pattern(6, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "edge endpoint out of range")]
+    fn a_pair_naming_a_thread_past_the_detector_panics() {
+        PhaseDetector::new(8, 2).observe_pairs(&[(0, 1, 4), (2, 8, 1)]);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property tests for correlation analysis: merge algebra, aging decay,
-//! and delta/CSV round-trips.
+//! delta/CSV round-trips, and rounds as pair lists against their stores.
 
-use acorr_sim::{forall, DetRng};
-use acorr_track::{render_csv, AgedCorrelation, CorrelationMatrix};
+use acorr_sim::{forall, ClusterConfig, DetRng, Mapping};
+use acorr_track::{
+    cut_cost, pairs_cut_cost, render_csv, AgedCorrelation, CorrelationMatrix, PhaseDetector,
+};
 
 const N: usize = 5;
 
@@ -88,8 +90,8 @@ fn aging_is_monotone_non_increasing() {
 /// fold at decay 0 makes the baseline the previous window.
 fn delta(a: &CorrelationMatrix, b: &CorrelationMatrix) -> f64 {
     let mut aged = AgedCorrelation::new(a.num_threads(), 0.0);
-    aged.fold_window(None, a);
-    aged.fold_window(None, b)
+    aged.observe(a);
+    aged.observe(b)
 }
 
 /// A matrix survives the CSV pipeline bit-for-bit, so its delta to the
@@ -111,5 +113,72 @@ fn delta_is_symmetric_and_bounded() {
         assert!((0.0..=1.0).contains(&d));
         assert_eq!(d, delta(b, a));
         assert_eq!(delta(a, a), 0.0);
+    });
+}
+
+/// A round as a pair list over `N` threads, half the time in the form
+/// `TrafficDriver::step_edges` gives (ascending `a < b`, one entry per
+/// pair, no zeros) and otherwise raw: duplicates, reversed pairs,
+/// self-pairs and zero values in any order, all of which `from_edges`
+/// normalizes.
+fn pair_list(rng: &mut DetRng) -> Vec<(u32, u32, u64)> {
+    let n = N as u64;
+    let raw = (0..rng.index(12))
+        .map(|_| {
+            (
+                rng.next_below(n) as u32,
+                rng.next_below(n) as u32,
+                rng.next_below(6),
+            )
+        })
+        .collect();
+    if rng.chance(0.5) {
+        return raw;
+    }
+    let mut canonical = Vec::new();
+    CorrelationMatrix::from_edges(N, raw)
+        .for_each_edge(|a, b, v| canonical.push((a as u32, b as u32, v)));
+    canonical
+}
+
+/// The serve loop's pair path and the store path agree round by round: a
+/// detector fed pair lists fires the marks that one fed the stores
+/// `from_edges` builds fires, an aged baseline folds bit-equal deltas into
+/// equal snapshots whether a window arrives as two pair lists or as their
+/// store, and a pair list cuts as its store does.
+#[test]
+fn pair_lists_and_their_stores_agree() {
+    let stream = |rng: &mut DetRng| {
+        let rounds: Vec<_> = (0..rng.index(20))
+            .map(|_| (pair_list(rng), pair_list(rng)))
+            .collect();
+        let window = rng.range(1, 5) as usize;
+        (rounds, window, rng.next_f64() * 0.99, rng.next_u64())
+    };
+    forall(256, 0, stream, |&(ref rounds, window, decay, seed)| {
+        let detector = || PhaseDetector::with_thresholds(N, window, 350_000, 150_000, decay);
+        let (mut by_pairs, mut by_store) = (detector(), detector());
+        let (mut aged_pairs, mut aged_store) = (
+            AgedCorrelation::new(N, decay),
+            AgedCorrelation::new(N, decay),
+        );
+        let cluster = ClusterConfig::new(2, N).unwrap();
+        let mapping = Mapping::random_balanced(&cluster, &mut DetRng::new(seed));
+        for (open, last) in rounds {
+            let whole: Vec<_> = open.iter().chain(last).copied().collect();
+            let store = CorrelationMatrix::from_edges(N, whole.clone());
+            assert_eq!(by_pairs.observe_pairs(&whole), by_store.observe(&store));
+            let (got, want) = (
+                aged_pairs.fold_window(open, last),
+                aged_store.observe(&store),
+            );
+            assert_eq!(got.to_bits(), want.to_bits(), "fold delta");
+            assert_eq!(aged_pairs.snapshot(), aged_store.snapshot());
+            assert_eq!(aged_pairs, aged_store, "aged values bit for bit");
+            assert_eq!(pairs_cut_cost(&whole, &mapping), cut_cost(&store, &mapping));
+        }
+        assert_eq!(by_pairs.flush(), by_store.flush());
+        assert_eq!(by_pairs.shifts(), by_store.shifts());
+        assert_eq!(by_pairs.windows_closed(), by_store.windows_closed());
     });
 }

@@ -135,14 +135,16 @@ echo "$serve_out" | grep -q "timeline digest: fnv1a:f2e8753835019d00" || {
     exit 1
 }
 # The 100k-thread churn run exercises what the hotspot smoke does not: the
-# sparse stores at serve scale and the multilevel candidate. Both digests
-# are pure functions of the same inputs; the timeout only catches a
-# catastrophic slowdown.
+# pair-list step at serve scale, the stores built on firing steps and the
+# multilevel candidate. The digests and both cut totals (summed over every
+# step's pair list) are pure functions of the same inputs; the timeout
+# only catches a catastrophic slowdown.
 serve_out="$(timeout 120 ./target/release/acorr serve --scenario churn \
     --threads 100000 --nodes 256 --steps 60 --seed 42)"
 echo "$serve_out" | grep -q "timeline digest: fnv1a:7fb11872e6be710e" &&
-    echo "$serve_out" | grep -q "final mapping digest: fnv1a:b1b76bcb81765175" || {
-    echo "error: 100000x256 churn serve digests drifted from the pinned values:" >&2
+    echo "$serve_out" | grep -q "final mapping digest: fnv1a:b1b76bcb81765175" &&
+    echo "$serve_out" | grep -q "cut served 9273576 vs never-remap 42598944" || {
+    echo "error: 100000x256 churn serve digests or cuts drifted from the pinned values:" >&2
     echo "$serve_out" >&2
     exit 1
 }
@@ -152,8 +154,20 @@ echo "$serve_out" | grep -q "timeline digest: fnv1a:7fb11872e6be710e" &&
 serve_out="$(timeout 120 ./target/release/acorr serve --scenario hotspot \
     --threads 100000 --nodes 256 --steps 60 --seed 42)"
 echo "$serve_out" | grep -q "timeline digest: fnv1a:c1f8ea0555e529bd" &&
+    echo "$serve_out" | grep -q "final mapping digest: fnv1a:30301386387f5925" &&
+    echo "$serve_out" | grep -q "cut served 1397760 vs never-remap 1397760" || {
+    echo "error: 100000x256 hotspot serve digests or cuts drifted from the pinned values:" >&2
+    echo "$serve_out" >&2
+    exit 1
+}
+# The 100k-thread static run is the quiet step alone: the detector never
+# fires, so no step builds a store, and the cut totals come only from the
+# pair-list sums beside the detector's fold.
+serve_out="$(timeout 120 ./target/release/acorr serve --scenario static \
+    --threads 100000 --nodes 256 --steps 60 --seed 42)"
+echo "$serve_out" | grep -q "cut served 122880 vs never-remap 122880" &&
     echo "$serve_out" | grep -q "final mapping digest: fnv1a:30301386387f5925" || {
-    echo "error: 100000x256 hotspot serve digests drifted from the pinned values:" >&2
+    echo "error: 100000x256 static serve cuts or mapping drifted from the pinned values:" >&2
     echo "$serve_out" >&2
     exit 1
 }
