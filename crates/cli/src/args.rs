@@ -72,8 +72,8 @@ impl Args {
         }
     }
 
-    /// Flags that were provided but never consumed — call after reading all
-    /// expected options to reject typos.
+    /// The flags provided that `known` does not list, in name order — to
+    /// reject typos before any option is read.
     pub fn unknown_keys(&self, known: &[&str]) -> Vec<String> {
         self.options
             .keys()

@@ -16,13 +16,14 @@
 //! Every command is a thin composition of public library calls — the CLI is
 //! also living documentation of the API.
 //!
-//! Commands that run experiments accept `--jobs N`, the worker-thread count
-//! of the deterministic parallel runner (`--threads` already names the
-//! *simulated application* thread count, so the host-parallelism flag is
-//! spelled `--jobs`). The default `0` uses all available cores; `--jobs 1`
-//! is the exact sequential path. Results are bit-identical either way —
-//! every sample forks its own RNG stream and results are collected in
-//! index order (see `acorr::sim::pool`).
+//! Every command but `apps` and `verify` accepts `--jobs N`, the
+//! worker-thread count of the deterministic parallel runner (`--threads`
+//! already names the *simulated application* thread count, so the
+//! host-parallelism flag is spelled `--jobs`). The default `0` uses all
+//! available cores; `--jobs 1` is the exact sequential path. Results are
+//! bit-identical either way — every sample forks its own RNG stream and
+//! results are collected in index order (see `acorr::sim::pool`). A flag
+//! a command does not read is an error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,27 +40,53 @@ use acorr::track::{
 };
 use args::Args;
 
+/// A command: what it prints for its arguments.
+type Command = fn(&Args) -> Result<String, String>;
+
 /// Runs one CLI invocation, returning the text to print.
+///
+/// Each command is listed once, with the flags it reads (space-separated);
+/// any other flag is an error before the command starts.
 ///
 /// # Errors
 ///
-/// Returns a user-facing message on bad arguments or engine failures.
+/// Returns a user-facing message on an unknown command or flag, bad
+/// arguments or engine failures.
 pub fn run(args: &Args) -> Result<String, String> {
-    match args.command() {
-        "apps" => Ok(list_apps()),
-        "track" => track(args),
-        "profile" => profile(args),
-        "place" => place_cmd(args),
-        "run" => run_cmd(args),
-        "serve" => serve_cmd(args),
-        "report" => report(args),
-        "analyze" => analyze(args),
-        "overhead" => overhead(args),
-        "explore" => explore(args),
-        "hot" => hot(args),
-        "verify" => verify(args),
-        "help" => Ok(usage()),
-        other => Err(format!("unknown command `{other}`\n\n{}", usage())),
+    let (flags, command): (&str, Command) = match args.command() {
+        "apps" => ("", |_| Ok(list_apps())),
+        "track" => ("app threads nodes format out jobs", track),
+        "profile" => ("app threads nodes csv jobs", profile),
+        "place" => (
+            "app threads nodes strategy seed csv scale degree jobs",
+            place_cmd,
+        ),
+        "run" => (
+            "app threads nodes strategy iters faults obs-dir jobs",
+            run_cmd,
+        ),
+        "serve" => (
+            "scenario app threads nodes tenants steps window period policy pages-per-thread \
+             cost-per-page remap-cost max-swaps seed jobs timeline obs-dir",
+            serve_cmd,
+        ),
+        "report" => ("manifest jobs", report),
+        "analyze" => ("obs-dir top window jobs", analyze),
+        "overhead" => ("app threads nodes faults jobs", overhead),
+        "explore" => (
+            "app threads nodes budget iters mode seed preemptions faults inject decision-log \
+             strategy replay jobs",
+            explore,
+        ),
+        "hot" => ("app threads nodes k jobs", hot),
+        "verify" => ("app threads nodes iters faults crash", verify),
+        "help" => ("", |_| Ok(usage())),
+        other => return Err(format!("unknown command `{other}`\n\n{}", usage())),
+    };
+    let known: Vec<&str> = flags.split_whitespace().collect();
+    match args.unknown_keys(&known).first() {
+        Some(unknown) => Err(format!("unknown flag --{unknown}")),
+        None => command(args),
     }
 }
 
@@ -89,7 +116,7 @@ USAGE:
                  [--mode random|systematic|model-check] [--seed N] [--preemptions N]
                  [--faults N] [--inject BUG] [--decision-log FILE]
                  [--strategy S] [--replay TOKEN] [--jobs N]
-  acorr hot      --app NAME [--threads N] [--k N]
+  acorr hot      --app NAME [--threads N] [--nodes N] [--k N]
   acorr verify   --app NAME [--threads N] [--nodes N] [--iters N] [--faults SPEC]
                  [--crash PROB]
 
@@ -106,9 +133,11 @@ Fault specs: a preset (none, light, moderate, heavy) and/or key=value
 overrides, comma-separated — e.g. `moderate`, `heavy,seed=7`,
 `drop_prob=0.05,max_retries=6`. Plans are deterministic per seed; `verify`
 additionally shadows the run with the coherence conformance oracle.
-Parallelism: every experiment command takes --jobs N (worker threads for the
-deterministic parallel runner; 0 = all cores, 1 = sequential; --threads is
-the simulated app thread count). Output is bit-identical at any --jobs.
+Flags: a command rejects any flag it does not read.
+Parallelism: every command but apps and verify takes --jobs N (worker threads
+for the deterministic parallel runner; 0 = all cores, 1 = sequential;
+--threads is the simulated app thread count). Output is bit-identical at any
+--jobs.
 Observability: `run --obs-dir DIR` writes events.jsonl, trace.json (open in
 chrome://tracing or Perfetto), metrics.csv, histograms.csv and manifest.json
 into DIR; sinks are pure observers, so the reported row is unchanged.
@@ -233,12 +262,6 @@ fn correlations(args: &Args) -> Result<(String, CorrelationMatrix), String> {
 }
 
 fn track(args: &Args) -> Result<String, String> {
-    if let Some(unknown) = args
-        .unknown_keys(&["app", "threads", "nodes", "format", "out", "jobs"])
-        .first()
-    {
-        return Err(format!("unknown flag --{unknown}"));
-    }
     let (label, corr) = correlations(args)?;
     let format = args.get_or("format", "ascii");
     let rendered = match format {
@@ -366,30 +389,6 @@ fn run_cmd(args: &Args) -> Result<String, String> {
 /// `--app NAME` drives a live engine (one tracked iteration per step)
 /// through the same decision core, re-mapping mid-run.
 fn serve_cmd(args: &Args) -> Result<String, String> {
-    if let Some(unknown) = args
-        .unknown_keys(&[
-            "scenario",
-            "app",
-            "threads",
-            "nodes",
-            "tenants",
-            "steps",
-            "window",
-            "period",
-            "policy",
-            "pages-per-thread",
-            "cost-per-page",
-            "remap-cost",
-            "max-swaps",
-            "seed",
-            "jobs",
-            "timeline",
-            "obs-dir",
-        ])
-        .first()
-    {
-        return Err(format!("unknown flag --{unknown}"));
-    }
     let scenario_name = args.get_or("scenario", "hotspot");
     let scenario = acorr::sim::Scenario::parse(scenario_name).ok_or_else(|| {
         format!("unknown scenario `{scenario_name}` (static, hotspot, churn, diurnal)")

@@ -1,7 +1,7 @@
 //! Shapes that node and thread ids cannot represent make the `acorr` binary
 //! print an `error:` line and exit 1: never a panic (exit 101), and never a
-//! run on wrapped node ids (exit 0). A help flag anywhere prints the usage
-//! and exits 0.
+//! run on wrapped node ids (exit 0). So does a flag the command does not
+//! read. A help flag anywhere prints the usage and exits 0.
 
 use std::process::Command;
 
@@ -30,6 +30,27 @@ fn out_of_range_shapes_exit_1_with_an_error_line() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_misspelt_flag_on_every_command_exits_1_naming_it() {
+    let commands = [
+        "apps", "track", "profile", "place", "run", "serve", "report", "analyze", "overhead",
+        "explore", "hot", "verify", "help",
+    ];
+    let every = commands.iter().map(|&command| vec![command, "--node", "4"]);
+    // Flags the command does read do not hide the one it does not.
+    let beside_known = vec!["place", "--app", "SOR", "--threads", "16", "--node", "4"];
+    for args in every.chain([beside_known]) {
+        let out = Command::new(env!("CARGO_BIN_EXE_acorr"))
+            .args(&args)
+            .output()
+            .expect("the acorr binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr, "error: unknown flag --node\n", "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
     }
 }
 

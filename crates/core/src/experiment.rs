@@ -598,7 +598,7 @@ impl Workbench {
     ///   on; re-track actively only when the passive correlation snapshot
     ///   diverges from the previous window's by at least `threshold_ppm`
     ///   parts-per-million (normalized L1, see
-    ///   [`AgedCorrelation::fold_window`]). The decision is a
+    ///   [`AgedCorrelation::observe`]). The decision is a
     ///   [`PhaseDetector`] with one-unit windows and no baseline memory
     ///   (decay 0), so its baseline is exactly the previous passive
     ///   snapshot.

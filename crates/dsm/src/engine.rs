@@ -1314,12 +1314,6 @@ impl<P: Program> Dsm<P> {
         self.cur.barriers += 1;
         let close_start = self.nodes[0].time;
         let barrier_index = self.total.barriers + self.cur.barriers - 1;
-        self.emit(
-            0,
-            Event::BarrierRelease {
-                index: barrier_index,
-            },
-        );
         if matches!(self.config.write_mode, WriteMode::SingleWriter { .. }) {
             // Single-writer invalidations are eager; nothing to finalize,
             // and there are no diffs to garbage-collect. Write sets only
@@ -1387,6 +1381,14 @@ impl<P: Program> Dsm<P> {
             node.time = release;
             node.ready.clear();
         }
+        // Every clock reads the release time now, as the interval record
+        // below is stamped.
+        self.emit(
+            0,
+            Event::BarrierRelease {
+                index: barrier_index,
+            },
+        );
         // Span: barrier close covers finalization through release, on the
         // root node's lane.
         self.emit_span(

@@ -2,9 +2,10 @@
 //! merging, locks, garbage collection, migration, and both tracking
 //! mechanisms, exercised through small hand-built programs.
 
-use acorr_dsm::{Dsm, DsmConfig, DsmError, Event, EventSink, LockId, Op, Program};
+use acorr_dsm::{Dsm, DsmConfig, DsmError, Event, EventSink, IterStats, LockId, Op, Program};
 use acorr_mem::PAGE_SIZE;
-use acorr_sim::{ClusterConfig, Mapping, NodeId};
+use acorr_sim::{ClusterConfig, Mapping, NodeId, SimTime};
+use std::sync::{Arc, Mutex};
 
 /// A program built from explicit per-thread, per-iteration scripts.
 struct Scripted {
@@ -788,6 +789,55 @@ fn an_attached_sink_gets_balanced_spans() {
     }
     assert!(open.is_empty(), "unclosed spans: {open:?}");
     assert!(events.iter().any(|e| matches!(e, Event::SpanEnd { .. })));
+}
+
+/// `(barrier, time)` stamps, in the order a sink received them.
+type Stamps = Vec<(u64, SimTime)>;
+
+/// A test-local sink keeping the stamps of every barrier release event
+/// and, apart, of every interval record.
+#[derive(Debug, Clone, Default)]
+struct Releases(Arc<Mutex<[Stamps; 2]>>);
+
+impl EventSink for Releases {
+    fn record_event(&mut self, at: SimTime, event: &Event) {
+        if let Event::BarrierRelease { index } = *event {
+            self.0.lock().unwrap()[0].push((index, at));
+        }
+    }
+
+    fn record_interval(&mut self, at: SimTime, barrier: u64, _: &IterStats) {
+        self.0.lock().unwrap()[1].push((barrier, at));
+    }
+}
+
+#[test]
+fn each_barrier_release_carries_the_time_of_its_interval_record() {
+    // Each thread writes the page the other one reads after the barrier,
+    // so both nodes finalize diffs, and the clocks part before each
+    // release.
+    let scripts = vec![vec![
+        vec![
+            Op::write(0, 64),
+            Op::Barrier,
+            Op::read(PAGE, 64),
+            Op::Barrier,
+        ],
+        vec![
+            Op::write(PAGE, 64),
+            Op::Barrier,
+            Op::read(0, 64),
+            Op::Barrier,
+        ],
+    ]];
+    let mut dsm = dsm_for(2, Scripted::new(2, scripts));
+    let sink = Releases::default();
+    dsm.attach_sink(Box::new(sink.clone()));
+    dsm.run_iterations(2).unwrap();
+    let [releases, intervals] = sink.0.lock().unwrap().clone();
+    // Two scripted barriers and the implicit closing one, per iteration.
+    assert_eq!(releases.len(), 6);
+    assert_eq!(releases, intervals);
 }
 
 #[test]

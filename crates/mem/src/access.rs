@@ -131,55 +131,6 @@ impl AccessMatrix {
     }
 }
 
-impl AccessMatrix {
-    /// Serializes the matrix as sparse CSV: one `thread,page` line per
-    /// observation, preceded by a `threads,pages` header line.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("{},{}\n", self.threads, self.pages);
-        for t in 0..self.threads {
-            for p in self.bitmaps[t].iter_ones() {
-                out.push_str(&format!("{t},{p}\n"));
-            }
-        }
-        out
-    }
-
-    /// Parses the sparse CSV produced by [`AccessMatrix::to_csv`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first malformed line or
-    /// out-of-range observation.
-    pub fn from_csv(csv: &str) -> Result<Self, String> {
-        let mut lines = csv.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("missing header line")?;
-        let (t, p) = header
-            .split_once(',')
-            .ok_or_else(|| format!("bad header {header}"))?;
-        let threads: usize = t.trim().parse().map_err(|e| format!("threads: {e}"))?;
-        let pages: usize = p.trim().parse().map_err(|e| format!("pages: {e}"))?;
-        let mut m = AccessMatrix::new(threads, pages);
-        for (i, line) in lines.enumerate() {
-            let (t, p) = line
-                .split_once(',')
-                .ok_or_else(|| format!("line {}: bad row {line}", i + 2))?;
-            let t: usize = t
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: {e}", i + 2))?;
-            let p: u32 = p
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: {e}", i + 2))?;
-            if t >= threads || p as usize >= pages {
-                return Err(format!("line {}: ({t},{p}) out of range", i + 2));
-            }
-            m.record(t, PageId(p));
-        }
-        Ok(m)
-    }
-}
-
 impl fmt::Display for AccessMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -265,27 +216,6 @@ mod tests {
         // Extra observations beyond the truth do not inflate the score.
         partial.record(2, PageId(7));
         assert_eq!(partial.completeness_vs(&truth), 1.0);
-    }
-
-    #[test]
-    fn csv_round_trips() {
-        let m = sample();
-        let csv = m.to_csv();
-        assert!(csv.starts_with("3,8\n"));
-        let back = AccessMatrix::from_csv(&csv).unwrap();
-        assert_eq!(back, m);
-        // Empty matrix round-trips too.
-        let empty = AccessMatrix::new(2, 4);
-        assert_eq!(AccessMatrix::from_csv(&empty.to_csv()).unwrap(), empty);
-    }
-
-    #[test]
-    fn from_csv_rejects_garbage() {
-        assert!(AccessMatrix::from_csv("").is_err(), "no header");
-        assert!(AccessMatrix::from_csv("2\n").is_err(), "bad header");
-        assert!(AccessMatrix::from_csv("2,4\n1;2\n").is_err(), "bad row");
-        assert!(AccessMatrix::from_csv("2,4\n5,0\n").is_err(), "thread oob");
-        assert!(AccessMatrix::from_csv("2,4\n0,9\n").is_err(), "page oob");
     }
 
     #[test]

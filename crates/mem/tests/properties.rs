@@ -55,20 +55,6 @@ fn pages_for_is_tight() {
     });
 }
 
-/// AccessMatrix CSV round-trips arbitrary observation sets.
-#[test]
-fn access_matrix_csv_round_trips() {
-    let observations = |rng: &mut DetRng| touches(rng, (6, 64), 0..80);
-    forall(128, 0, observations, |obs| {
-        let mut m = AccessMatrix::new(6, 64);
-        for &(t, p) in obs {
-            m.record(t, PageId(p));
-        }
-        let back = AccessMatrix::from_csv(&m.to_csv()).expect("round trip");
-        assert_eq!(back, m);
-    });
-}
-
 /// Completeness is monotone under merging and capped at 1.
 #[test]
 fn completeness_is_monotone() {

@@ -91,18 +91,17 @@ mod tests {
     use super::*;
     use crate::{min_cost, optimal};
 
+    /// The store holding `value(a, b)` on every pair `a < b` of `n`
+    /// threads, drawn in ascending pair order.
+    fn upper(n: usize, mut value: impl FnMut(usize, usize) -> u64) -> CorrelationMatrix {
+        let pairs = (0..n).flat_map(|a| ((a + 1)..n).map(move |b| (a, b)));
+        CorrelationMatrix::from_edges(n, pairs.map(|(a, b)| (a as u32, b as u32, value(a, b))))
+    }
+
     fn scrambled_blocks(n: usize, b: usize, w: u64) -> CorrelationMatrix {
         // Threads with equal index mod (n/b) share.
         let groups = n / b;
-        let mut c = CorrelationMatrix::zeros(n);
-        for a in 0..n {
-            for d in (a + 1)..n {
-                if a % groups == d % groups {
-                    c.set(a, d, w);
-                }
-            }
-        }
-        c
+        upper(n, |a, d| if a % groups == d % groups { w } else { 0 })
     }
 
     #[test]
@@ -120,13 +119,8 @@ mod tests {
         let rng = DetRng::new(9);
         for seed in 0..5 {
             let n = 12;
-            let mut corr = CorrelationMatrix::zeros(n);
             let mut r = rng.fork(seed);
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    corr.set(a, b, r.next_below(10));
-                }
-            }
+            let corr = upper(n, |_, _| r.next_below(10));
             let cluster = ClusterConfig::new(3, n).unwrap();
             let annealed = anneal(&corr, &cluster, &AnnealConfig::default(), &mut r);
             let stretch = Mapping::stretch(&cluster);
@@ -139,13 +133,8 @@ mod tests {
         let rng = DetRng::new(21);
         for seed in 0..4 {
             let n = 10;
-            let mut corr = CorrelationMatrix::zeros(n);
             let mut r = rng.fork(seed);
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    corr.set(a, b, r.next_below(15));
-                }
-            }
+            let corr = upper(n, |_, _| r.next_below(15));
             let cluster = ClusterConfig::new(2, n).unwrap();
             let ann = cut_cost(
                 &corr,

@@ -112,16 +112,15 @@ mod tests {
     use acorr_sim::DetRng;
     use acorr_track::cut_cost;
 
+    /// The store holding `value(a, b)` on every pair `a < b` of `n`
+    /// threads, drawn in ascending pair order.
+    fn upper(n: usize, mut value: impl FnMut(usize, usize) -> u64) -> CorrelationMatrix {
+        let pairs = (0..n).flat_map(|a| ((a + 1)..n).map(move |b| (a, b)));
+        CorrelationMatrix::from_edges(n, pairs.map(|(a, b)| (a as u32, b as u32, value(a, b))))
+    }
+
     fn blocks(n: usize, b: usize, w: u64) -> CorrelationMatrix {
-        let mut c = CorrelationMatrix::zeros(n);
-        for a in 0..n {
-            for d in (a + 1)..n {
-                if a / b == d / b {
-                    c.set(a, d, w);
-                }
-            }
-        }
-        c
+        upper(n, |a, d| if a / b == d / b { w } else { 0 })
     }
 
     #[test]
@@ -137,11 +136,7 @@ mod tests {
     fn snn_groups_through_shared_partners() {
         // Threads 0 and 1 never share directly but share partners 2 and 3
         // heavily; SNN must see them as kin.
-        let mut c = CorrelationMatrix::zeros(8);
-        for hub in [2, 3] {
-            c.set(0, hub, 10);
-            c.set(1, hub, 10);
-        }
+        let c = CorrelationMatrix::from_edges(8, [(0, 2, 10), (1, 2, 10), (0, 3, 10), (1, 3, 10)]);
         let lists = neighbor_lists(&c, 3);
         assert!(snn_similarity(&lists, 0, 1) >= 2);
         // And the placement keeps the club {0,1,2,3} together.
@@ -157,13 +152,8 @@ mod tests {
         let rng = DetRng::new(17);
         for seed in 0..6 {
             let n = 16;
-            let mut corr = CorrelationMatrix::zeros(n);
             let mut r = rng.fork(seed);
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    corr.set(a, b, r.next_below(12));
-                }
-            }
+            let corr = upper(n, |_, _| r.next_below(12));
             let cluster = ClusterConfig::new(4, n).unwrap();
             let jp = cut_cost(&corr, &jarvis_patrick(&corr, &cluster));
             let mc = cut_cost(&corr, &crate::min_cost(&corr, &cluster));

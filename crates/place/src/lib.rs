@@ -34,10 +34,7 @@
 //!
 //! // A 4-thread nearest-neighbor chain on 2 nodes: min-cost recovers the
 //! // contiguous split.
-//! let mut corr = CorrelationMatrix::zeros(4);
-//! corr.set(0, 1, 10);
-//! corr.set(1, 2, 1);
-//! corr.set(2, 3, 10);
+//! let corr = CorrelationMatrix::from_edges(4, [(0, 1, 10), (1, 2, 1), (2, 3, 10)]);
 //! let cluster = ClusterConfig::new(2, 4)?;
 //! let m = min_cost(&corr, &cluster);
 //! assert_eq!(m.node_of(0), m.node_of(1));

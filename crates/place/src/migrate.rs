@@ -189,14 +189,8 @@ mod tests {
     use acorr_track::cut_cost;
 
     fn ring(threads: usize, offset: usize, weight: u64) -> CorrelationMatrix {
-        let mut c = CorrelationMatrix::zeros(threads);
-        for i in 0..threads {
-            let j = (i + offset) % threads;
-            if i != j {
-                c.add(i.min(j), i.max(j), weight);
-            }
-        }
-        c
+        let pairs = (0..threads).map(|i| (i as u32, ((i + offset) % threads) as u32, weight));
+        CorrelationMatrix::from_edges(threads, pairs.filter(|&(i, j, _)| i != j))
     }
 
     #[test]

@@ -246,24 +246,19 @@ mod tests {
     use acorr_sim::DetRng;
     use acorr_track::cut_cost;
 
-    fn chain(n: usize, w: u64) -> CorrelationMatrix {
-        let mut c = CorrelationMatrix::zeros(n);
-        for i in 0..n - 1 {
-            c.set(i, i + 1, w);
-        }
-        c
+    /// The store holding `value(a, b)` on every pair `a < b` of `n`
+    /// threads, drawn in ascending pair order.
+    fn upper(n: usize, mut value: impl FnMut(usize, usize) -> u64) -> CorrelationMatrix {
+        let pairs = (0..n).flat_map(|a| ((a + 1)..n).map(move |b| (a, b)));
+        CorrelationMatrix::from_edges(n, pairs.map(|(a, b)| (a as u32, b as u32, value(a, b))))
+    }
+
+    fn chain(n: u32, w: u64) -> CorrelationMatrix {
+        CorrelationMatrix::from_edges(n as usize, (1..n).map(|i| (i - 1, i, w)))
     }
 
     fn blocks(n: usize, block: usize, w: u64) -> CorrelationMatrix {
-        let mut c = CorrelationMatrix::zeros(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if a / block == b / block {
-                    c.set(a, b, w);
-                }
-            }
-        }
-        c
+        upper(n, |a, b| if a / block == b / block { w } else { 0 })
     }
 
     #[test]
@@ -295,15 +290,7 @@ mod tests {
         // Blocks of 4, but block members are interleaved across thread ids
         // (threads i, i+4, i+8, i+12 share): stretch fails, min-cost should
         // still find a zero-cut grouping.
-        let n = 16;
-        let mut corr = CorrelationMatrix::zeros(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if a % 4 == b % 4 {
-                    corr.set(a, b, 7);
-                }
-            }
-        }
+        let corr = upper(16, |a, b| if a % 4 == b % 4 { 7 } else { 0 });
         let cluster = ClusterConfig::new(4, 16).unwrap();
         let stretch_cut = cut_cost(&corr, &Mapping::stretch(&cluster));
         let m = min_cost(&corr, &cluster);
@@ -316,13 +303,8 @@ mod tests {
         let rng = DetRng::new(42);
         for seed in 0..10 {
             let n = 12;
-            let mut corr = CorrelationMatrix::zeros(n);
             let mut r = rng.fork(seed);
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    corr.set(a, b, r.next_below(20));
-                }
-            }
+            let corr = upper(n, |_, _| r.next_below(20));
             let cluster = ClusterConfig::new(3, n).unwrap();
             let start = Mapping::random_balanced(&cluster, &mut r);
             let before = cut_cost(&corr, &start);

@@ -107,22 +107,22 @@ mod tests {
     use crate::mincost::min_cost;
     use acorr_sim::DetRng;
 
+    /// The store holding `value(a, b)` on every pair `a < b` of `n`
+    /// threads, drawn in ascending pair order.
+    fn upper(n: usize, mut value: impl FnMut(usize, usize) -> u64) -> CorrelationMatrix {
+        let pairs = (0..n).flat_map(|a| ((a + 1)..n).map(move |b| (a, b)));
+        CorrelationMatrix::from_edges(n, pairs.map(|(a, b)| (a as u32, b as u32, value(a, b))))
+    }
+
     fn random_matrix(n: usize, seed: u64, max: u64) -> CorrelationMatrix {
         let mut rng = DetRng::new(seed);
-        let mut c = CorrelationMatrix::zeros(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                c.set(a, b, rng.next_below(max));
-            }
-        }
-        c
+        upper(n, |_, _| rng.next_below(max))
     }
 
     #[test]
     fn trivial_instances() {
         // Two threads, two nodes: the only balanced mapping cuts the pair.
-        let mut c = CorrelationMatrix::zeros(2);
-        c.set(0, 1, 5);
+        let c = CorrelationMatrix::from_edges(2, [(0, 1, 5)]);
         let cluster = ClusterConfig::new(2, 2).unwrap();
         let m = optimal(&c, &cluster);
         assert_eq!(cut_cost(&c, &m), 10);
@@ -132,14 +132,7 @@ mod tests {
     fn finds_zero_cut_when_one_exists() {
         // Interleaved blocks: threads with equal parity share.
         let n = 8;
-        let mut c = CorrelationMatrix::zeros(n);
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if a % 2 == b % 2 {
-                    c.set(a, b, 3);
-                }
-            }
-        }
+        let c = upper(n, |a, b| if a % 2 == b % 2 { 3 } else { 0 });
         let cluster = ClusterConfig::new(2, n).unwrap();
         let m = optimal(&c, &cluster);
         assert_eq!(cut_cost(&c, &m), 0);
@@ -175,10 +168,7 @@ mod tests {
     #[test]
     fn min_cost_matches_optimal_on_structured_sharing() {
         // Nearest-neighbor and block patterns (the paper's app shapes).
-        let mut chain = CorrelationMatrix::zeros(12);
-        for i in 0..11 {
-            chain.set(i, i + 1, 4);
-        }
+        let chain = CorrelationMatrix::from_edges(12, (0..11).map(|i| (i, i + 1, 4)));
         let cluster = ClusterConfig::new(4, 12).unwrap();
         assert_eq!(
             cut_cost(&chain, &min_cost(&chain, &cluster)),

@@ -98,8 +98,7 @@ mod tests {
     #[test]
     fn dispatch_produces_valid_mappings() {
         let cluster = ClusterConfig::new(2, 8).unwrap();
-        let mut corr = CorrelationMatrix::zeros(8);
-        corr.set(0, 1, 3);
+        let corr = CorrelationMatrix::from_edges(8, [(0, 1, 3)]);
         let mut rng = DetRng::new(1);
         for s in Strategy::ALL {
             let m = place(s, &corr, &cluster, &mut rng);
@@ -111,10 +110,7 @@ mod tests {
     #[test]
     fn min_cost_never_loses_to_stretch() {
         let cluster = ClusterConfig::new(4, 16).unwrap();
-        let mut corr = CorrelationMatrix::zeros(16);
-        for i in 0..15 {
-            corr.set(i, i + 1, 2);
-        }
+        let corr = CorrelationMatrix::from_edges(16, (0..15).map(|i| (i, i + 1, 2)));
         let mut rng = DetRng::new(2);
         let mc = place(Strategy::MinCost, &corr, &cluster, &mut rng);
         let st = place(Strategy::Stretch, &corr, &cluster, &mut rng);

@@ -78,13 +78,8 @@ fn swap_gain(corr: &CorrelationMatrix, mapping: &Mapping, a: usize, b: usize) ->
 }
 
 fn random_matrix(n: usize, max: u64, rng: &mut DetRng) -> CorrelationMatrix {
-    let mut corr = CorrelationMatrix::zeros(n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            corr.set(a, b, rng.next_below(max));
-        }
-    }
-    corr
+    let pairs = (0..n).flat_map(|a| ((a + 1)..n).map(move |b| (a as u32, b as u32)));
+    CorrelationMatrix::from_edges(n, pairs.map(|(a, b)| (a, b, rng.next_below(max))))
 }
 
 #[test]

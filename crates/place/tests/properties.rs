@@ -12,13 +12,8 @@ use acorr_track::{cut_cost, CorrelationMatrix};
 
 /// An arbitrary `n`-thread correlation matrix with pair values below 32.
 fn matrix(rng: &mut DetRng, n: usize) -> CorrelationMatrix {
-    let mut c = CorrelationMatrix::zeros(n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            c.set(a, b, rng.next_below(32));
-        }
-    }
-    c
+    let pairs = (0..n).flat_map(|a| ((a + 1)..n).map(move |b| (a as u32, b as u32)));
+    CorrelationMatrix::from_edges(n, pairs.map(|(a, b)| (a, b, rng.next_below(32))))
 }
 
 fn model(rng: &mut DetRng) -> MigrationCostModel {

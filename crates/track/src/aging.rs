@@ -11,11 +11,12 @@
 //! It also measures drift. §7 plans periodic re-tracking — but *when* to
 //! re-track? Re-tracking on a schedule wastes tracked iterations while the
 //! pattern is stable and lags when it shifts.
-//! [`fold_window`](AgedCorrelation::fold_window) returns how far a window
-//! of rounds diverges from the aged baseline before folding it in, so a
-//! runtime can re-track (and re-place) only when cheap observations stop
-//! resembling it. The firing decision on top of that (threshold and
-//! hysteresis) is [`PhaseDetector`](crate::PhaseDetector).
+//! [`observe`](AgedCorrelation::observe) returns how far a round diverges
+//! from the aged baseline before folding it in, so a runtime can re-track
+//! (and re-place) only when cheap observations stop resembling it. The
+//! firing decision on top of that (tumbling windows, threshold and
+//! hysteresis) is [`PhaseDetector`](crate::PhaseDetector), which closes a
+//! window of rounds given as pair lists through the same fold.
 //!
 //! The baseline holds each pair once, as one pair list (see
 //! [`correlation`](crate::correlation)) with `f64` values, beside a dense
@@ -28,7 +29,7 @@
 //! [`snapshot`](AgedCorrelation::snapshot) mirrors the list once into the
 //! [`CorrelationMatrix`] the placement heuristics read.
 
-use crate::correlation::{canonical_pairs, coalesce, union_pairs, CorrelationMatrix, Pair};
+use crate::correlation::{union_pairs, CorrelationMatrix, Pair};
 use std::fmt;
 
 /// The divergence of two stores from their summed absolute off-diagonal
@@ -47,8 +48,7 @@ fn normalized_divergence(diff: u64, mass: u64) -> f64 {
 /// ```
 /// use acorr_track::{AgedCorrelation, CorrelationMatrix};
 /// let mut aged = AgedCorrelation::new(2, 0.5);
-/// let mut phase = CorrelationMatrix::zeros(2);
-/// phase.set(0, 1, 100);
+/// let phase = CorrelationMatrix::from_edges(2, [(0, 1, 100)]);
 /// aged.observe(&phase);
 /// assert_eq!(aged.snapshot().get(0, 1), 100);
 /// aged.observe(&CorrelationMatrix::zeros(2)); // sharing stopped
@@ -136,9 +136,10 @@ impl AgedCorrelation {
     }
 
     /// Folds in a new tracking round, streaming the store's pairs, and
-    /// returns the round's divergence from the baseline before the fold,
-    /// as [`fold_window`](AgedCorrelation::fold_window) does for a window
-    /// of this one round.
+    /// returns the normalized divergence of the rounded
+    /// [`snapshot`](AgedCorrelation::snapshot) before the fold from the
+    /// round: in `[0, 1]`, 0 for the same pairs (or no mass), 1 for
+    /// disjoint sharing. The diagonal is folded in but never compared.
     ///
     /// # Panics
     ///
@@ -164,49 +165,19 @@ impl AgedCorrelation {
         CorrelationMatrix::from_pairs(diag, pairs.filter(|p| p.2 != 0))
     }
 
-    /// Closes a detector window given as pair lists: the window is
-    /// `open + last`. Returns the normalized divergence of the rounded
-    /// [`snapshot`](AgedCorrelation::snapshot) before the fold from the
-    /// window, then folds the window in as one round.
-    ///
-    /// Each list may be any list [`CorrelationMatrix::from_edges`] takes:
-    /// one that is not already canonical (ascending by `(a, b)` with
-    /// `a < b`, one entry per pair, no zero values) is normalized as
-    /// `from_edges` normalizes it, self-pairs going to the diagonal. So
-    /// the result is the one the stores `from_edges` builds would give.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is out of range.
-    pub fn fold_window(&mut self, open: &[(u32, u32, u64)], last: &[(u32, u32, u64)]) -> f64 {
-        let n = self.n;
-        let delta = self.fold(
-            &canonical_pairs(n, open),
-            canonical_pairs(n, last).iter().copied(),
-        );
-        // The self-pairs' values sum per thread before the one `f64` add,
-        // as `from_edges` sums them onto its diagonal.
-        let own: Vec<Pair> = open
-            .iter()
-            .chain(last)
-            .filter(|p| p.0 == p.1)
-            .copied()
-            .collect();
-        self.add_diagonal(coalesce(own).into_iter().map(|(t, _, w)| (t as usize, w)));
-        delta
-    }
-
-    /// [`fold_window`](AgedCorrelation::fold_window) over canonical pair
-    /// lists, in one merge of the baseline with the window's two parts.
-    /// Decays the diagonal, which the caller then adds the window's
-    /// diagonal to, if it has one:
+    /// Closes a window given as canonical pair lists, `open + last`, in one
+    /// merge of the baseline with the window's two parts: returns the
+    /// window's divergence from the snapshot before the fold, as
+    /// [`observe`](AgedCorrelation::observe) does for a round, then folds
+    /// the window in as one round. Decays the diagonal, which the caller
+    /// then adds the window's diagonal to, if it has one:
     ///
     /// * the snapshot rounds `val / Σ decay^r` per pair, and the diff and
     ///   mass sums are `u64`, so summing them during the merge gives what
     ///   taking the snapshot first would;
     /// * the fold writes `val·decay + (open + last)` per pair, with the
-    ///   `u64` add done first, as merging the rounds would. Pairs the
-    ///   decay underflows to exactly `0.0` are dropped.
+    ///   `u64` add done first, as one store of the window's rounds would
+    ///   hold it. Pairs the decay underflows to exactly `0.0` are dropped.
     pub(crate) fn fold(&mut self, open: &[Pair], last: impl Iterator<Item = Pair>) -> f64 {
         let decay = self.decay;
         let scale = self.scale();
@@ -279,10 +250,8 @@ impl fmt::Display for AgedCorrelation {
 mod tests {
     use super::*;
 
-    fn pair(n: usize, a: usize, b: usize, v: u64) -> CorrelationMatrix {
-        let mut m = CorrelationMatrix::zeros(n);
-        m.set(a, b, v);
-        m
+    fn pair(n: usize, a: u32, b: u32, v: u64) -> CorrelationMatrix {
+        CorrelationMatrix::from_edges(n, [(a, b, v)])
     }
 
     /// The divergence of `b` from `a`: at decay 0 the baseline is exactly
@@ -350,14 +319,6 @@ mod tests {
         AgedCorrelation::new(2, 0.5).observe(&CorrelationMatrix::zeros(3));
     }
 
-    /// A pair list has no thread count of its own: an open round from a
-    /// wider store names a thread the baseline does not have.
-    #[test]
-    #[should_panic(expected = "edge endpoint out of range")]
-    fn fold_of_a_mismatched_open_round_panics() {
-        AgedCorrelation::new(4, 0.5).fold_window(&[(1, 4, 2)], &[]);
-    }
-
     #[test]
     #[should_panic(expected = "index out of range")]
     fn get_out_of_range_panics() {
@@ -399,12 +360,9 @@ mod tests {
 
     #[test]
     fn partial_rotation_is_intermediate() {
-        let mut a = CorrelationMatrix::zeros(6);
-        a.set(0, 1, 10);
-        a.set(2, 3, 10);
-        let mut b = CorrelationMatrix::zeros(6);
-        b.set(0, 1, 10); // kept
-        b.set(4, 5, 10); // moved
+        let a = CorrelationMatrix::from_edges(6, [(0, 1, 10), (2, 3, 10)]);
+        // (0, 1) kept, (2, 3) moved to (4, 5).
+        let b = CorrelationMatrix::from_edges(6, [(0, 1, 10), (4, 5, 10)]);
         let d = delta(&a, &b);
         assert!((d - 0.5).abs() < 1e-12, "{d}");
     }
@@ -433,7 +391,7 @@ mod tests {
         let mut aged = AgedCorrelation::new(4, 0.5);
         aged.observe(&pair(4, 0, 1, 100));
         for _ in 0..20 {
-            aged.fold_window(&[], &[]);
+            aged.observe(&CorrelationMatrix::zeros(4));
         }
         assert_eq!(aged.edge_count(), 1, "still decaying, still held");
         assert!(aged.get(0, 1) > 0.0);
@@ -454,10 +412,11 @@ mod tests {
 
     #[test]
     fn running_weight_matches_the_sum_from_round_zero() {
+        let quiet = CorrelationMatrix::zeros(1);
         for decay in [0.0, 0.25, 0.5, 0.9, 0.999] {
             let mut aged = AgedCorrelation::new(1, decay);
             for rounds in 1..=10_000usize {
-                aged.fold_window(&[], &[]);
+                aged.observe(&quiet);
                 // The sum from round 0, checked where it stays cheap.
                 if rounds <= 100 || rounds % 997 == 0 || rounds == 10_000 {
                     let sum: f64 = (0..rounds).map(|r| decay.powi(r as i32)).sum();
@@ -476,14 +435,14 @@ mod tests {
         // A stable service past 2^31 closes: a wrapping exponent would add
         // 0.5^-(2^31) = inf, the snapshot would read zero and the next
         // close would report a full divergence.
-        let round = [(0, 1, 10)];
+        let round = pair(2, 0, 1, 10);
         let mut aged = AgedCorrelation::new(2, 0.5);
         for _ in 0..64 {
-            aged.fold_window(&[], &round);
+            aged.observe(&round);
         }
         aged.rounds = i32::MAX as usize + 1;
         for _ in 0..2 {
-            assert_eq!(aged.fold_window(&[], &round), 0.0, "no spurious shift");
+            assert_eq!(aged.observe(&round), 0.0, "no spurious shift");
             assert!(aged.weight.is_finite());
         }
     }

@@ -17,9 +17,13 @@
 //! neighbor walks for the partitioners. Every construction path yields the
 //! same canonical layout, so the derived equality compares contents.
 //!
-//! Every full walk is in ascending `(a, b)` order, so every consumer sum
-//! and tie-break is reproducible. Element-wise [`set`](CorrelationMatrix::set)
-//! splices the flat arrays in `O(E)`; the constructors build whole rows.
+//! A store is built once, whole, and only read after: from tracked bitmaps
+//! ([`from_access`](CorrelationMatrix::from_access)), an edge list
+//! ([`from_edges`](CorrelationMatrix::from_edges)), a CSV
+//! ([`from_csv`](CorrelationMatrix::from_csv)) or an aged snapshot, with
+//! [`zeros`](CorrelationMatrix::zeros) as the empty store. Every full walk
+//! is in ascending `(a, b)` order, so every consumer sum and tie-break is
+//! reproducible.
 //!
 //! A round also travels without rows, as a *pair list*: each non-zero
 //! off-diagonal pair once as `(a, b, value)` with `a < b`, ascending by
@@ -46,10 +50,10 @@ pub(crate) type Pair = (u32, u32, u64);
 /// one entry per pair, no zero values. A list already in that form, as
 /// every [`TrafficDriver::step_edges`](acorr_sim::TrafficDriver::step_edges)
 /// list is, comes back borrowed after one checking pass. Any other list is
-/// normalized as [`CorrelationMatrix::from_edges`] normalizes it, into a
-/// sorted copy: `(b, a)` reads as `(a, b)`, duplicates sum and zero values
-/// drop. Self-pairs belong to the diagonal, which a pair list does not
-/// hold, so the copy leaves them out.
+/// the pair list of the store [`CorrelationMatrix::from_edges`] builds from
+/// it: `(b, a)` reads as `(a, b)`, duplicates sum and zero values drop.
+/// Self-pairs land on that store's diagonal, which a pair list does not
+/// hold.
 ///
 /// # Panics
 ///
@@ -65,25 +69,8 @@ pub(crate) fn canonical_pairs(n: usize, pairs: &[Pair]) -> Cow<'_, [Pair]> {
     if canonical {
         return Cow::Borrowed(pairs);
     }
-    let flipped = pairs
-        .iter()
-        .filter(|&&(a, b, v)| a != b && v != 0)
-        .map(|&(a, b, v)| (a.min(b), a.max(b), v));
-    Cow::Owned(coalesce(flipped.collect()))
-}
-
-/// `pairs` sorted by `(a, b)`, with the values of equal pairs summed into
-/// one entry.
-pub(crate) fn coalesce(mut pairs: Vec<Pair>) -> Vec<Pair> {
-    pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
-    pairs.dedup_by(|next, kept| {
-        let same = (next.0, next.1) == (kept.0, kept.1);
-        if same {
-            kept.2 += next.2;
-        }
-        same
-    });
-    pairs
+    let store = CorrelationMatrix::from_edges(n, pairs.to_vec());
+    Cow::Owned(store.edges().collect())
 }
 
 /// The summed union of two canonical pair lists, itself canonical: a pair
@@ -140,26 +127,6 @@ impl Rows {
         let pos = row.binary_search_by_key(&(b as u32), |e| e.0).ok()?;
         Some(row[pos].1)
     }
-
-    /// Sets row `a`'s entry for partner `b`, removing it on `None`, and
-    /// shifts every later row start: `O(E)`, which only the element-wise
-    /// `set`/`add` path pays.
-    fn splice(&mut self, a: usize, b: usize, v: Option<u64>) {
-        let start = self.offsets[a];
-        let found = self.row(a).binary_search_by_key(&(b as u32), |e| e.0);
-        match (found, v) {
-            (Ok(i), Some(v)) => self.entries[start + i].1 = v,
-            (Ok(i), None) => {
-                self.entries.remove(start + i);
-                self.offsets[a + 1..].iter_mut().for_each(|o| *o -= 1);
-            }
-            (Err(i), Some(v)) => {
-                self.entries.insert(start + i, (b as u32, v));
-                self.offsets[a + 1..].iter_mut().for_each(|o| *o += 1);
-            }
-            (Err(_), None) => {}
-        }
-    }
 }
 
 /// The part of row `t` whose partners exceed `t`.
@@ -193,10 +160,9 @@ impl CorrelationMatrix {
     ///
     /// ```
     /// use acorr_track::CorrelationMatrix;
-    /// let mut wide = CorrelationMatrix::zeros(1_000_000);
-    /// wide.set(3, 999_999, 7);
-    /// assert_eq!(wide.get(999_999, 3), 7);
-    /// assert_eq!(wide.edge_count(), 1);
+    /// let wide = CorrelationMatrix::zeros(1_000_000);
+    /// assert_eq!(wide.get(999_999, 3), 0);
+    /// assert_eq!(wide.edge_count(), 0);
     /// ```
     ///
     /// # Panics
@@ -264,21 +230,6 @@ impl CorrelationMatrix {
         })
     }
 
-    /// Builds a matrix from explicit values (row-major, must be symmetric).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals.len() != n * n` or the data is not symmetric.
-    pub fn from_raw(n: usize, vals: Vec<u64>) -> Self {
-        assert_eq!(vals.len(), n * n, "matrix must be n x n");
-        for a in 0..n {
-            for b in 0..a {
-                assert_eq!(vals[a * n + b], vals[b * n + a], "matrix must be symmetric");
-            }
-        }
-        CorrelationMatrix::from_upper(n, |a, b| vals[a * n + b])
-    }
-
     /// Parses a matrix from the CSV produced by
     /// [`render_csv`](crate::render_csv): `n` lines of `n` comma-separated
     /// integers.
@@ -322,10 +273,18 @@ impl CorrelationMatrix {
         Ok(CorrelationMatrix::from_upper(n, |a, b| vals[a * n + b]))
     }
 
-    /// Builds a matrix from an edge list; duplicate `(a, b)` entries sum,
-    /// `(t, t)` entries accumulate onto the diagonal, zero values drop.
-    /// The input order is irrelevant (sums commute), so parallel generators
-    /// produce identical matrices regardless of chunking.
+    /// Builds a matrix from an edge list; `(b, a)` reads as `(a, b)`,
+    /// duplicate entries sum, `(t, t)` entries accumulate onto the
+    /// diagonal, zero values drop. The input order is irrelevant (sums
+    /// commute), so parallel generators produce identical matrices
+    /// regardless of chunking.
+    ///
+    /// ```
+    /// use acorr_track::CorrelationMatrix;
+    /// let wide = CorrelationMatrix::from_edges(1_000_000, [(999_999, 3, 5), (3, 999_999, 2)]);
+    /// assert_eq!(wide.get(3, 999_999), 7);
+    /// assert_eq!(wide.edge_count(), 1);
+    /// ```
     ///
     /// # Panics
     ///
@@ -443,73 +402,6 @@ impl CorrelationMatrix {
             .enumerate()
             .flat_map(|(t, row)| upper(row, t).iter().map(move |&(u, v)| (t as u32, u, v)))
     }
-
-    /// Sets both symmetric entries (zero removes the pair).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn set(&mut self, a: usize, b: usize, v: u64) {
-        assert!(a < self.n && b < self.n, "index out of range");
-        if a == b {
-            self.diag[a] = v;
-        } else {
-            let v = (v > 0).then_some(v);
-            self.rows.splice(a, b, v);
-            self.rows.splice(b, a, v);
-        }
-    }
-
-    /// Adds `v` to both symmetric entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn add(&mut self, a: usize, b: usize, v: u64) {
-        let cur = self.get(a, b);
-        if v > 0 {
-            self.set(a, b, cur + v);
-        }
-    }
-
-    /// Accumulates another tracked round into this matrix (elementwise
-    /// sum, diagonal included) by merging sorted rows in `O(T + E₁ + E₂)`.
-    /// Partial rounds — per-node shards, or a re-track split across
-    /// barrier intervals — therefore combine in any order: merging is
-    /// commutative and associative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrices cover different thread counts.
-    pub fn merge(&mut self, other: &CorrelationMatrix) {
-        assert_eq!(self.n, other.n, "matrices must cover the same threads");
-        for (d, o) in self.diag.iter_mut().zip(&other.diag) {
-            *d += o;
-        }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        // Rounds of one workload mostly share their pairs, so the union is
-        // about as large as the larger input; reserving for the sum of both
-        // raised the serve loop's peak memory by half when it merged.
-        let mut entries = Vec::with_capacity(self.rows.entries.len().max(other.rows.entries.len()));
-        offsets.push(0);
-        for (mine, theirs) in self.rows.iter().zip(other.rows.iter()) {
-            let (mut i, mut j) = (0, 0);
-            while i < mine.len() && j < theirs.len() {
-                let ((a, va), (b, vb)) = (mine[i], theirs[j]);
-                entries.push(match a.cmp(&b) {
-                    Ordering::Less => (a, va),
-                    Ordering::Greater => (b, vb),
-                    Ordering::Equal => (a, va + vb),
-                });
-                i += usize::from(a <= b);
-                j += usize::from(b <= a);
-            }
-            entries.extend_from_slice(&mine[i..]);
-            entries.extend_from_slice(&theirs[j..]);
-            offsets.push(entries.len());
-        }
-        self.rows = Rows { offsets, entries };
-    }
 }
 
 impl fmt::Display for CorrelationMatrix {
@@ -572,80 +464,27 @@ mod tests {
     }
 
     #[test]
-    fn zeros_and_set() {
-        let mut c = CorrelationMatrix::zeros(4);
-        assert_eq!(c.total_correlation(), 0);
-        c.set(1, 3, 7);
-        assert_eq!(c.get(3, 1), 7);
+    fn zeros_is_empty_and_a_pair_lands_in_both_rows() {
+        let zero = CorrelationMatrix::zeros(4);
+        assert_eq!(zero.total_correlation(), 0);
+        assert_eq!(zero.edge_count(), 0);
+        let c = CorrelationMatrix::from_edges(4, [(3, 1, 7)]);
+        assert_eq!(c.get(1, 3), 7);
         assert_eq!(c.max_off_diagonal(), 7);
         assert_eq!(c.neighbors(3), &[(1, 7)]);
+        assert_eq!(c.neighbors(1), &[(3, 7)]);
     }
 
     #[test]
     #[should_panic(expected = "index out of range")]
     fn get_out_of_range_panics() {
-        let mut c = CorrelationMatrix::zeros(4);
-        c.set(1, 0, 9);
-        c.get(0, 4);
+        CorrelationMatrix::from_edges(4, [(1, 0, 9)]).get(0, 4);
     }
 
     #[test]
-    #[should_panic(expected = "index out of range")]
-    fn set_out_of_range_panics() {
-        CorrelationMatrix::zeros(4).set(0, 4, 9);
-    }
-
-    #[test]
-    fn from_raw_checks_shape_and_symmetry() {
-        let ok = CorrelationMatrix::from_raw(2, vec![0, 5, 5, 0]);
-        assert_eq!(ok.get(0, 1), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "symmetric")]
-    fn from_raw_rejects_asymmetry() {
-        CorrelationMatrix::from_raw(2, vec![0, 5, 4, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "n x n")]
-    fn from_raw_rejects_bad_shape() {
-        CorrelationMatrix::from_raw(2, vec![0, 5, 5]);
-    }
-
-    #[test]
-    fn merge_accumulates_rounds() {
-        let mut a = CorrelationMatrix::from_raw(2, vec![1, 2, 2, 3]);
-        let b = CorrelationMatrix::from_raw(2, vec![10, 0, 0, 5]);
-        a.merge(&b);
-        assert_eq!(a, CorrelationMatrix::from_raw(2, vec![11, 2, 2, 8]));
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let a = CorrelationMatrix::from_edges(5, vec![(0, 1, 3), (2, 4, 7)]);
-        let b = CorrelationMatrix::from_edges(5, vec![(0, 1, 1), (1, 3, 2)]);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.get(0, 1), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "same threads")]
-    fn merge_shape_mismatch_panics() {
-        CorrelationMatrix::zeros(2).merge(&CorrelationMatrix::zeros(3));
-    }
-
-    /// Merging zips the rows, so a smaller store must not merge into the
-    /// prefix of a larger one.
-    #[test]
-    #[should_panic(expected = "same threads")]
-    fn merge_of_a_smaller_store_panics() {
-        let mut big = CorrelationMatrix::from_edges(3, vec![(0, 2, 4)]);
-        big.merge(&CorrelationMatrix::from_edges(2, vec![(0, 1, 1)]));
+    #[should_panic(expected = "edge endpoint out of range")]
+    fn from_edges_out_of_range_panics() {
+        CorrelationMatrix::from_edges(4, [(0, 4, 9)]);
     }
 
     #[test]
@@ -697,7 +536,7 @@ mod tests {
 
     #[test]
     fn display_summarizes() {
-        let c = CorrelationMatrix::from_raw(2, vec![1, 2, 2, 3]);
+        let c = CorrelationMatrix::from_edges(2, [(0, 0, 1), (0, 1, 2), (1, 1, 3)]);
         assert_eq!(c.to_string(), "correlation matrix: 2 threads, 1 edges");
     }
 
@@ -712,20 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn set_get_add_and_removal() {
-        let mut s = CorrelationMatrix::zeros(5);
-        s.set(1, 4, 9);
-        s.add(4, 1, 1);
-        assert_eq!(s.get(1, 4), 10);
-        assert_eq!(s.edge_count(), 1);
-        s.set(4, 1, 0);
-        assert_eq!(s.get(1, 4), 0);
-        assert_eq!(s.edge_count(), 0, "zero removes the pair");
-        s.set(2, 2, 5);
-        assert_eq!(s.get(2, 2), 5);
-    }
-
-    #[test]
     fn from_edges_aggregates_in_any_order() {
         let fwd = CorrelationMatrix::from_edges(4, vec![(0, 1, 2), (1, 0, 3), (2, 3, 1)]);
         let rev = CorrelationMatrix::from_edges(4, vec![(2, 3, 1), (0, 1, 3), (0, 1, 2)]);
@@ -735,7 +560,7 @@ mod tests {
     }
 
     #[test]
-    fn from_edges_layout_equals_set_on_duplicates_self_edges_and_zeros() {
+    fn from_edges_layout_equals_from_csv_on_duplicates_self_edges_and_zeros() {
         let edges = vec![
             (2, 0, 3),
             (0, 2, 4),
@@ -748,17 +573,9 @@ mod tests {
             (2, 0, 1),
             (4, 4, 0),
         ];
-        let built = CorrelationMatrix::from_edges(5, edges.clone());
-        let mut set = CorrelationMatrix::zeros(5);
-        set.set(0, 2, 8);
-        set.set(1, 1, 7);
-        set.set(3, 4, 7);
-        assert_eq!(built, set);
-        let mut added = CorrelationMatrix::zeros(5);
-        for (a, b, v) in edges {
-            added.add(a as usize, b as usize, v);
-        }
-        assert_eq!(built, added);
+        let built = CorrelationMatrix::from_edges(5, edges);
+        let grid = "0,0,8,0,0\n0,7,0,0,0\n8,0,0,0,0\n0,0,0,0,7\n0,0,0,7,0\n";
+        assert_eq!(built, CorrelationMatrix::from_csv(grid).unwrap());
     }
 
     #[test]
@@ -773,8 +590,8 @@ mod tests {
     }
 
     /// A canonical list is read in place; a list that departs from the
-    /// form in any one way is normalized into a copy, as `from_edges`
-    /// normalizes it.
+    /// form in any one way is normalized into a copy, the pair list of its
+    /// `from_edges` store.
     #[test]
     fn canonical_pairs_borrows_only_a_canonical_list() {
         assert!(matches!(canonical_pairs(5, &[]), Cow::Borrowed(_)));
@@ -819,24 +636,32 @@ mod tests {
     }
 
     /// The oracle: a plain row-major grid, and exponential aging over it
-    /// composed from merge, snapshot, delta and observe.
-    #[derive(Clone)]
+    /// composed from observe, snapshot and delta.
     struct Grid {
         n: usize,
         vals: Vec<u64>,
     }
 
     impl Grid {
-        fn set(&mut self, a: usize, b: usize, v: u64) {
-            self.vals[a * self.n + b] = v;
-            self.vals[b * self.n + a] = v;
+        /// The grid of a raw edge list, summed cell by cell: `(a, b)` and
+        /// `(b, a)` both add to the pair, `(t, t)` to the diagonal.
+        fn of_edges(n: usize, edges: &[Pair]) -> Grid {
+            let mut vals = vec![0; n * n];
+            for &(a, b, v) in edges {
+                let (a, b) = (a as usize, b as usize);
+                vals[a * n + b] += v;
+                if a != b {
+                    vals[b * n + a] += v;
+                }
+            }
+            Grid { n, vals }
         }
 
-        fn merge(&mut self, other: &Grid) {
-            self.vals
-                .iter_mut()
-                .zip(&other.vals)
-                .for_each(|(v, o)| *v += o);
+        /// The grid with its diagonal zeroed, as a pair list carries it.
+        fn off_diagonal(&self) -> Grid {
+            let mut vals = self.vals.clone();
+            (0..self.n).for_each(|t| vals[t * self.n + t] = 0);
+            Grid { n: self.n, vals }
         }
 
         /// Normalized L1 divergence over the pairs `a < b`.
@@ -856,16 +681,27 @@ mod tests {
             }
         }
 
-        fn store(&self) -> CorrelationMatrix {
-            CorrelationMatrix::from_raw(self.n, self.vals.clone())
+        /// `n` lines of `n` comma-separated cells, as `render_csv` prints.
+        fn csv(&self) -> String {
+            let line = |row: &[u64]| row.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
+            self.vals
+                .chunks(self.n)
+                .map(|row| line(row) + "\n")
+                .collect()
         }
 
-        /// The non-zero cells `a <= b` as a pair list, ascending, the
-        /// diagonal as self-pairs: canonical when the diagonal is zero.
+        /// The store of the grid's cells `a <= b`.
+        fn store(&self) -> CorrelationMatrix {
+            let upper = (0..self.n).flat_map(|a| (a..self.n).map(move |b| (a, b)));
+            let cell = |(a, b): (usize, usize)| (a as u32, b as u32, self.vals[a * self.n + b]);
+            CorrelationMatrix::from_edges(self.n, upper.map(cell))
+        }
+
+        /// The non-zero cells `a < b` as a canonical pair list.
         fn pairs(&self) -> Vec<Pair> {
             let mut pairs = Vec::new();
             for a in 0..self.n {
-                for b in a..self.n {
+                for b in (a + 1)..self.n {
                     let v = self.vals[a * self.n + b];
                     if v != 0 {
                         pairs.push((a as u32, b as u32, v));
@@ -902,89 +738,65 @@ mod tests {
         }
     }
 
-    /// Splits every cell of `g` at random between an open part and a last
-    /// round (`g` whole as the last round when the split has no open part).
-    fn random_split(rng: &mut DetRng, g: &Grid) -> (Option<Grid>, Grid) {
-        if rng.next_below(4) == 0 {
-            return (None, g.clone());
+    /// Splits every pair of a diagonal-free `g` at random between an open
+    /// part and a last round, each a canonical pair list.
+    fn random_split(rng: &mut DetRng, g: &Grid) -> (Vec<Pair>, Vec<Pair>) {
+        let (mut open, mut last) = (Vec::new(), Vec::new());
+        for (a, b, v) in g.pairs() {
+            let part = rng.next_below(v + 1);
+            open.extend((part > 0).then_some((a, b, part)));
+            last.extend((part < v).then_some((a, b, v - part)));
         }
-        let (mut open, mut last) = (g.clone(), g.clone());
-        for a in 0..g.n {
-            for b in a..g.n {
-                let v = g.vals[a * g.n + b];
-                let part = rng.next_below(v + 1);
-                open.set(a, b, part);
-                last.set(a, b, v - part);
-            }
-        }
-        (Some(open), last)
+        (open, last)
     }
 
-    /// Mirrors a random set/add/merge/fold stream into the CSR stores and
-    /// the grid oracle, checking every value, the fold delta's bits and the
-    /// canonical layout at every step.
+    /// Builds a round from a random raw edge list (duplicates, reversed
+    /// pairs, self-pairs, zeros) at every step, mirrors it into the grid
+    /// oracle and closes a detector window on it, checking every value,
+    /// the canonical layout, the pair list, the fold delta's bits and the
+    /// aged snapshot.
     fn random_equivalence(seed: u64, n: usize, steps: usize, decay: f64) {
         let mut rng = DetRng::new(seed);
-        let mut grid = Grid {
-            n,
-            vals: vec![0; n * n],
-        };
-        let mut store = CorrelationMatrix::zeros(n);
         let mut aged_grid = AgedGrid {
             decay,
             vals: vec![0.0; n * n],
             rounds: 0,
         };
         let mut aged = AgedCorrelation::new(n, decay);
+        let endpoint = |rng: &mut DetRng| rng.next_below(n as u64) as u32;
         for _ in 0..steps {
-            let a = rng.next_below(n as u64) as usize;
-            let b = rng.next_below(n as u64) as usize;
-            match rng.next_below(4) {
-                0 => {
-                    let v = rng.next_below(32);
-                    grid.set(a, b, v);
-                    store.set(a, b, v);
-                }
-                1 => {
-                    let v = rng.next_below(32);
-                    grid.set(a, b, grid.vals[a * n + b] + v);
-                    store.add(a, b, v);
-                }
-                2 => {
-                    // Merge in a random round.
-                    let mut round = Grid {
-                        n,
-                        vals: vec![0; n * n],
-                    };
-                    for _ in 0..rng.next_below(8) {
-                        let a = rng.next_below(n as u64) as usize;
-                        let b = rng.next_below(n as u64) as usize;
-                        round.set(a, b, rng.next_below(9));
-                    }
-                    grid.merge(&round);
-                    store.merge(&round.store());
-                }
-                _ => {
-                    // Close a window holding the store: whole, streamed
-                    // from its rows, or split at random into an open part
-                    // and a last round, each given as a pair list.
-                    let (open, last) = random_split(&mut rng, &grid);
-                    let expected = aged_grid.snapshot(n).delta(&grid);
-                    aged_grid.observe(&grid);
-                    let got = match open {
-                        None => aged.observe(&last.store()),
-                        Some(open) => aged.fold_window(&open.pairs(), &last.pairs()),
-                    };
-                    assert_eq!(got.to_bits(), expected.to_bits(), "fold delta diverged");
-                    assert_eq!(aged.snapshot(), aged_grid.snapshot(n).store());
-                }
-            }
+            let edges: Vec<Pair> = (0..rng.next_below(16))
+                .map(|_| (endpoint(&mut rng), endpoint(&mut rng), rng.next_below(9)))
+                .collect();
+            let grid = Grid::of_edges(n, &edges);
+            let round = CorrelationMatrix::from_edges(n, edges.iter().copied());
             for a in 0..n {
                 for b in 0..n {
-                    assert_eq!(store.get(a, b), grid.vals[a * n + b], "({a},{b}) diverged");
+                    assert_eq!(round.get(a, b), grid.vals[a * n + b], "({a},{b}) diverged");
                 }
             }
-            assert_eq!(store, grid.store(), "layout not canonical");
+            // A second constructor, fed the grid's CSV, builds the same rows.
+            let parsed = CorrelationMatrix::from_csv(&grid.csv()).unwrap();
+            assert_eq!(round, parsed, "layout not canonical");
+            assert_eq!(round.edges().collect::<Vec<_>>(), grid.pairs());
+            assert_eq!(*canonical_pairs(n, &edges), grid.pairs());
+            // Close a window holding the round: whole, through `observe`,
+            // or, a third of the time, as the detector closes one, through
+            // `fold` with the round's pairs split at random into an open
+            // part and a last round, and no diagonal.
+            let (got, expected) = if rng.next_below(3) == 0 {
+                let window = grid.off_diagonal();
+                let (open, last) = random_split(&mut rng, &window);
+                let expected = aged_grid.snapshot(n).delta(&window);
+                aged_grid.observe(&window);
+                (aged.fold(&open, last.into_iter()), expected)
+            } else {
+                let expected = aged_grid.snapshot(n).delta(&grid);
+                aged_grid.observe(&grid);
+                (aged.observe(&round), expected)
+            };
+            assert_eq!(got.to_bits(), expected.to_bits(), "fold delta diverged");
+            assert_eq!(aged.snapshot(), aged_grid.snapshot(n).store());
         }
         // Aged accumulators agree bit-for-bit, value by value, and the
         // CSR one holds exactly the non-zero pairs.

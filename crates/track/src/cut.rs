@@ -79,11 +79,7 @@ mod tests {
 
     /// A 4-thread chain: neighbors share 2 pages.
     fn chain4() -> CorrelationMatrix {
-        let mut c = CorrelationMatrix::zeros(4);
-        c.set(0, 1, 2);
-        c.set(1, 2, 2);
-        c.set(2, 3, 2);
-        c
+        CorrelationMatrix::from_edges(4, [(0, 1, 2), (1, 2, 2), (2, 3, 2)])
     }
 
     fn mapping(assign: Vec<u16>) -> Mapping {

@@ -5,7 +5,8 @@
 //! * [`correlation`] — the [`CorrelationMatrix`]: for every thread pair, the
 //!   number of shared pages both touch (§1's *thread correlation*). One
 //!   store from 64 threads to 10⁶: a dense diagonal plus flat CSR rows of
-//!   the non-zero pairs, `O(T + E)` memory.
+//!   the non-zero pairs, `O(T + E)` memory, built whole once per round and
+//!   only read after.
 //! * [`cut`] — *cut costs* (§2): the pairwise correlation mass crossing node
 //!   boundaries under a given [`Mapping`](acorr_sim::Mapping), the paper's
 //!   predictor of communication.

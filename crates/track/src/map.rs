@@ -49,8 +49,7 @@ fn shade(v: u64, max: u64) -> u8 {
 ///
 /// ```
 /// use acorr_track::{render_ascii, CorrelationMatrix, MapStyle};
-/// let mut c = CorrelationMatrix::zeros(3);
-/// c.set(0, 1, 5);
+/// let c = CorrelationMatrix::from_edges(3, [(0, 1, 5)]);
 /// let art = render_ascii(&c, &MapStyle::default());
 /// assert_eq!(art.lines().count(), 3);
 /// ```
@@ -189,14 +188,10 @@ mod tests {
     use acorr_sim::ClusterConfig;
 
     fn nearest_neighbor(n: usize) -> CorrelationMatrix {
-        let mut c = CorrelationMatrix::zeros(n);
-        for i in 0..n.saturating_sub(1) {
-            c.set(i, i + 1, 4);
-        }
-        for i in 0..n {
-            c.set(i, i, 8);
-        }
-        c
+        let n32 = n as u32;
+        let chain = (1..n32).map(|i| (i - 1, i, 4));
+        let own = (0..n32).map(|i| (i, i, 8));
+        CorrelationMatrix::from_edges(n, chain.chain(own))
     }
 
     #[test]
@@ -215,9 +210,7 @@ mod tests {
 
     #[test]
     fn shading_is_monotonic() {
-        let mut c = CorrelationMatrix::zeros(3);
-        c.set(0, 1, 1);
-        c.set(0, 2, 10);
+        let c = CorrelationMatrix::from_edges(3, [(0, 1, 1), (0, 2, 10)]);
         let art = render_ascii(&c, &MapStyle::default());
         let bottom: Vec<char> = art.lines().last().unwrap().chars().collect();
         let ramp_pos = |ch: char| RAMP.iter().position(|&r| r as char == ch).unwrap();
@@ -245,8 +238,7 @@ mod tests {
 
     #[test]
     fn fixed_scale_dims_weak_maps() {
-        let mut c = CorrelationMatrix::zeros(2);
-        c.set(0, 1, 2);
+        let c = CorrelationMatrix::from_edges(2, [(0, 1, 2)]);
         let auto = render_ascii(&c, &MapStyle::default());
         let scaled = render_ascii(
             &c,
@@ -306,9 +298,7 @@ mod tests {
 
     #[test]
     fn csv_round_trips_values() {
-        let mut c = CorrelationMatrix::zeros(2);
-        c.set(0, 1, 7);
-        c.set(0, 0, 3);
+        let c = CorrelationMatrix::from_edges(2, [(0, 1, 7), (0, 0, 3)]);
         let csv = render_csv(&c);
         assert_eq!(csv, "3,7\n7,0\n");
     }

@@ -14,10 +14,12 @@
 //! ([`observe`](PhaseDetector::observe), which streams the store's pairs)
 //! or as a pair list ([`observe_pairs`](PhaseDetector::observe_pairs)),
 //! which is how the serve loop hands over a traffic step without building
-//! a store. The open window is one pair list, and a window close is one
-//! merge of the aged baseline, that list and the closing round. Neither
-//! holds a diagonal: the divergence never reads one, and the detector
-//! never snapshots.
+//! a store. A canonical list is read in place; any other goes through
+//! [`CorrelationMatrix::from_edges`], the one normalizer of raw pairs. The
+//! open window is one pair list, and a window close is one merge of the
+//! aged baseline, that list and the closing round. Neither holds a
+//! diagonal: the divergence never reads one, and the detector never
+//! snapshots.
 //!
 //! Thresholds are carried in parts-per-million so detection is a pure
 //! integer comparison on a deterministically rounded delta: the same event
@@ -141,10 +143,10 @@ impl PhaseDetector {
     /// with `a < b`, one entry per pair, no zero values), as every
     /// [`TrafficDriver::step_edges`](acorr_sim::TrafficDriver::step_edges)
     /// list is, is read in place after one checking pass. Any other list
-    /// is normalized first, as [`CorrelationMatrix::from_edges`] normalizes
-    /// it, so both paths fire the same shifts: `(b, a)` reads as `(a, b)`,
-    /// duplicates sum, zero values drop, and self-pairs, which only the
-    /// diagonal would hold, are left out.
+    /// is read as the pairs of the store [`CorrelationMatrix::from_edges`]
+    /// builds from it, so both paths fire the same shifts: `(b, a)` reads
+    /// as `(a, b)`, duplicates sum, zero values drop, and self-pairs, which
+    /// only the diagonal holds, are left out.
     ///
     /// # Panics
     ///
@@ -213,16 +215,12 @@ mod tests {
 
     /// A store with neighbor pairs sharing, rotated by `offset`.
     fn pattern(threads: usize, offset: usize) -> CorrelationMatrix {
-        let mut m = CorrelationMatrix::zeros(threads);
-        for t in (0..threads - 1).step_by(2) {
+        let pairs = (0..threads - 1).step_by(2).map(|t| {
             let a = (t + offset) % threads;
             let b = (t + 1 + offset) % threads;
-            if a != b {
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                m.set(lo, hi, 10);
-            }
-        }
-        m
+            (a as u32, b as u32, 10)
+        });
+        CorrelationMatrix::from_edges(threads, pairs)
     }
 
     #[test]

@@ -153,8 +153,7 @@ fn best_block(corr: &CorrelationMatrix) -> Option<usize> {
 ///
 /// ```
 /// use acorr_track::{profile_map, CorrelationMatrix, Structure};
-/// let mut chain = CorrelationMatrix::zeros(8);
-/// for i in 0..7 { chain.set(i, i + 1, 5); }
+/// let chain = CorrelationMatrix::from_edges(8, (0..7).map(|i| (i, i + 1, 5)));
 /// let p = profile_map(&chain);
 /// assert_eq!(p.structure, Structure::NearestNeighbor { distance: 1 });
 /// ```
@@ -237,34 +236,22 @@ pub fn compatible_node_sizes(profile: &MapProfile, threads: usize) -> Vec<usize>
 mod tests {
     use super::*;
 
+    /// The store holding `value(a, d)` on every pair `a < d` of `n` threads.
+    fn upper(n: usize, value: impl Fn(usize, usize) -> u64) -> CorrelationMatrix {
+        let pairs = (0..n).flat_map(|a| ((a + 1)..n).map(move |d| (a, d)));
+        CorrelationMatrix::from_edges(n, pairs.map(|(a, d)| (a as u32, d as u32, value(a, d))))
+    }
+
     fn chain(n: usize, w: u64) -> CorrelationMatrix {
-        let mut c = CorrelationMatrix::zeros(n);
-        for i in 0..n - 1 {
-            c.set(i, i + 1, w);
-        }
-        c
+        upper(n, |a, d| if d == a + 1 { w } else { 0 })
     }
 
     fn blocks(n: usize, b: usize, w: u64) -> CorrelationMatrix {
-        let mut c = CorrelationMatrix::zeros(n);
-        for a in 0..n {
-            for d in (a + 1)..n {
-                if a / b == d / b {
-                    c.set(a, d, w);
-                }
-            }
-        }
-        c
+        upper(n, |a, d| if a / b == d / b { w } else { 0 })
     }
 
     fn uniform(n: usize, w: u64) -> CorrelationMatrix {
-        let mut c = CorrelationMatrix::zeros(n);
-        for a in 0..n {
-            for d in (a + 1)..n {
-                c.set(a, d, w);
-            }
-        }
-        c
+        upper(n, |_, _| w)
     }
 
     #[test]
@@ -300,14 +287,7 @@ mod tests {
     #[test]
     fn blocks_with_weak_background_still_detected() {
         // Ocean/LU style: blocks over a faint uniform background.
-        let mut c = blocks(32, 8, 20);
-        for a in 0..32 {
-            for d in (a + 1)..32 {
-                if c.get(a, d) == 0 {
-                    c.set(a, d, 1);
-                }
-            }
-        }
+        let c = upper(32, |a, d| if a / 8 == d / 8 { 20 } else { 1 });
         let p = profile_map(&c);
         assert_eq!(p.structure, Structure::Blocked { block: 8 });
         assert_eq!(p.density, 1.0);
@@ -319,10 +299,11 @@ mod tests {
         // weight. Over all 96 cross-block pairs, zero pairs included, the
         // background is faint; over its non-zero pairs alone it would read
         // as half the block weight and the map as all-to-all.
-        let mut c = blocks(16, 4, 10);
-        for a in 0..8 {
-            c.set(a, a + 8, 5);
-        }
+        let c = upper(16, |a, d| match (a / 4 == d / 4, d == a + 8) {
+            (true, _) => 10,
+            (false, true) => 5,
+            (false, false) => 0,
+        });
         let p = profile_map(&c);
         assert_eq!(p.structure, Structure::Blocked { block: 4 });
         assert_eq!(p.density, 32.0 / 120.0);
@@ -330,14 +311,7 @@ mod tests {
 
     #[test]
     fn strong_background_flips_to_all_to_all() {
-        let mut c = blocks(32, 8, 4);
-        for a in 0..32 {
-            for d in (a + 1)..32 {
-                if c.get(a, d) == 0 {
-                    c.set(a, d, 3);
-                }
-            }
-        }
+        let c = upper(32, |a, d| if a / 8 == d / 8 { 4 } else { 3 });
         assert_eq!(profile_map(&c).structure, Structure::AllToAll);
     }
 

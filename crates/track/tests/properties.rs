@@ -1,5 +1,5 @@
-//! Property tests for correlation analysis: merge algebra, aging decay,
-//! delta/CSV round-trips, and rounds as pair lists against their stores.
+//! Property tests for correlation analysis: aging decay, delta/CSV
+//! round-trips, and rounds as pair lists against their stores.
 
 use acorr_sim::{forall, ClusterConfig, DetRng, Mapping};
 use acorr_track::{
@@ -11,13 +11,8 @@ const N: usize = 5;
 /// An arbitrary symmetric correlation matrix over `N` threads.
 fn matrix(rng: &mut DetRng) -> CorrelationMatrix {
     let vals: Vec<u64> = (0..N * N).map(|_| rng.next_below(1_000)).collect();
-    let mut m = CorrelationMatrix::zeros(N);
-    for a in 0..N {
-        for b in a..N {
-            m.set(a, b, vals[a * N + b]);
-        }
-    }
-    m
+    let upper = (0..N).flat_map(|a| (a..N).map(move |b| (a, b)));
+    CorrelationMatrix::from_edges(N, upper.map(|(a, b)| (a as u32, b as u32, vals[a * N + b])))
 }
 
 fn cells(aged: &AgedCorrelation) -> Vec<f64> {
@@ -32,35 +27,6 @@ fn cells(aged: &AgedCorrelation) -> Vec<f64> {
 
 fn two(rng: &mut DetRng) -> (CorrelationMatrix, CorrelationMatrix) {
     (matrix(rng), matrix(rng))
-}
-
-/// Merging tracked rounds is commutative: per-node shards combine in
-/// any order.
-#[test]
-fn merge_is_commutative() {
-    forall(64, 0, two, |(a, b)| {
-        let mut ab = a.clone();
-        ab.merge(b);
-        let mut ba = b.clone();
-        ba.merge(a);
-        assert_eq!(ab, ba);
-    });
-}
-
-/// ... and associative: shard grouping does not matter either.
-#[test]
-fn merge_is_associative() {
-    let three = |rng: &mut DetRng| (matrix(rng), matrix(rng), matrix(rng));
-    forall(64, 0, three, |(a, b, c)| {
-        let mut left = a.clone();
-        left.merge(b);
-        left.merge(c);
-        let mut bc = b.clone();
-        bc.merge(c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-    });
 }
 
 /// Once observations stop, every aged pair decays monotonically: each
@@ -143,14 +109,14 @@ fn pair_list(rng: &mut DetRng) -> Vec<(u32, u32, u64)> {
 
 /// The serve loop's pair path and the store path agree round by round: a
 /// detector fed pair lists fires the marks that one fed the stores
-/// `from_edges` builds fires, an aged baseline folds bit-equal deltas into
-/// equal snapshots whether a window arrives as two pair lists or as their
-/// store, and a pair list cuts as its store does.
+/// `from_edges` builds fires, and a pair list cuts as its store does. Each
+/// round joins two generated lists, so a canonical half often meets a
+/// duplicate.
 #[test]
 fn pair_lists_and_their_stores_agree() {
     let stream = |rng: &mut DetRng| {
         let rounds: Vec<_> = (0..rng.index(20))
-            .map(|_| (pair_list(rng), pair_list(rng)))
+            .map(|_| [pair_list(rng), pair_list(rng)].concat())
             .collect();
         let window = rng.range(1, 5) as usize;
         (rounds, window, rng.next_f64() * 0.99, rng.next_u64())
@@ -158,24 +124,12 @@ fn pair_lists_and_their_stores_agree() {
     forall(256, 0, stream, |&(ref rounds, window, decay, seed)| {
         let detector = || PhaseDetector::with_thresholds(N, window, 350_000, 150_000, decay);
         let (mut by_pairs, mut by_store) = (detector(), detector());
-        let (mut aged_pairs, mut aged_store) = (
-            AgedCorrelation::new(N, decay),
-            AgedCorrelation::new(N, decay),
-        );
         let cluster = ClusterConfig::new(2, N).unwrap();
         let mapping = Mapping::random_balanced(&cluster, &mut DetRng::new(seed));
-        for (open, last) in rounds {
-            let whole: Vec<_> = open.iter().chain(last).copied().collect();
-            let store = CorrelationMatrix::from_edges(N, whole.clone());
-            assert_eq!(by_pairs.observe_pairs(&whole), by_store.observe(&store));
-            let (got, want) = (
-                aged_pairs.fold_window(open, last),
-                aged_store.observe(&store),
-            );
-            assert_eq!(got.to_bits(), want.to_bits(), "fold delta");
-            assert_eq!(aged_pairs.snapshot(), aged_store.snapshot());
-            assert_eq!(aged_pairs, aged_store, "aged values bit for bit");
-            assert_eq!(pairs_cut_cost(&whole, &mapping), cut_cost(&store, &mapping));
+        for round in rounds {
+            let store = CorrelationMatrix::from_edges(N, round.iter().copied());
+            assert_eq!(by_pairs.observe_pairs(round), by_store.observe(&store));
+            assert_eq!(pairs_cut_cost(round, &mapping), cut_cost(&store, &mapping));
         }
         assert_eq!(by_pairs.flush(), by_store.flush());
         assert_eq!(by_pairs.shifts(), by_store.shifts());

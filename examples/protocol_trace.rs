@@ -2,9 +2,11 @@
 //!
 //! Attaches a small event sink to a tiny two-node run and prints the event
 //! timeline — write faults creating twins, diffs finalized at the barrier,
-//! the reader's remote miss, the barrier releases. Then switches the same
-//! program to the single-writer protocol and shows the ownership ping-pong
-//! §6 talks about.
+//! the reader's remote miss, the barrier releases. Each event is stamped
+//! with its own node's clock, and the clocks run apart between barriers,
+//! so the events are sorted (stably) by their stamps before printing. Then
+//! switches the same program to the single-writer protocol and shows the
+//! ownership ping-pong §6 talks about.
 //!
 //! Run with: `cargo run --release --example protocol_trace`
 
@@ -60,8 +62,9 @@ fn run_with(mode: WriteMode) -> Result<(), DsmError> {
     let timeline = Timeline::default();
     dsm.attach_sink(Box::new(timeline.clone()));
     dsm.run_iterations(2)?;
-    let events = timeline.0.lock().unwrap();
-    for (at, event) in events.iter() {
+    let mut events = timeline.0.lock().unwrap().clone();
+    events.sort_by_key(|&(at, _)| at);
+    for (at, event) in &events {
         println!("{at}  {event}");
     }
     println!();

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Validates an `acorr run --obs-dir` artifact bundle: every expected file
-# present, JSONL lines parse as JSON objects, the Chrome trace is a valid
+# present, JSONL lines parse as JSON objects, each barrier release carries
+# the time of its interval record, the Chrome trace is a valid
 # trace_event document, the CSVs carry their headers, and the manifest has
 # the right schema and a digest. Dependency-free beyond python3 (used only
 # for JSON parsing, no third-party modules).
@@ -28,7 +29,10 @@ def fail(msg):
     print(f"check_obs: {msg}", file=sys.stderr)
     sys.exit(1)
 
-# events.jsonl: every line a standalone JSON object with a type tag.
+# events.jsonl: every line a standalone JSON object with a type tag, and
+# every barrier_release stamped at its release: the ts of the interval
+# record that follows it.
+release = None
 with open(f"{dir}/events.jsonl") as f:
     for n, line in enumerate(f, 1):
         try:
@@ -37,6 +41,17 @@ with open(f"{dir}/events.jsonl") as f:
             fail(f"events.jsonl:{n}: {e}")
         if not isinstance(event, dict) or "type" not in event:
             fail(f"events.jsonl:{n}: not an object with a 'type' tag")
+        if event["type"] == "barrier_release":
+            if release is not None:
+                fail(f"events.jsonl:{release[0]}: barrier_release with no interval record after it")
+            release = (n, event.get("ts"))
+        elif event["type"] == "interval" and release is not None:
+            if event.get("ts") != release[1]:
+                fail(f"events.jsonl:{release[0]}: barrier_release at ts {release[1]}, "
+                     f"its interval record (line {n}) at ts {event.get('ts')}")
+            release = None
+if release is not None:
+    fail(f"events.jsonl:{release[0]}: barrier_release with no interval record after it")
 
 # trace.json: Chrome trace_event envelope with a non-empty event array.
 with open(f"{dir}/trace.json") as f:

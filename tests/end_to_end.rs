@@ -138,10 +138,8 @@ fn sharing_degree_orders_apps_like_the_paper() {
 fn aged_correlations_follow_a_phase_change() {
     use active_correlation_tracking::track::AgedCorrelation;
     let mut aged = AgedCorrelation::new(4, 0.5);
-    let mut phase_a = CorrelationMatrix::zeros(4);
-    phase_a.set(0, 1, 50);
-    let mut phase_b = CorrelationMatrix::zeros(4);
-    phase_b.set(2, 3, 50);
+    let phase_a = CorrelationMatrix::from_edges(4, [(0, 1, 50)]);
+    let phase_b = CorrelationMatrix::from_edges(4, [(2, 3, 50)]);
     for _ in 0..4 {
         aged.observe(&phase_a);
     }

@@ -99,10 +99,7 @@ fn correlation_csv_never_panics() {
     let big = format!("0,{max},0,0\n{max},0,0,0\n0,0,0,{max}\n0,0,{max},0\n");
     assert!(CorrelationMatrix::from_csv(&big).is_err());
     profile_map(&CorrelationMatrix::from_csv("").unwrap());
-    let mut corr = CorrelationMatrix::zeros(4);
-    corr.set(0, 1, 7);
-    corr.set(2, 3, 1_000_000);
-    corr.set(1, 1, 42);
+    let corr = CorrelationMatrix::from_edges(4, [(0, 1, 7), (2, 3, 1_000_000), (1, 1, 42)]);
     never_panics(&[render_csv(&corr), big], |text| {
         CorrelationMatrix::from_csv(text).map(|m| profile_map(&m))
     });
