@@ -157,6 +157,8 @@ the conformance oracle, and multi-writer vs single-writer differential
 memory comparison. App names are case-insensitive here, and the seeded-race
 fixture `Racey` is accepted (forced to 2 threads on 1 node). Counterexamples
 shrink to a minimal replay token; `--replay TOKEN` reruns one exactly.
+A reported failure (found or replayed) is an error: exit 1. `--replay` takes
+no search flag, and each --mode only its own.
 Model checking: `explore --mode model-check` enumerates the fault x schedule
 product space (partition, duplication, corruption, one-node crash at barrier
 intervals) with state-hash pruning; in this mode `--faults N` is the fault
@@ -662,6 +664,26 @@ fn explore(args: &Args) -> Result<String, String> {
             ))
         }
     };
+    // A search flag the run does not read is an error: a replay reads none
+    // of them, and each mode reads only its own.
+    let (reads, context): (&[&str], &str) = match (args.get("replay"), mode) {
+        (Some(_), _) => (&[], "--replay"),
+        (None, ExploreMode::Random { .. }) => (&["mode", "budget", "seed"], "random mode"),
+        (None, ExploreMode::Systematic { .. }) => {
+            (&["mode", "budget", "preemptions"], "systematic mode")
+        }
+        (None, ExploreMode::ModelCheck { .. }) => (
+            &["mode", "budget", "preemptions", "faults"],
+            "model-check mode",
+        ),
+    };
+    let search_flags = ["mode", "budget", "seed", "preemptions", "faults"];
+    if let Some(flag) = search_flags
+        .into_iter()
+        .find(|&flag| args.get(flag).is_some() && !reads.contains(&flag))
+    {
+        return Err(format!("--{flag} does not apply with {context}"));
+    }
     let replay = match args.get("replay") {
         Some(token) => Some(Schedule::parse_token(token).map_err(|e| e.to_string())?),
         None => None,
@@ -685,7 +707,6 @@ fn explore(args: &Args) -> Result<String, String> {
         replay,
         inject,
         jobs: jobs_of(args)?,
-        ..ExploreOptions::default()
     };
     let bench = Workbench::new(nodes, threads).map_err(|e| e.to_string())?;
     let report = bench
@@ -720,7 +741,12 @@ fn explore(args: &Args) -> Result<String, String> {
         }
         std::fs::write(path, artifact).map_err(|e| format!("{path}: {e}"))?;
     }
-    Ok(format!("{report}\n"))
+    // A found (or replayed) counterexample fails the command, as an oracle
+    // violation fails `verify`.
+    match report.failure {
+        Some(_) => Err(report.to_string()),
+        None => Ok(format!("{report}\n")),
+    }
 }
 
 fn hot(args: &Args) -> Result<String, String> {
@@ -1206,7 +1232,7 @@ mod tests {
 
     #[test]
     fn explore_finds_and_replays_the_seeded_race() {
-        let out = cli(&[
+        let err = cli(&[
             "explore",
             "--app",
             "racey",
@@ -1215,12 +1241,12 @@ mod tests {
             "--budget",
             "8",
         ])
-        .unwrap();
-        assert!(out.contains("FAILED"), "{out}");
-        assert!(out.contains("s1:1"), "{out}");
-        assert!(out.contains("write-write race"), "{out}");
+        .unwrap_err();
+        assert!(err.contains("FAILED"), "{err}");
+        assert!(err.contains("s1:1"), "{err}");
+        assert!(err.contains("write-write race"), "{err}");
         // The printed token replays the identical counterexample.
-        let replayed = cli(&["explore", "--app", "Racey", "--replay", "s1:1"]).unwrap();
+        let replayed = cli(&["explore", "--app", "Racey", "--replay", "s1:1"]).unwrap_err();
         assert!(replayed.contains("FAILED"), "{replayed}");
         assert!(replayed.contains("s1:1"), "{replayed}");
     }
@@ -1233,6 +1259,51 @@ mod tests {
         assert!(err.contains("v2:9"), "{err}");
         let err = cli(&["explore", "--app", "SOR", "--inject", "gremlins"]).unwrap_err();
         assert!(err.contains("gremlins"), "{err}");
+    }
+
+    #[test]
+    fn explore_rejects_search_flags_its_mode_does_not_read() {
+        for (args, expected) in [
+            (
+                &["--faults", "3"][..],
+                "--faults does not apply with random mode",
+            ),
+            (
+                &["--preemptions", "4"],
+                "--preemptions does not apply with random mode",
+            ),
+            (
+                &["--mode", "systematic", "--seed", "9"],
+                "--seed does not apply with systematic mode",
+            ),
+            (
+                &["--mode", "systematic", "--faults", "1"],
+                "--faults does not apply with systematic mode",
+            ),
+            (
+                &["--mode", "model-check", "--seed", "9"],
+                "--seed does not apply with model-check mode",
+            ),
+            (
+                &["--replay", "s1:1", "--mode", "random"],
+                "--mode does not apply with --replay",
+            ),
+            (
+                &["--replay", "s1:1", "--budget", "3"],
+                "--budget does not apply with --replay",
+            ),
+            (
+                &["--replay", "s1", "--seed", "9"],
+                "--seed does not apply with --replay",
+            ),
+        ] {
+            let argv: Vec<&str> = ["explore", "--app", "SOR"]
+                .iter()
+                .chain(args)
+                .copied()
+                .collect();
+            assert_eq!(cli(&argv).unwrap_err(), expected, "{args:?}");
+        }
     }
 
     #[test]
@@ -1266,7 +1337,7 @@ mod tests {
 
     #[test]
     fn explore_model_check_finds_the_injected_partition_bug() {
-        let out = cli(&[
+        let err = cli(&[
             "explore",
             "--app",
             "drift",
@@ -1281,9 +1352,9 @@ mod tests {
             "--inject",
             "lose-partitioned-invalidations",
         ])
-        .unwrap();
-        assert!(out.contains("FAILED"), "{out}");
-        assert!(out.contains("s1!1"), "{out}");
+        .unwrap_err();
+        assert!(err.contains("FAILED"), "{err}");
+        assert!(err.contains("s1!1"), "{err}");
         // The printed token replays the identical counterexample, fault
         // section included.
         let replayed = cli(&[
@@ -1299,7 +1370,7 @@ mod tests {
             "--inject",
             "lose-partitioned-invalidations",
         ])
-        .unwrap();
+        .unwrap_err();
         assert!(replayed.contains("FAILED"), "{replayed}");
         assert!(replayed.contains("s1!1"), "{replayed}");
     }

@@ -78,3 +78,51 @@ fn a_help_flag_in_any_position_prints_the_usage_and_exits_0() {
         assert!(stderr.is_empty(), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn explore_exits_1_on_a_counterexample_or_an_unread_flag_and_0_when_clean() {
+    let acorr = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_acorr"))
+            .args(args)
+            .output()
+            .expect("the acorr binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stderr)
+    };
+    let (code, stderr) = acorr(&["explore", "--app", "racey", "--replay", "s1:1"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.starts_with("error:"), "{stderr}");
+    assert!(
+        stderr.contains("FAILED") && stderr.contains("s1:1"),
+        "{stderr}"
+    );
+
+    let clean = [
+        "explore",
+        "--app",
+        "sor",
+        "--threads",
+        "8",
+        "--nodes",
+        "2",
+        "--budget",
+        "2",
+    ];
+    let (code, stderr) = acorr(&clean);
+    assert_eq!(code, Some(0), "{stderr}");
+
+    let (code, stderr) = acorr(&[
+        "explore",
+        "--app",
+        "sor",
+        "--mode",
+        "systematic",
+        "--seed",
+        "9",
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(
+        stderr,
+        "error: --seed does not apply with systematic mode\n"
+    );
+}

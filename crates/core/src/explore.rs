@@ -19,9 +19,9 @@
 //!    *hazy* must carry a detector write-write race: the two mechanisms
 //!    must agree on where unordered writes live.
 //!
-//! On failure the schedule is concretized (the failing run's decision log
-//! replayed as an explicit prefix), shrunk to a minimal prefix with
-//! [`acorr_sched::shrink`], and reported as a replay token that
+//! On failure the schedule is concretized (the failing run's decision logs
+//! replayed as an explicit prefix pair), shrunk to a minimal pair with
+//! [`acorr_sched::shrink_pair`], and reported as a replay token that
 //! `acorr explore --replay TOKEN` (or [`ExploreOptions::replay`])
 //! reproduces byte-for-byte.
 //!
@@ -34,7 +34,7 @@ use crate::experiment::{HeuristicRow, Workbench};
 use acorr_dsm::{DsmError, InjectedBug, IterStats, Program, WriteMode};
 use acorr_mem::{PageId, Race, RaceReport};
 use acorr_place::Strategy;
-use acorr_sched::{shrink_pair, ExploreMode, Explorer, Schedule, ScheduleDriver};
+use acorr_sched::{shrink_pair, ExploreMode, Explorer, Schedule};
 use acorr_sim::{DecisionRecord, Mapping, SimDuration};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -53,8 +53,6 @@ pub struct ExploreOptions {
     pub budget: usize,
     /// How schedules beyond the default are generated.
     pub mode: ExploreMode,
-    /// Delta interval of the single-writer runs.
-    pub sw_delta: SimDuration,
     /// Replay exactly this schedule instead of exploring (the budget and
     /// mode are ignored; the default-schedule baseline still runs first).
     pub replay: Option<Schedule>,
@@ -79,7 +77,6 @@ impl Default for ExploreOptions {
             iterations: 2,
             budget: 20,
             mode: ExploreMode::Random { seed: 0xACE5 },
-            sw_delta: SimDuration::from_micros(200),
             replay: None,
             inject: None,
             jobs: 1,
@@ -202,6 +199,8 @@ struct ProtoRun {
 
 const MW: &str = "multi-writer";
 const SW: &str = "single-writer";
+/// Delta interval of the single-writer runs.
+const SW_DELTA: SimDuration = SimDuration::from_micros(200);
 
 /// FNV-1a fold of one `u64` into a running hash.
 fn mix(mut h: u64, v: u64) -> u64 {
@@ -371,21 +370,16 @@ impl Workbench {
         } else {
             acorr_sim::pool::resolve_threads(options.jobs)
         };
-        let model_check = matches!(options.mode, ExploreMode::ModelCheck { .. });
         let mut explorer = Explorer::new(options.mode, options.budget);
         let first = explorer
             .next_schedule()
             .expect("budget >= 1 yields the default schedule");
         debug_assert!(first.is_default());
-        if model_check {
-            explorer.observe_model(
-                &base_mw.log,
-                &base_mw.fault_log,
-                pair_state_key(&base_mw, &base_sw),
-            );
-        } else {
-            explorer.observe(&base_mw.log);
-        }
+        explorer.observe(
+            &base_mw.log,
+            &base_mw.fault_log,
+            pair_state_key(&base_mw, &base_sw),
+        );
         loop {
             let mut wave = Vec::new();
             while wave.len() < jobs.max(1) {
@@ -406,11 +400,7 @@ impl Workbench {
             for run in runs {
                 let (mw, sw) = run?;
                 report.schedules_run += 1;
-                if model_check {
-                    explorer.observe_model(&mw.log, &mw.fault_log, pair_state_key(&mw, &sw));
-                } else {
-                    explorer.observe(&mw.log);
-                }
+                explorer.observe(&mw.log, &mw.fault_log, pair_state_key(&mw, &sw));
                 if let Some(fail) = judge(&mw, &sw, &base_mw, &base_sw) {
                     report.distinct_states = explorer.distinct_states();
                     report.failure = Some(self.shrunk(
@@ -441,17 +431,13 @@ impl Workbench {
         config.write_mode = if write_mode == MW {
             WriteMode::MultiWriter
         } else {
-            WriteMode::SingleWriter {
-                delta: options.sw_delta,
-            }
+            WriteMode::SingleWriter { delta: SW_DELTA }
         };
         if let Some(bug) = options.inject {
             config = config.with_injected_bug(bug);
         }
         let (mut dsm, _handle) = self.observed_dsm(config, factory(), mapping.clone())?;
-        let (driver, log) = ScheduleDriver::new(schedule);
-        let fault_log = driver.fault_log();
-        dsm.set_schedule_policy(Box::new(driver));
+        dsm.steer(schedule.queue(), schedule.fault_queue());
         dsm.enable_oracle();
         dsm.enable_race_detection();
         dsm.enable_visible_image();
@@ -467,8 +453,8 @@ impl Workbench {
         };
         let race = dsm.race_report().expect("race detection was enabled");
         let visible = dsm.visible_image().expect("visible image was enabled");
-        let log = log.records();
-        let fault_log = fault_log.records();
+        let (log, fault_log) = dsm.decisions();
+        let (log, fault_log) = (log.to_vec(), fault_log.to_vec());
         // Per-run pruning key: the digest stream plus the decision
         // *structure* of both logs (see `pair_state_key`).
         let mut state_key = mix(0xCBF2_9CE4_8422_2325, visible.state_key());

@@ -30,14 +30,16 @@ use crate::oracle::{CoherenceOracle, OracleReport};
 use crate::program::{validate_iteration, LockId, Op, Program};
 use crate::protocol::{FetchPlan, PageDirectory};
 use crate::stats::IterStats;
-use crate::steer::{DecisionPoint, SchedulePolicy};
 use crate::thread::{OngoingAccess, ThreadState, ThreadStatus};
 use crate::trace::{Event, EventSink, SpanPhase};
 use acorr_mem::{
     pages_for, span_pages, AccessKind, AccessMatrix, Arena, HbRaceDetector, PageId, PageSpan,
     Protection, RaceReport, VisibleImage,
 };
-use acorr_sim::{FaultAction, FaultInjector, Mapping, MessageKind, NodeId, SimDuration, SimTime};
+use acorr_sim::{
+    DecisionQueue, DecisionRecord, FaultAction, FaultInjector, Mapping, MessageKind, NodeId,
+    SimDuration, SimTime,
+};
 
 /// Fixed framing overhead charged per diff, on top of the dirty bytes.
 const DIFF_HEADER_BYTES: u64 = 16;
@@ -124,10 +126,11 @@ pub struct Dsm<P: Program> {
     barrier_arrived: usize,
     faults: FaultInjector,
     oracle: Option<CoherenceOracle>,
-    policy: Option<Box<dyn SchedulePolicy>>,
+    /// The (schedule, fault) queues steering the run, if attached; each
+    /// logs the choices it answers.
+    steer: Option<(DecisionQueue, DecisionQueue)>,
     race: Option<HbRaceDetector>,
     visible: Option<VisibleImage>,
-    decision_seq: u64,
     /// Bump arena for per-interval page lists (write sets, lock write
     /// records); reset once per barrier interval.
     interval_arena: Arena<PageId>,
@@ -204,10 +207,9 @@ impl<P: Program> Dsm<P> {
             barrier_arrived: 0,
             faults,
             oracle: None,
-            policy: None,
+            steer: None,
             race: None,
             visible: None,
-            decision_seq: 0,
             interval_arena: Arena::new(),
             plan_scratch: FetchPlan::default(),
             fault_interval: 0,
@@ -340,17 +342,28 @@ impl<P: Program> Dsm<P> {
         self.oracle.as_ref().map(|o| o.hazy_pages())
     }
 
-    /// Attaches a scheduling policy consulted at every steerable decision
-    /// point (ready-queue dispatch, lock-grant order) with more than one
-    /// legal choice. A policy that always answers `0` reproduces the
-    /// unsteered engine bit-for-bit; detaching restores FIFO behavior.
-    pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
-        self.policy = Some(policy);
+    /// Steers the run. `schedule` answers every steerable decision point
+    /// with more than one legal choice: which ready thread a node
+    /// dispatches, and which queued waiter a released lock goes to
+    /// (alternative `k` is the queue's `k`-th entry). `faults` answers once
+    /// per barrier interval with an index into the fault-action menu, in
+    /// place of the fault plan's stochastic draw. Choice `0` is the engine
+    /// default (FIFO, no fault), so two queues that always answer `0`
+    /// reproduce the unsteered engine bit for bit. Time-driven choices
+    /// (which node steps next, when blocked threads wake) are never
+    /// offered, and the pinned scheduler of tracked iterations has none.
+    pub fn steer(&mut self, schedule: DecisionQueue, faults: DecisionQueue) {
+        self.steer = Some((schedule, faults));
     }
 
-    /// Decision points consulted so far (0 while no policy is attached).
-    pub fn decision_points(&self) -> u64 {
-        self.decision_seq
+    /// The (schedule, fault) logs of the steering queues: one record per
+    /// consulted point, in order. Both are empty while the run is not
+    /// steered.
+    pub fn decisions(&self) -> (&[DecisionRecord], &[DecisionRecord]) {
+        match &self.steer {
+            Some((schedule, faults)) => (schedule.log(), faults.log()),
+            None => (&[], &[]),
+        }
     }
 
     /// Enables happens-before race detection over the simulated page
@@ -387,14 +400,13 @@ impl<P: Program> Dsm<P> {
         self.visible.as_ref()
     }
 
-    /// Consults the attached policy at a decision point with `alternatives`
-    /// legal choices (callers guarantee a policy is attached and
+    /// Consults the schedule queue at a decision point with `alternatives`
+    /// legal choices (callers guarantee the run is steered and
     /// `alternatives >= 2`), emitting the decision as a trace event.
-    fn decide(&mut self, i: usize, point: DecisionPoint, alternatives: usize) -> usize {
-        let policy = self.policy.as_mut().expect("caller checked policy");
-        let choice = policy.choose(point, alternatives).min(alternatives - 1);
-        let seq = self.decision_seq;
-        self.decision_seq += 1;
+    fn decide(&mut self, i: usize, alternatives: usize) -> usize {
+        let (schedule, _) = self.steer.as_mut().expect("caller checked steer");
+        let seq = schedule.log().len() as u64;
+        let choice = schedule.next(alternatives);
         self.emit(
             i,
             Event::ScheduleDecision {
@@ -515,26 +527,26 @@ impl<P: Program> Dsm<P> {
 
     /// Opens a new barrier interval for fault purposes: any interval-scoped
     /// fault from the previous interval ends (the partition heals), then
-    /// one fault action is decided for the new interval — by the attached
-    /// policy's `inject` hook when a policy is present (the model checker's
-    /// systematic enumeration), by the stochastic plan otherwise.
+    /// one fault action is decided for the new interval — by the fault
+    /// queue when the run is steered (the model checker's systematic
+    /// enumeration), by the stochastic plan otherwise.
     ///
-    /// Pure runs — no policy, and a plan without interval-scoped faults —
+    /// Pure runs — unsteered, and a plan without interval-scoped faults —
     /// return before consuming anything, so fault-free executions stay
     /// bit-identical to an engine without fault decision points.
     fn begin_fault_interval(&mut self) {
         self.partition_split = None;
         self.interval_dup = false;
         self.interval_corrupt = false;
-        if self.policy.is_none() && !self.config.faults.has_interval_faults() {
+        if self.steer.is_none() && !self.config.faults.has_interval_faults() {
             return;
         }
         let interval = self.fault_interval;
         self.fault_interval += 1;
         let nodes = self.nodes.len();
         let alternatives = FaultAction::alternatives(nodes);
-        let (action, choice) = if let Some(policy) = self.policy.as_mut() {
-            let choice = policy.inject(interval, alternatives).min(alternatives - 1);
+        let (action, choice) = if let Some((_, faults)) = self.steer.as_mut() {
+            let choice = faults.next(alternatives);
             (FaultAction::from_choice(choice, nodes), choice)
         } else {
             let action = self.faults.interval_action(interval, nodes);
@@ -902,10 +914,9 @@ impl<P: Program> Dsm<P> {
             node.time = node.time.max(min_wake);
             self.wake_eligible(i);
         }
-        let t = if self.policy.is_some() && self.nodes[i].ready.len() > 1 {
+        let t = if self.steer.is_some() && self.nodes[i].ready.len() > 1 {
             let alternatives = self.nodes[i].ready.len();
-            let node = self.nodes[i].id;
-            let c = self.decide(i, DecisionPoint::Run { node }, alternatives);
+            let c = self.decide(i, alternatives);
             self.nodes[i].ready.remove(c).expect("choice in range")
         } else {
             let Some(t) = self.nodes[i].ready.pop_front() else {
@@ -1666,9 +1677,9 @@ impl<P: Program> Dsm<P> {
         let lock = &mut self.locks[l.idx()];
         lock.holder = None;
         lock.free_at = now;
-        let next = if self.policy.is_some() && self.locks[l.idx()].queue.len() > 1 {
+        let next = if self.steer.is_some() && self.locks[l.idx()].queue.len() > 1 {
             let alternatives = self.locks[l.idx()].queue.len();
-            let c = self.decide(i, DecisionPoint::Grant { lock: l.idx() }, alternatives);
+            let c = self.decide(i, alternatives);
             self.locks[l.idx()].queue.remove(c)
         } else {
             self.locks[l.idx()].queue.pop_front()

@@ -32,14 +32,16 @@
 //!   oracle ([`Dsm::enable_oracle`]) shadows the protocol with a
 //!   sequential reference memory and checks release-consistency
 //!   expectations at every barrier and lock release ([`OracleReport`]).
-//! * **Controllable scheduling** — a [`SchedulePolicy`]
-//!   ([`Dsm::set_schedule_policy`]) steers the engine's legal-but-arbitrary
-//!   choices (ready-queue dispatch, lock-grant order) for schedule-space
-//!   exploration; happens-before race detection
+//! * **Controllable scheduling** — two [`DecisionQueue`]s
+//!   ([`Dsm::steer`]) steer the engine's legal-but-arbitrary choices
+//!   (ready-queue dispatch, lock-grant order) and its per-interval fault
+//!   actions for schedule-space exploration, and log what they chose
+//!   ([`Dsm::decisions`]); happens-before race detection
 //!   ([`Dsm::enable_race_detection`]) and the program-visible memory model
-//!   ([`Dsm::enable_visible_image`]) ride the same hooks ([`steer`]).
+//!   ([`Dsm::enable_visible_image`]) check each steered run.
 //!
 //! [`FaultPlan`]: acorr_sim::FaultPlan
+//! [`DecisionQueue`]: acorr_sim::DecisionQueue
 //!
 //! The crate deliberately knows nothing about *analyzing* the collected
 //! access bitmaps — correlation matrices, maps, cut costs and placement live
@@ -57,7 +59,6 @@ mod oracle;
 pub mod program;
 mod protocol;
 pub mod stats;
-pub mod steer;
 mod thread;
 pub mod trace;
 
@@ -67,5 +68,4 @@ pub use error::DsmError;
 pub use oracle::OracleReport;
 pub use program::{validate_iteration, LockId, Op, Program, ScriptError};
 pub use stats::IterStats;
-pub use steer::{DecisionPoint, SchedulePolicy};
 pub use trace::{Event, EventSink};

@@ -187,14 +187,15 @@ pub enum Event {
         /// Destination node.
         to: NodeId,
     },
-    /// A schedule policy was consulted at a decision point (only emitted
-    /// while a policy is attached and more than one choice was legal).
+    /// The schedule queue was consulted at a decision point (only emitted
+    /// while the run is steered and more than one choice was legal).
     ScheduleDecision {
-        /// Run-global decision ordinal.
+        /// Run-global decision ordinal: the index of this decision in the
+        /// schedule log.
         seq: u64,
         /// Number of legal alternatives at this point.
         alternatives: u32,
-        /// Index the policy chose (`0` is the engine's FIFO default).
+        /// Index the queue chose (`0` is the engine's FIFO default).
         choice: u32,
     },
     /// A fault action fired at a barrier-interval boundary (never emitted

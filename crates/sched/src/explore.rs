@@ -18,16 +18,17 @@
 //!   crash — one per barrier interval) deviate exactly like scheduling
 //!   decisions, each dimension under its own bound, and every candidate
 //!   pairs a deviation in one dimension with the observed run's concrete
-//!   choices in the other. Runs are pruned by *state hash*: callers pass
-//!   each run's state key (per-barrier `VisibleImage` digests folded with
-//!   the decision structure) to [`Explorer::observe_model`], and a run
-//!   landing in an already-visited state expands nothing — distinct fault
-//!   placements that converge to the same memory state are explored once.
+//!   choices in the other. Runs are pruned by *state hash*: each run's
+//!   state key (per-barrier `VisibleImage` digests folded with the decision
+//!   structure) comes back with its logs, and a run landing in an
+//!   already-visited state expands nothing — distinct fault placements
+//!   that converge to the same memory state are explored once.
 //!
 //! Exploration is feedback-driven: callers run each schedule, then hand
-//! the observed [`DecisionRecord`] log(s) back via [`Explorer::observe`]
-//! (or [`Explorer::observe_model`]) so the systematic frontier can expand
-//! (random mode ignores feedback).
+//! its two observed [`DecisionRecord`] logs and its state key back via
+//! [`Explorer::observe`], so the systematic frontier can expand. Each mode
+//! reads what it needs: random mode nothing, systematic mode the
+//! scheduling log, model-check mode all three.
 
 use crate::schedule::Schedule;
 use acorr_sim::DecisionRecord;
@@ -49,7 +50,7 @@ pub enum ExploreMode {
         preemptions: usize,
     },
     /// Systematic enumeration over the fault × schedule product space with
-    /// state-hash pruning; feed runs back via [`Explorer::observe_model`].
+    /// state-hash pruning on the key passed to [`Explorer::observe`].
     ModelCheck {
         /// Maximum non-default scheduling choices per schedule.
         preemptions: usize,
@@ -152,48 +153,37 @@ impl Explorer {
         Some(schedule)
     }
 
-    /// Feeds back the decision log one yielded schedule produced. In
-    /// systematic mode this expands the frontier with every in-bound,
-    /// not-yet-seen single-point deviation; random mode ignores it.
-    /// Model-check mode expects [`Explorer::observe_model`] instead (this
-    /// method then expands schedule deviations only, without pruning).
-    pub fn observe(&mut self, log: &[DecisionRecord]) {
-        match self.mode {
-            ExploreMode::Systematic { preemptions } => self.expand(log, &[], preemptions, 0),
-            ExploreMode::ModelCheck { preemptions, .. } => self.expand(log, &[], preemptions, 0),
-            ExploreMode::Random { .. } => {}
-        }
-    }
-
-    /// Feeds back both decision logs and the state key of one yielded
-    /// schedule's run (model-check mode; other modes defer to
-    /// [`Explorer::observe`] on the scheduling log).
+    /// Feeds back the two decision logs and the state key of one yielded
+    /// schedule's run. Random mode ignores them. Systematic mode expands
+    /// the frontier with every in-bound, not-yet-seen single-point
+    /// deviation of the scheduling log.
     ///
-    /// If `state_key` was already observed the run expands nothing — its
-    /// deviations are reachable from the earlier run that produced the
-    /// same state. Otherwise every in-bound single-point deviation joins
-    /// the frontier: fault deviations first (paired with the run's
-    /// concrete schedule choices), then schedule deviations (paired with
-    /// the run's concrete fault choices).
-    pub fn observe_model(
+    /// Model-check mode prunes first: if `state_key` was already observed
+    /// the run expands nothing — its deviations are reachable from the
+    /// earlier run that produced the same state. Otherwise every in-bound
+    /// single-point deviation joins the frontier: fault deviations first
+    /// (paired with the run's concrete schedule choices), then schedule
+    /// deviations (paired with the run's concrete fault choices).
+    pub fn observe(
         &mut self,
         sched_log: &[DecisionRecord],
         fault_log: &[DecisionRecord],
         state_key: u64,
     ) {
-        let ExploreMode::ModelCheck {
-            preemptions,
-            faults,
-        } = self.mode
-        else {
-            self.observe(sched_log);
-            return;
-        };
-        if !self.states.insert(state_key) {
-            self.pruned += 1;
-            return;
+        match self.mode {
+            ExploreMode::Random { .. } => {}
+            ExploreMode::Systematic { preemptions } => self.expand(sched_log, &[], preemptions, 0),
+            ExploreMode::ModelCheck {
+                preemptions,
+                faults,
+            } => {
+                if self.states.insert(state_key) {
+                    self.expand(sched_log, fault_log, preemptions, faults);
+                } else {
+                    self.pruned += 1;
+                }
+            }
         }
-        self.expand(sched_log, fault_log, preemptions, faults);
     }
 
     /// Expands the frontier with every in-bound, not-yet-seen single-point
@@ -250,41 +240,6 @@ impl Explorer {
     }
 }
 
-/// Shrinks a failing decision prefix to a minimal counterexample.
-///
-/// `fails` must return `true` when running the given prefix (with a FIFO
-/// tail) still reproduces the failure; it is called once per candidate.
-/// The result is minimal in the sense that no single prescribed choice can
-/// be reverted to the default and no trailing defaults remain — typically
-/// a handful of choices pinpointing the racy window.
-pub fn shrink<F: FnMut(&[u32]) -> bool>(prefix: &[u32], mut fails: F) -> Vec<u32> {
-    let mut cur: Vec<u32> = prefix.to_vec();
-    loop {
-        let mut changed = false;
-        // Drop trailing default choices (a FIFO tail reproduces them).
-        while cur.last() == Some(&0) {
-            cur.pop();
-            changed = true;
-        }
-        // Try reverting each non-default choice to the default.
-        for i in 0..cur.len() {
-            if cur[i] == 0 {
-                continue;
-            }
-            let saved = cur[i];
-            cur[i] = 0;
-            if fails(&cur) {
-                changed = true;
-            } else {
-                cur[i] = saved;
-            }
-        }
-        if !changed {
-            return cur;
-        }
-    }
-}
-
 /// Shrinks a failing (schedule, fault) decision-prefix pair to a minimal
 /// counterexample.
 ///
@@ -293,8 +248,9 @@ pub fn shrink<F: FnMut(&[u32]) -> bool>(prefix: &[u32], mut fails: F) -> Vec<u32
 /// first — a counterexample that survives with fewer injected faults is
 /// strictly more alarming, so the fixpoint prefers shedding faults over
 /// shedding preemptions — then schedule choices, iterating to a joint
-/// fixpoint exactly like [`shrink`]. The result carries no trailing
-/// defaults and no revertible choice in either dimension.
+/// fixpoint. The result carries no trailing defaults and no revertible
+/// choice in either dimension. A schedule-only failure passes an empty
+/// fault column and gets an empty one back.
 pub fn shrink_pair<F: FnMut(&[u32], &[u32]) -> bool>(
     sched: &[u32],
     faults: &[u32],
@@ -312,34 +268,31 @@ pub fn shrink_pair<F: FnMut(&[u32], &[u32]) -> bool>(
             f.pop();
             changed = true;
         }
-        for i in 0..f.len() {
-            if f[i] == 0 {
-                continue;
-            }
-            let saved = f[i];
-            f[i] = 0;
-            if fails(&s, &f) {
-                changed = true;
-            } else {
-                f[i] = saved;
-            }
-        }
-        for i in 0..s.len() {
-            if s[i] == 0 {
-                continue;
-            }
-            let saved = s[i];
-            s[i] = 0;
-            if fails(&s, &f) {
-                changed = true;
-            } else {
-                s[i] = saved;
-            }
-        }
+        changed |= revert_each(&mut f, |f| fails(&s, f));
+        changed |= revert_each(&mut s, |s| fails(s, &f));
         if !changed {
             return (s, f);
         }
     }
+}
+
+/// Reverts each non-default choice of `column` to `0`, left to right,
+/// wherever `fails` still holds without it; returns whether any reverted.
+fn revert_each(column: &mut [u32], mut fails: impl FnMut(&[u32]) -> bool) -> bool {
+    let mut changed = false;
+    for i in 0..column.len() {
+        let saved = column[i];
+        if saved == 0 {
+            continue;
+        }
+        column[i] = 0;
+        if fails(column) {
+            changed = true;
+        } else {
+            column[i] = saved;
+        }
+    }
+    changed
 }
 
 #[cfg(test)]
@@ -394,7 +347,7 @@ mod tests {
         let mut e = Explorer::new(ExploreMode::Systematic { preemptions: 1 }, 100);
         assert_eq!(e.next_schedule().unwrap().prefix, Vec::<u32>::new());
         // Default run consulted two points with 2 and 3 alternatives.
-        e.observe(&[rec(2, 0), rec(3, 0)]);
+        e.observe(&[rec(2, 0), rec(3, 0)], &[], 0);
         let mut got: Vec<Vec<u32>> = Vec::new();
         while let Some(s) = e.next_schedule() {
             got.push(s.prefix.clone());
@@ -404,7 +357,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &n)| rec(n, s.prefix.get(i).copied().unwrap_or(0).min(n - 1)))
                 .collect();
-            e.observe(&log);
+            e.observe(&log, &[], 0);
         }
         // Bound 1: exactly the three single-deviation prefixes, each
         // re-observed without growing the frontier past the bound.
@@ -421,7 +374,7 @@ mod tests {
             let log: Vec<DecisionRecord> = (0..2)
                 .map(|i| rec(2, s.prefix.get(i).copied().unwrap_or(0)))
                 .collect();
-            e.observe(&log);
+            e.observe(&log, &[], 0);
         }
         assert!(seen.contains(&vec![1, 1]), "{seen:?}");
     }
@@ -429,20 +382,35 @@ mod tests {
     #[test]
     fn shrink_reverts_and_trims_to_minimal() {
         // Failure iff choice at index 2 is nonzero AND choice at 0 is
-        // nonzero; everything else is noise.
-        let fails =
-            |p: &[u32]| p.first().is_some_and(|&c| c != 0) && p.get(2).is_some_and(|&c| c != 0);
-        let min = shrink(&[2, 1, 3, 0, 4, 0], fails);
+        // nonzero; everything else is noise. No fault column.
+        let fails = |p: &[u32], _: &[u32]| {
+            p.first().is_some_and(|&c| c != 0) && p.get(2).is_some_and(|&c| c != 0)
+        };
+        let (min, faults) = shrink_pair(&[2, 1, 3, 0, 4, 0], &[], fails);
         assert_eq!(min, vec![2, 0, 3]);
-        assert!(fails(&min));
+        assert_eq!(faults, Vec::<u32>::new());
+        assert!(fails(&min, &[]));
         // Already-minimal input is a fixpoint.
-        assert_eq!(shrink(&min, fails), min);
+        assert_eq!(shrink_pair(&min, &[], fails), (min, faults));
     }
 
     #[test]
     fn shrink_of_all_noise_is_empty() {
-        let min = shrink(&[1, 2, 3], |_| true);
-        assert_eq!(min, Vec::<u32>::new());
+        let min = shrink_pair(&[1, 2, 3], &[], |_, _| true);
+        assert_eq!(min, (Vec::<u32>::new(), Vec::<u32>::new()));
+    }
+
+    #[test]
+    fn systematic_mode_reads_neither_the_fault_log_nor_the_key() {
+        let mut e = Explorer::new(ExploreMode::Systematic { preemptions: 1 }, 100);
+        e.next_schedule().unwrap();
+        e.observe(&[rec(2, 0)], &[rec(3, 0)], 0xA);
+        let mut got: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+        while let Some(s) = e.next_schedule() {
+            got.push((s.prefix.clone(), s.fault_prefix.clone()));
+        }
+        assert_eq!(got, vec![(vec![1], vec![])]);
+        assert_eq!((e.distinct_states(), e.pruned()), (0, 0));
     }
 
     #[test]
@@ -458,7 +426,7 @@ mod tests {
         assert!(first.is_default());
         // Default run: one scheduling point (2 alts), one fault interval
         // (3 alts), reaching fresh state 0xA.
-        e.observe_model(&[rec(2, 0)], &[rec(3, 0)], 0xA);
+        e.observe(&[rec(2, 0)], &[rec(3, 0)], 0xA);
         let second = e.next_schedule().unwrap();
         // Fault deviations enqueue first.
         assert_eq!(second.fault_prefix, vec![1]);
@@ -484,13 +452,13 @@ mod tests {
             100,
         );
         e.next_schedule().unwrap();
-        e.observe_model(&[rec(2, 0)], &[rec(2, 0)], 0xA);
+        e.observe(&[rec(2, 0)], &[rec(2, 0)], 0xA);
         let n = {
             let mut count = 0;
             while e.next_schedule().is_some() {
                 count += 1;
                 // Every deviation converges back to the default state.
-                e.observe_model(&[rec(2, 1)], &[rec(2, 1)], 0xA);
+                e.observe(&[rec(2, 1)], &[rec(2, 1)], 0xA);
             }
             count
         };
@@ -511,7 +479,7 @@ mod tests {
         );
         e.next_schedule().unwrap();
         // A non-default observed run: sched chose 1, fault chose 2.
-        e.observe_model(&[rec(3, 1)], &[rec(3, 2)], 0xB);
+        e.observe(&[rec(3, 1)], &[rec(3, 2)], 0xB);
         let mut pairs: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
         while let Some(s) = e.next_schedule() {
             pairs.push((s.prefix.clone(), s.fault_prefix.clone()));
@@ -537,14 +505,5 @@ mod tests {
         assert!(fails(&s, &f));
         // Fixpoint.
         assert_eq!(shrink_pair(&s, &f, fails), (s.clone(), f.clone()));
-    }
-
-    #[test]
-    fn shrink_pair_with_no_faults_matches_shrink() {
-        let fails =
-            |p: &[u32]| p.first().is_some_and(|&c| c != 0) && p.get(2).is_some_and(|&c| c != 0);
-        let (s, f) = shrink_pair(&[2, 1, 3, 0, 4, 0], &[], |s, _| fails(s));
-        assert_eq!(s, shrink(&[2, 1, 3, 0, 4, 0], fails));
-        assert_eq!(f, Vec::<u32>::new());
     }
 }

@@ -69,11 +69,31 @@ for app in sor water; do
         --mode model-check --budget 6 --decision-log "$mc_dir/$app.log"
     grep -q "^failure_token=none$" "$mc_dir/$app.log"
 done
-# Teeth: the seeded bug must be found and shrink to the pinned token.
+# Teeth: the seeded bug must be found, shrink to the pinned token, and
+# fail the command (exit 1) after the decision log is written.
+status=0
 ./target/release/acorr explore --app sor --threads 8 --nodes 2 \
     --mode model-check --budget 8 --inject lose-partitioned-invalidations \
-    --decision-log "$mc_dir/injected.log"
-grep -q "^failure_token=s1!1$" "$mc_dir/injected.log"
+    --decision-log "$mc_dir/injected.log" 2> "$mc_dir/injected.err" || status=$?
+cat "$mc_dir/injected.err"
+[ "$status" -eq 1 ] && grep -q "^failure_token=s1!1$" "$mc_dir/injected.log" || {
+    echo "error: the injected model-check run exited $status or did not shrink to s1!1" >&2
+    exit 1
+}
+# The pinned token replays: with the bug it fails again (exit 1, naming
+# s1!1); without the bug the same schedule is clean (exit 0).
+status=0
+./target/release/acorr explore --app sor --threads 8 --nodes 2 --replay 's1!1' \
+    --inject lose-partitioned-invalidations 2> "$mc_dir/replay.err" || status=$?
+cat "$mc_dir/replay.err"
+[ "$status" -eq 1 ] && grep -q "at schedule s1!1: " "$mc_dir/replay.err" || {
+    echo "error: replaying s1!1 with the injected bug exited $status" >&2; exit 1; }
+replay_out="$(./target/release/acorr explore --app sor --threads 8 --nodes 2 --replay 's1!1')"
+echo "$replay_out" | grep -q "^no new races, no divergences$" || {
+    echo "error: replaying s1!1 without the injected bug did not run clean:" >&2
+    echo "$replay_out" >&2
+    exit 1
+}
 
 echo "==> scale smoke (100k- and 1M-thread and 65535-node multilevel placement, pinned digests, bad shape rejected)"
 # The assignment digest and cut are pure functions of (threads, nodes,
