@@ -18,6 +18,8 @@
 
 use acorr_dsm::{Op, Program};
 use acorr_mem::SharedLayout;
+use std::iter::StepBy;
+use std::ops::Range;
 
 const ELEM_BYTES: u64 = 4; // f32
 const BLOCK: usize = 32;
@@ -79,6 +81,13 @@ impl Lu {
     /// The 2D-scatter owner of block `(bi, bj)`.
     fn owner(&self, bi: usize, bj: usize) -> usize {
         (bi % self.grid_rows) * self.grid_cols + (bj % self.grid_cols)
+    }
+
+    /// The block indices in `from..nb` congruent to `residue` modulo
+    /// `step`: one grid row's (or column's) share of the matrix.
+    fn owned_from(&self, from: usize, residue: usize, step: usize) -> StepBy<Range<usize>> {
+        let first = from + (residue + step - from % step) % step;
+        (first..self.nb).step_by(step)
     }
 
     /// Emits the ops accessing block `(bi, bj)`: one op per matrix row
@@ -154,34 +163,26 @@ impl Program for Lu {
         ops.push(Op::Barrier);
 
         // Phase 3: interior updates against perimeter row/column blocks.
-        // Read each needed perimeter block once, then update owned blocks.
-        let mut read_rows = std::collections::BTreeSet::new();
-        let mut read_cols = std::collections::BTreeSet::new();
-        for i in (k + 1)..self.nb {
-            for j in (k + 1)..self.nb {
-                if self.owner(i, j) == thread {
-                    read_rows.insert(i);
-                    read_cols.insert(j);
-                }
+        // The thread owns block `(i, j)` exactly when `i` has its grid row
+        // and `j` its grid column, so its interior blocks are the product
+        // of two stepped ranges. Read each needed perimeter block once,
+        // then update the owned blocks in row-major order.
+        let rows = self.owned_from(k + 1, thread / self.grid_cols, self.grid_rows);
+        let cols = self.owned_from(k + 1, thread % self.grid_cols, self.grid_cols);
+        let interior = (rows.len() * cols.len()) as u64;
+        if interior > 0 {
+            for i in rows.clone() {
+                self.block_ops(i, k, false, &mut ops);
             }
-        }
-        for &i in &read_rows {
-            self.block_ops(i, k, false, &mut ops);
-        }
-        for &j in &read_cols {
-            self.block_ops(k, j, false, &mut ops);
-        }
-        let mut interior = 0u64;
-        for i in (k + 1)..self.nb {
-            for j in (k + 1)..self.nb {
-                if self.owner(i, j) == thread {
+            for j in cols.clone() {
+                self.block_ops(k, j, false, &mut ops);
+            }
+            for i in rows {
+                for j in cols.clone() {
                     self.block_ops(i, j, false, &mut ops);
                     self.block_ops(i, j, true, &mut ops);
-                    interior += 1;
                 }
             }
-        }
-        if interior > 0 {
             ops.push(Op::compute(interior * 2 * b3 * NS_PER_FLOP));
         }
         ops
@@ -193,6 +194,7 @@ mod tests {
     use super::*;
     use acorr_dsm::validate_iteration;
     use acorr_mem::pages_for;
+    use std::collections::BTreeSet;
 
     #[test]
     fn paper_inputs_match_table1_pages() {
@@ -225,6 +227,66 @@ mod tests {
             }
         }
         assert_eq!(owners.len(), 64);
+    }
+
+    /// Phase 3 of step `k` as a scan of every interior block: the
+    /// reference the owned-block walk must match op for op.
+    fn full_scan_phase3(lu: &Lu, thread: usize, k: usize) -> Vec<Op> {
+        let b3 = (BLOCK * BLOCK * BLOCK) as u64;
+        let owned: Vec<(usize, usize)> = ((k + 1)..lu.nb)
+            .flat_map(|i| ((k + 1)..lu.nb).map(move |j| (i, j)))
+            .filter(|&(i, j)| lu.owner(i, j) == thread)
+            .collect();
+        let rows: BTreeSet<usize> = owned.iter().map(|&(i, _)| i).collect();
+        let cols: BTreeSet<usize> = owned.iter().map(|&(_, j)| j).collect();
+        let mut ops = Vec::new();
+        for &i in &rows {
+            lu.block_ops(i, k, false, &mut ops);
+        }
+        for &j in &cols {
+            lu.block_ops(k, j, false, &mut ops);
+        }
+        for &(i, j) in &owned {
+            lu.block_ops(i, j, false, &mut ops);
+            lu.block_ops(i, j, true, &mut ops);
+        }
+        if !owned.is_empty() {
+            ops.push(Op::compute(owned.len() as u64 * 2 * b3 * NS_PER_FLOP));
+        }
+        ops
+    }
+
+    #[test]
+    fn owned_block_walk_matches_the_full_scan() {
+        let thread_counts = [1, 2, 3, 4, 6, 8, 12, 16, 48, 64];
+        let mut shapes: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+        for n in [64, 128, 1024] {
+            // Every iteration, and the first two past the wrap at nb - 1.
+            let iterations: Vec<usize> = (0..n / BLOCK + 1).collect();
+            shapes.extend(thread_counts.map(|t| (n, t, iterations.clone())));
+        }
+        // LU2k in the debug profile: a sample of steps, the wrap included.
+        shapes.extend([3, 48, 64].map(|t| (2048, t, vec![0, 1, 31, 61, 62, 63])));
+        for (n, threads, iterations) in shapes {
+            let lu = Lu::new("lu", n, threads);
+            for iteration in iterations {
+                let k = iteration % (lu.nb - 1);
+                for thread in 0..threads {
+                    let script = lu.script(thread, iteration);
+                    let phase3 = script
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, op)| **op == Op::Barrier)
+                        .nth(1)
+                        .map(|(at, _)| at + 1)
+                        .expect("two barriers");
+                    assert!(
+                        script[phase3..] == full_scan_phase3(&lu, thread, k),
+                        "n {n}, {threads} threads, iteration {iteration}, thread {thread}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

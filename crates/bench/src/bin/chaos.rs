@@ -72,6 +72,21 @@ fn plans(spec: &str, seed: u64) -> Result<Vec<(String, FaultPlan)>, DsmError> {
         .collect()
 }
 
+/// The workbench for `nodes` × `threads`, or why that shape cannot run:
+/// the cluster's own check, then each suite application's thread limit.
+fn workbench(nodes: usize, threads: usize) -> Result<Workbench, String> {
+    let bench = Workbench::new(nodes, threads).map_err(|e| e.to_string())?;
+    for name in apps::SUITE_NAMES {
+        let max = apps::max_threads(name).expect("suite application");
+        if threads > max {
+            return Err(format!(
+                "{name} runs at most {max} threads, got --threads {threads}"
+            ));
+        }
+    }
+    Ok(bench)
+}
+
 fn main() {
     let threads = arg_usize("--threads", 16);
     let nodes = arg_usize("--nodes", 4);
@@ -79,6 +94,11 @@ fn main() {
     let seed = arg_usize("--seed", 7) as u64;
     let jobs = resolve_threads(arg_usize("--jobs", 0));
     let plan_spec = arg_str("--plans", &default_plan_spec());
+    // One base workbench serves every cell; only the fault plan differs.
+    let bench = workbench(nodes, threads).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     let plans = plans(&plan_spec, seed).unwrap_or_else(|e| {
         eprintln!("{e}\navailable presets:\n{}", preset_legend());
         std::process::exit(2);
@@ -104,8 +124,6 @@ fn main() {
                 .map(move |(label, plan)| (app, label.clone(), plan.clone()))
         })
         .collect();
-    // One base workbench serves every cell; only the fault plan differs.
-    let bench = Workbench::new(nodes, threads).expect("cluster");
     let runs: Vec<ConformanceRun> = par_map_indexed(jobs, cells.clone(), |_, (app, _, plan)| {
         bench
             .clone()

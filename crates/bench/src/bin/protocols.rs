@@ -17,9 +17,31 @@ use acorr::experiment::Workbench;
 use acorr::sim::{Mapping, SimDuration};
 use acorr_bench::{arg_usize, Table};
 
+/// The compared applications, at the paper's input sizes.
+const APPS: [&str; 4] = ["SOR", "Water", "LU1k", "Ocean"];
+
+/// The 8-node workbench at `threads`, or why that shape cannot run: the
+/// cluster's own check, then each application's thread limit.
+fn workbench(threads: usize) -> Result<Workbench, String> {
+    let bench = Workbench::new(8, threads).map_err(|e| e.to_string())?;
+    for name in APPS {
+        let max = apps::max_threads(name).expect("suite application");
+        if threads > max {
+            return Err(format!(
+                "{name} runs at most {max} threads, got --threads {threads}"
+            ));
+        }
+    }
+    Ok(bench)
+}
+
 fn main() {
     let iters = arg_usize("--iters", 6);
     let threads = arg_usize("--threads", 64);
+    let base = workbench(threads).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     println!(
         "Protocol comparison: multi-writer LRC vs single-writer (±delta),\n\
          {threads} threads on 8 nodes, stretch placement, {iters} iterations\n"
@@ -47,11 +69,12 @@ fn main() {
         "Ownership transfers",
         "Total MB",
     ]);
-    for name in ["SOR", "Water", "LU1k", "Ocean"] {
+    for name in APPS {
         for (label, mode) in modes {
-            let bench = Workbench::new(8, threads).expect("cluster");
-            let cluster = bench.cluster;
-            let bench = bench.with_config(DsmConfig::new(cluster).with_write_mode(mode));
+            let cluster = base.cluster;
+            let bench = base
+                .clone()
+                .with_config(DsmConfig::new(cluster).with_write_mode(mode));
             let mut dsm = bench
                 .dsm(
                     apps::by_name(name, threads).expect("known app"),

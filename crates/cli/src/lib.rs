@@ -722,13 +722,14 @@ fn explore(args: &Args) -> Result<String, String> {
         )
         .map_err(|e| e.to_string())?;
     if let Some(path) = args.get("decision-log") {
+        // A replay searches nothing, so it logs no search mode.
+        let mode = match args.get("replay") {
+            Some(_) => "replay",
+            None => args.get_or("mode", "random"),
+        };
         let mut artifact = format!(
-            "app={}\nmode={}\nschedules_run={}\ndecision_points={}\ndistinct_states={}\n",
-            report.app,
-            args.get_or("mode", "random"),
-            report.schedules_run,
-            report.decision_points,
-            report.distinct_states,
+            "app={}\nmode={mode}\nschedules_run={}\ndecision_points={}\ndistinct_states={}\n",
+            report.app, report.schedules_run, report.decision_points, report.distinct_states,
         );
         match &report.failure {
             Some(fail) => {
@@ -1245,10 +1246,27 @@ mod tests {
         assert!(err.contains("FAILED"), "{err}");
         assert!(err.contains("s1:1"), "{err}");
         assert!(err.contains("write-write race"), "{err}");
-        // The printed token replays the identical counterexample.
-        let replayed = cli(&["explore", "--app", "Racey", "--replay", "s1:1"]).unwrap_err();
+        // The printed token replays the identical counterexample, and the
+        // decision log names the replay, which searches nothing.
+        let dir = std::env::temp_dir().join(format!("acorr-cli-replay-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = dir.join("decisions.log");
+        let replayed = cli(&[
+            "explore",
+            "--app",
+            "Racey",
+            "--replay",
+            "s1:1",
+            "--decision-log",
+            log.to_str().unwrap(),
+        ])
+        .unwrap_err();
         assert!(replayed.contains("FAILED"), "{replayed}");
         assert!(replayed.contains("s1:1"), "{replayed}");
+        let artifact = std::fs::read_to_string(&log).unwrap();
+        assert!(artifact.contains("\nmode=replay\n"), "{artifact}");
+        assert!(artifact.contains("\nfailure_token=s1:1\n"), "{artifact}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

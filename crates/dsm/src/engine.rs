@@ -27,10 +27,10 @@ use crate::error::DsmError;
 use crate::locks::LockState;
 use crate::node::NodeState;
 use crate::oracle::{CoherenceOracle, OracleReport};
-use crate::program::{validate_iteration, LockId, Op, Program};
+use crate::program::{LockId, Op, Program, ScriptChecker};
 use crate::protocol::{FetchPlan, PageDirectory};
 use crate::stats::IterStats;
-use crate::thread::{OngoingAccess, ThreadState, ThreadStatus};
+use crate::thread::{ThreadState, ThreadStatus};
 use crate::trace::{Event, EventSink, SpanPhase};
 use acorr_mem::{
     pages_for, span_pages, AccessKind, AccessMatrix, Arena, HbRaceDetector, PageId, PageSpan,
@@ -162,8 +162,9 @@ impl<P: Program> Dsm<P> {
     /// # Errors
     ///
     /// Returns [`DsmError::MappingMismatch`] when the mapping does not cover
-    /// exactly the program's threads, and propagates script validation
-    /// errors for iteration 0.
+    /// exactly the program's threads. Scripts are checked as each
+    /// iteration loads them, so a script error surfaces from the run
+    /// methods.
     pub fn new(config: DsmConfig, program: P, mapping: Mapping) -> Result<Self, DsmError> {
         if mapping.num_threads() != program.num_threads()
             || mapping.num_threads() != config.cluster.num_threads()
@@ -670,7 +671,9 @@ impl<P: Program> Dsm<P> {
     ///
     /// # Errors
     ///
-    /// Propagates script validation failures and deadlocks.
+    /// Propagates script validation failures and deadlocks. A script error
+    /// returns before its iteration starts: no simulated time passes and
+    /// [`Dsm::next_iteration`] does not move.
     pub fn run_iterations(&mut self, n: usize) -> Result<IterStats, DsmError> {
         let mut agg = IterStats::new();
         for _ in 0..n {
@@ -774,14 +777,17 @@ impl<P: Program> Dsm<P> {
 
     fn run_one(&mut self, tracked: bool) -> Result<IterStats, DsmError> {
         let iteration = self.next_iteration;
-        validate_iteration(&self.program, iteration)?;
-        let start = self.now();
-        // Load scripts with the implicit end-of-iteration barrier.
+        // Build each script once and check it, then copy it into the
+        // thread's kept buffer and drop it before building the next, so
+        // one set of scripts is held at a time. A script error returns
+        // before any simulated time passes.
+        let mut checker = ScriptChecker::new(&self.program, iteration);
         for t in 0..self.threads.len() {
-            let mut script = self.program.script(t, iteration);
-            script.push(Op::Barrier);
-            self.threads[t].load(script);
+            let script = self.program.script(t, iteration);
+            checker.check(t, &script)?;
+            self.threads[t].load(&script);
         }
+        let start = self.now();
         for node in &mut self.nodes {
             node.ready.clear();
             node.last_ran = None;
@@ -935,8 +941,8 @@ impl<P: Program> Dsm<P> {
     /// queue, in thread order.
     fn wake_eligible(&mut self, i: usize) {
         let now = self.nodes[i].time;
-        let locals = self.nodes[i].threads.clone();
-        for t in locals {
+        for k in 0..self.nodes[i].threads.len() {
+            let t = self.nodes[i].threads[k];
             if self.threads[t].status == ThreadStatus::Blocked && self.threads[t].wake_at <= now {
                 self.threads[t].status = ThreadStatus::Ready;
                 self.nodes[i].ready.push_back(t);
@@ -963,54 +969,29 @@ impl<P: Program> Dsm<P> {
                     } else {
                         AccessKind::Read
                     };
-                    if self.threads[t].ongoing.is_none() {
-                        let spans: Vec<PageSpan> = span_pages(addr, len).collect();
-                        if spans.is_empty() {
-                            self.threads[t].pc += 1;
+                    // The op's next page span starts `done` bytes in; an
+                    // exhausted op has none left.
+                    let done = self.threads[t].done;
+                    let Some(span) = span_pages(addr + done, len - done).next() else {
+                        self.threads[t].done = 0;
+                        self.threads[t].pc += 1;
+                        continue;
+                    };
+                    let dur = match self.access_page(i, t, span, kind, tracked) {
+                        AccessOutcome::Proceed => {
+                            self.threads[t].done += span.len() as u64;
                             continue;
                         }
-                        self.threads[t].ongoing = Some(OngoingAccess {
-                            kind,
-                            spans,
-                            next: 0,
-                        });
-                    }
-                    loop {
-                        let ongoing = self.threads[t].ongoing.as_ref().expect("set above");
-                        if ongoing.next >= ongoing.spans.len() {
-                            self.threads[t].ongoing = None;
-                            self.threads[t].pc += 1;
-                            break;
+                        AccessOutcome::Block(dur) => dur,
+                        AccessOutcome::BlockCompleted(dur) => {
+                            self.threads[t].done += span.len() as u64;
+                            dur
                         }
-                        let span = ongoing.spans[ongoing.next];
-                        let kind = ongoing.kind;
-                        match self.access_page(i, t, span, kind, tracked) {
-                            AccessOutcome::Proceed => {
-                                self.threads[t]
-                                    .ongoing
-                                    .as_mut()
-                                    .expect("still ongoing")
-                                    .next += 1;
-                            }
-                            AccessOutcome::Block(dur) => {
-                                self.cur.stall += dur;
-                                self.threads[t].wake_at = self.nodes[i].time + dur;
-                                self.threads[t].status = ThreadStatus::Blocked;
-                                return;
-                            }
-                            AccessOutcome::BlockCompleted(dur) => {
-                                self.threads[t]
-                                    .ongoing
-                                    .as_mut()
-                                    .expect("still ongoing")
-                                    .next += 1;
-                                self.cur.stall += dur;
-                                self.threads[t].wake_at = self.nodes[i].time + dur;
-                                self.threads[t].status = ThreadStatus::Blocked;
-                                return;
-                            }
-                        }
-                    }
+                    };
+                    self.cur.stall += dur;
+                    self.threads[t].wake_at = self.nodes[i].time + dur;
+                    self.threads[t].status = ThreadStatus::Blocked;
+                    return;
                 }
                 Op::Barrier => {
                     self.threads[t].status = ThreadStatus::AtBarrier;

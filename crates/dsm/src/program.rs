@@ -256,53 +256,78 @@ pub fn validate_iteration<P: Program + ?Sized>(
     program: &P,
     iteration: usize,
 ) -> Result<(), ScriptError> {
-    let shared = program.shared_bytes();
-    let locks = program.num_locks();
-    let mut expected_barriers = None;
-    for thread in 0..program.num_threads() {
-        let script = program.script(thread, iteration);
+    let mut checker = ScriptChecker::new(program, iteration);
+    (0..program.num_threads())
+        .try_for_each(|thread| checker.check(thread, &program.script(thread, iteration)))
+}
+
+/// Checks one iteration's built scripts, fed in thread order: each op
+/// against the program's bounds and locks, then each thread's barrier
+/// count against thread 0's. The engine checks the scripts it loads with
+/// it, so each script is built once per iteration.
+pub(crate) struct ScriptChecker {
+    iteration: usize,
+    shared: u64,
+    locks: usize,
+    expected_barriers: Option<usize>,
+    held: Vec<LockId>,
+}
+
+impl ScriptChecker {
+    pub(crate) fn new<P: Program + ?Sized>(program: &P, iteration: usize) -> Self {
+        ScriptChecker {
+            iteration,
+            shared: program.shared_bytes(),
+            locks: program.num_locks(),
+            expected_barriers: None,
+            held: Vec::new(),
+        }
+    }
+
+    /// Checks `thread`'s script; threads must come in order from 0.
+    pub(crate) fn check(&mut self, thread: usize, script: &[Op]) -> Result<(), ScriptError> {
         let mut barriers = 0usize;
-        let mut held: Vec<LockId> = Vec::new();
-        for op in &script {
+        self.held.clear();
+        for op in script {
             match *op {
                 Op::Barrier => {
-                    if let Some(&lock) = held.last() {
+                    if let Some(&lock) = self.held.last() {
                         return Err(ScriptError::LockAcrossBarrier { thread, lock });
                     }
                     barriers += 1;
                 }
                 Op::Read { addr, len } | Op::Write { addr, len } => {
-                    if len > 0 && addr.checked_add(len).is_none_or(|end| end > shared) {
+                    if len > 0 && addr.checked_add(len).is_none_or(|end| end > self.shared) {
                         return Err(ScriptError::OutOfBounds {
                             thread,
                             addr,
                             len,
-                            shared_bytes: shared,
+                            shared_bytes: self.shared,
                         });
                     }
                 }
                 Op::Lock(l) => {
-                    if l.idx() >= locks {
+                    if l.idx() >= self.locks {
                         return Err(ScriptError::UnknownLock { thread, lock: l });
                     }
-                    held.push(l);
+                    self.held.push(l);
                 }
                 Op::Unlock(l) => {
-                    if held.pop() != Some(l) {
+                    if self.held.pop() != Some(l) {
                         return Err(ScriptError::LockMismatch { thread, lock: l });
                     }
                 }
                 Op::Compute { .. } => {}
             }
         }
-        if let Some(l) = held.pop() {
+        if let Some(l) = self.held.pop() {
             return Err(ScriptError::LockMismatch { thread, lock: l });
         }
-        match expected_barriers {
-            None => expected_barriers = Some(barriers),
+        match self.expected_barriers {
+            None => self.expected_barriers = Some(barriers),
             Some(expected) if expected != barriers => {
                 return Err(ScriptError::BarrierMismatch {
-                    iteration,
+                    iteration: self.iteration,
                     expected,
                     thread,
                     got: barriers,
@@ -310,8 +335,8 @@ pub fn validate_iteration<P: Program + ?Sized>(
             }
             Some(_) => {}
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Per-thread execution state.
 
 use crate::program::{LockId, Op};
-use acorr_mem::{AccessKind, PageId, PageSpan};
+use acorr_mem::PageId;
 use acorr_sim::{NodeId, SimTime};
 
 /// What a thread is currently doing.
@@ -18,18 +18,6 @@ pub enum ThreadStatus {
     Done,
 }
 
-/// An access op in progress, split into page spans; survives across blocks
-/// so a thread resumes mid-op after a remote fetch completes.
-#[derive(Debug, Clone)]
-pub struct OngoingAccess {
-    /// Read or write.
-    pub kind: AccessKind,
-    /// The per-page spans of the access.
-    pub spans: Vec<PageSpan>,
-    /// Index of the next span to process.
-    pub next: usize,
-}
-
 /// Execution state of one application thread.
 #[derive(Debug, Clone)]
 pub struct ThreadState {
@@ -39,12 +27,15 @@ pub struct ThreadState {
     pub status: ThreadStatus,
     /// When a blocked thread becomes runnable.
     pub wake_at: SimTime,
-    /// This iteration's script.
+    /// This iteration's script. The buffer keeps its capacity across
+    /// iterations, so loading a script allocates nothing once it has held
+    /// the longest one.
     pub script: Vec<Op>,
     /// Program counter into `script`.
     pub pc: usize,
-    /// Access op in progress, if any.
-    pub ongoing: Option<OngoingAccess>,
+    /// Bytes of the access op at `pc` already performed: a thread blocked
+    /// on a remote fetch resumes the op at this offset.
+    pub done: u64,
     /// Locks currently held (innermost last).
     pub held_locks: Vec<LockId>,
     /// Pages written while holding at least one lock (finalized at unlock).
@@ -60,17 +51,21 @@ impl ThreadState {
             wake_at: SimTime::ZERO,
             script: Vec::new(),
             pc: 0,
-            ongoing: None,
+            done: 0,
             held_locks: Vec::new(),
             lock_writes: Vec::new(),
         }
     }
 
-    /// Loads a new iteration's script and resets execution state.
-    pub fn load(&mut self, script: Vec<Op>) {
-        self.script = script;
+    /// Copies a new iteration's script into the kept buffer, followed by
+    /// the implicit end-of-iteration barrier, and resets execution state.
+    pub fn load(&mut self, script: &[Op]) {
+        self.script.clear();
+        self.script.reserve_exact(script.len() + 1);
+        self.script.extend_from_slice(script);
+        self.script.push(Op::Barrier);
         self.pc = 0;
-        self.ongoing = None;
+        self.done = 0;
         self.status = ThreadStatus::Ready;
         self.wake_at = SimTime::ZERO;
         debug_assert!(self.held_locks.is_empty(), "locks held across iterations");
@@ -92,13 +87,20 @@ mod tests {
         let mut t = ThreadState::new(NodeId(2));
         t.pc = 5;
         t.status = ThreadStatus::Done;
-        t.load(vec![Op::Barrier]);
-        assert_eq!(t.pc, 0);
+        t.done = 7;
+        t.load(&[]);
+        assert_eq!((t.pc, t.done), (0, 0));
         assert_eq!(t.status, ThreadStatus::Ready);
         assert_eq!(t.script.get(t.pc), Some(&Op::Barrier));
         assert!(!t.finished());
         t.pc = 1;
         assert!(t.finished());
         assert_eq!(t.script.get(t.pc), None);
+        // A shorter script reuses the buffer and replaces its contents.
+        t.load(&[Op::compute(1), Op::compute(2)]);
+        let capacity = t.script.capacity();
+        t.load(&[Op::compute(3)]);
+        assert_eq!(t.script, [Op::compute(3), Op::Barrier]);
+        assert_eq!(t.script.capacity(), capacity);
     }
 }

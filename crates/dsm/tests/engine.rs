@@ -2,9 +2,12 @@
 //! merging, locks, garbage collection, migration, and both tracking
 //! mechanisms, exercised through small hand-built programs.
 
-use acorr_dsm::{Dsm, DsmConfig, DsmError, Event, EventSink, IterStats, LockId, Op, Program};
+use acorr_dsm::{
+    validate_iteration, Dsm, DsmConfig, DsmError, Event, EventSink, IterStats, LockId, Op, Program,
+};
 use acorr_mem::PAGE_SIZE;
 use acorr_sim::{ClusterConfig, Mapping, NodeId, SimTime};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A program built from explicit per-thread, per-iteration scripts.
@@ -412,6 +415,88 @@ fn lock_across_barrier_rejected() {
             acorr_dsm::ScriptError::LockAcrossBarrier { .. }
         ))
     ));
+}
+
+#[test]
+fn a_script_error_returns_before_the_iteration_starts() {
+    // Iteration 1 is invalid at its last thread, after two valid ones.
+    let p = Scripted::new(
+        1,
+        vec![
+            vec![
+                vec![Op::write(0, 8)],
+                vec![Op::read(0, 8)],
+                vec![Op::read(8, 8)],
+            ],
+            vec![
+                vec![Op::Barrier],
+                vec![Op::Barrier],
+                vec![Op::read(PAGE, 8)],
+            ],
+        ],
+    );
+    let expected = validate_iteration(&p, 1).unwrap_err();
+    assert!(matches!(
+        expected,
+        acorr_dsm::ScriptError::OutOfBounds { thread: 2, .. }
+    ));
+    let mut dsm = dsm_for(2, p);
+    dsm.run_iterations(1).unwrap();
+    let (now, total) = (dsm.now(), dsm.total_stats());
+    for _ in 0..2 {
+        assert_eq!(
+            dsm.run_iterations(1),
+            Err(DsmError::Script(expected.clone()))
+        );
+        assert_eq!(dsm.now(), now);
+        assert_eq!(dsm.total_stats(), total);
+        assert_eq!(dsm.next_iteration(), 1);
+    }
+}
+
+/// A [`Scripted`] program that counts its `script` calls.
+struct Counting {
+    inner: Scripted,
+    calls: AtomicUsize,
+}
+
+impl Program for Counting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn shared_bytes(&self) -> u64 {
+        self.inner.shared_bytes()
+    }
+    fn num_threads(&self) -> usize {
+        self.inner.num_threads()
+    }
+    fn script(&self, thread: usize, iteration: usize) -> Vec<Op> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.script(thread, iteration)
+    }
+}
+
+#[test]
+fn each_script_is_built_once_per_iteration() {
+    let inner = Scripted::new(
+        2,
+        vec![vec![
+            vec![Op::write(0, 64), Op::Barrier],
+            vec![Op::Barrier, Op::read(0, 64)],
+            vec![Op::read(PAGE - 8, 16), Op::Barrier],
+        ]],
+    );
+    let program = Counting {
+        inner,
+        calls: AtomicUsize::new(0),
+    };
+    let cluster = ClusterConfig::new(2, 3).unwrap();
+    let mapping = Mapping::stretch(&cluster);
+    let mut dsm = Dsm::new(DsmConfig::new(cluster), program, mapping).unwrap();
+    dsm.run_iterations(3).unwrap();
+    assert_eq!(dsm.program().calls.load(Ordering::Relaxed), 3 * 3);
+    dsm.run_tracked_iteration().unwrap();
+    assert_eq!(dsm.program().calls.load(Ordering::Relaxed), 3 * 4);
 }
 
 // ---------------------------------------------------------------------

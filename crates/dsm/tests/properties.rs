@@ -2,8 +2,8 @@
 //! aligned, lock balanced, ascending lock nesting) must run deadlock-free,
 //! deterministically, and uphold the protocol invariants.
 
-use acorr_dsm::{Dsm, DsmConfig, LockId, Op, Program, WriteMode};
-use acorr_mem::PAGE_SIZE;
+use acorr_dsm::{Dsm, DsmConfig, IterStats, LockId, Op, Program, WriteMode};
+use acorr_mem::{span_pages, AccessMatrix, PAGE_SIZE};
 use acorr_sim::{forall, ClusterConfig, DetRng, FaultPlan, Mapping, SimDuration};
 use Atom::{Compute, Locked, Read, Write};
 
@@ -387,5 +387,114 @@ fn tracking_preserves_coherence_behaviour() {
             plain.run_iterations(1).expect("second"),
             tracked.run_iterations(1).expect("second")
         );
+    });
+}
+
+/// Like [`atom`], but half the atoms are accesses that start anywhere on a
+/// page and run up to three pages, so most of those cross a page boundary.
+fn wide_atom(rng: &mut DetRng) -> Atom {
+    if rng.chance(0.5) {
+        return atom(rng);
+    }
+    let page = rng.next_below(PAGES - 3);
+    let off = rng.next_below(PAGE_SIZE as u64);
+    let len = rng.range(1, 3 * PAGE_SIZE as u64 + 1);
+    if rng.chance(0.5) {
+        Read(page, off, len)
+    } else {
+        Write(page, off, len)
+    }
+}
+
+fn wide_program(rng: &mut DetRng) -> GenProgram {
+    let threads = rng.range(2, 6) as usize;
+    let segments = (0..rng.range(1, 4))
+        .map(|_| {
+            (0..threads)
+                .map(|_| (0..rng.index(6)).map(|_| wide_atom(rng)).collect())
+                .collect()
+        })
+        .collect();
+    GenProgram { threads, segments }
+}
+
+/// A program with every access op split at its page boundaries.
+struct PageSplit(GenProgram);
+
+impl Program for PageSplit {
+    fn name(&self) -> &str {
+        "page-split"
+    }
+    fn shared_bytes(&self) -> u64 {
+        self.0.shared_bytes()
+    }
+    fn num_threads(&self) -> usize {
+        self.0.num_threads()
+    }
+    fn num_locks(&self) -> usize {
+        self.0.num_locks()
+    }
+    fn script(&self, thread: usize, iteration: usize) -> Vec<Op> {
+        let mut ops = Vec::new();
+        for op in self.0.script(thread, iteration) {
+            let (Op::Read { addr, len } | Op::Write { addr, len }) = op else {
+                ops.push(op);
+                continue;
+            };
+            ops.extend(span_pages(addr, len).map(|span| {
+                let addr = span.page.base_addr() + u64::from(span.start);
+                let len = u64::from(span.len());
+                match op {
+                    Op::Write { .. } => Op::write(addr, len),
+                    _ => Op::read(addr, len),
+                }
+            }));
+        }
+        ops
+    }
+}
+
+/// One tracked iteration, then two plain ones.
+fn tracked_then_plain<P: Program>(
+    program: P,
+    config: DsmConfig,
+) -> (IterStats, AccessMatrix, IterStats) {
+    let mapping = Mapping::stretch(&config.cluster);
+    let mut dsm = Dsm::new(config, program, mapping).expect("dsm");
+    let (tracked, access) = dsm.run_tracked_iteration().expect("tracked run");
+    let plain = dsm.run_iterations(2).expect("plain runs");
+    (tracked, access, plain)
+}
+
+/// An access resumes at its byte offset after every block: running each
+/// op whole or split at its page boundaries gives the same statistics and
+/// the same tracked access sets, under both protocols and on every node
+/// count.
+#[test]
+fn page_split_accesses_run_identically() {
+    forall(64, 0, wide_program, |program| {
+        let modes = [
+            WriteMode::MultiWriter,
+            WriteMode::SingleWriter {
+                delta: SimDuration::ZERO,
+            },
+            WriteMode::SingleWriter {
+                delta: SimDuration::from_millis(1),
+            },
+        ];
+        for nodes in [1usize, 2, 4] {
+            if nodes > program.threads {
+                continue;
+            }
+            let cluster = ClusterConfig::new(nodes, program.threads).expect("cluster");
+            for mode in modes {
+                let config = DsmConfig::new(cluster).with_write_mode(mode);
+                assert_eq!(
+                    tracked_then_plain(program.clone(), config.clone()),
+                    tracked_then_plain(PageSplit(program.clone()), config),
+                    "nodes {nodes}, {mode:?}"
+                );
+            }
+        }
     });
 }

@@ -211,6 +211,18 @@ cat "$adaptive_dir/err.txt"
 [ "$status" -eq 2 ] && grep -q "^error:" "$adaptive_dir/err.txt" || {
     echo "error: adaptive --phases 0 exited $status" >&2; exit 1; }
 
+echo "==> bad-shape smoke (protocols and chaos reject a shape they cannot run)"
+# Fewer threads than protocols' 8 nodes, and chaos with no node: each is a
+# flag error (exit 2, an `error:` line) before any run; the timeout catches
+# a run that starts anyway.
+for cmd in "protocols --threads 4" "chaos --nodes 0"; do
+    status=0
+    timeout 10 ./target/release/$cmd > /dev/null 2> "$adaptive_dir/err.txt" || status=$?
+    cat "$adaptive_dir/err.txt"
+    [ "$status" -eq 2 ] && grep -q "^error:" "$adaptive_dir/err.txt" || {
+        echo "error: $cmd exited $status" >&2; exit 1; }
+done
+
 echo "==> benchmark smoke (paper-64x8 study digests, built through the benchmark's own manifest)"
 # The only check of the 11 paper-64x8 study digests (adaptive_study over
 # the suite apps and Drift at 64x8), and the only build through the
