@@ -25,8 +25,10 @@
 //! Usage: `chaos [--threads T] [--nodes N] [--iters I] [--seed S] [--jobs J]
 //! [--plans LIST]` (defaults: 16 threads, 4 nodes, 3 iterations, seed 7,
 //! all cores, every preset). `--plans` is a comma-separated list of
-//! preset names; a malformed name is reported through the same
-//! `DsmError::FaultSpec` diagnostic the CLI prints, not a panic.
+//! preset names. A malformed name prints `error: ` and the same
+//! `DsmError::FaultSpec` diagnostic the CLI prints; a list that names no
+//! preset prints `error: --plans selected no fault plans`. Both add the
+//! preset legend and exit 2 before any run, never a panic.
 //! `--threads 64 --nodes 8` reproduces the acceptance configuration.
 
 use acorr::apps;
@@ -100,12 +102,12 @@ fn main() {
         std::process::exit(2)
     });
     let plans = plans(&plan_spec, seed).unwrap_or_else(|e| {
-        eprintln!("{e}\navailable presets:\n{}", preset_legend());
+        eprintln!("error: {e}\navailable presets:\n{}", preset_legend());
         std::process::exit(2);
     });
     if plans.is_empty() {
         eprintln!(
-            "--plans selected no fault plans\navailable presets:\n{}",
+            "error: --plans selected no fault plans\navailable presets:\n{}",
             preset_legend()
         );
         std::process::exit(2);

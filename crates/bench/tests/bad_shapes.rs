@@ -1,6 +1,6 @@
-//! A study bin given a cluster shape it cannot run reports it the way it
-//! reports a bad flag value: `error: …` on stderr and exit status 2,
-//! before any run starts.
+//! A study bin given a cluster shape it cannot run, or a `chaos` plan list
+//! that names no runnable plan, reports it the way it reports a bad flag
+//! value: `error: …` on stderr and exit status 2, before any run starts.
 
 use std::process::Command;
 
@@ -25,5 +25,24 @@ fn protocols_and_chaos_reject_a_shape_they_cannot_run() {
         assert!(stderr.starts_with("error:"), "{bin} {args:?}: {stderr}");
         assert!(stderr.contains(names), "{bin} {args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{bin} {args:?}: a run started");
+    }
+}
+
+#[test]
+fn chaos_rejects_a_plan_list_it_cannot_run() {
+    for (plans, names) in [("bogus", "bogus"), (",", "no fault plans")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
+            .args(["--plans", plans])
+            .output()
+            .expect("the bin starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--plans {plans}: {stderr}");
+        assert!(stderr.starts_with("error:"), "--plans {plans}: {stderr}");
+        assert!(stderr.contains(names), "--plans {plans}: {stderr}");
+        assert!(
+            stderr.contains("available presets:"),
+            "--plans {plans}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "--plans {plans}: a run started");
     }
 }

@@ -434,6 +434,11 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
             .map_err(|e| e.to_string())?
     } else {
         let threads = args.get_usize("threads", 64)?;
+        if threads < 2 {
+            return Err(format!(
+                "serve traffic needs at least 2 threads to pair, got --threads {threads}"
+            ));
+        }
         let mut bench = Workbench::new(nodes, threads)
             .map_err(|e| e.to_string())?
             .with_threads(jobs_of(args)?);

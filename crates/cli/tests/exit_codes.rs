@@ -1,7 +1,8 @@
-//! Shapes that node and thread ids cannot represent make the `acorr` binary
-//! print an `error:` line and exit 1: never a panic (exit 101), and never a
-//! run on wrapped node ids (exit 0). So does a flag the command does not
-//! read. A help flag anywhere prints the usage and exits 0.
+//! Shapes that node and thread ids cannot represent, or that a command cannot
+//! run (serve traffic on one thread), make the `acorr` binary print an
+//! `error:` line and exit 1: never a panic (exit 101), and never a run on
+//! wrapped node ids (exit 0). So does a flag the command does not read. A
+//! help flag anywhere prints the usage and exits 0.
 
 use std::process::Command;
 
@@ -21,6 +22,15 @@ fn out_of_range_shapes_exit_1_with_an_error_line() {
             "70000",
             "--steps",
             "13",
+        ],
+        &[
+            "serve",
+            "--scenario",
+            "static",
+            "--threads",
+            "1",
+            "--nodes",
+            "1",
         ],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_acorr"))

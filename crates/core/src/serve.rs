@@ -14,16 +14,22 @@
 //! migrations applied — lands on the decision timeline (and, when an
 //! observer is attached, in the obs sinks as Perfetto marks on the
 //! decision lane). The loop is a pure function of `(seed, scenario,
-//! jobs)`: traffic generation runs tenants in parallel and collects them
-//! in order, and a step's two cut sums run on a second worker beside the
+//! jobs)`: traffic generation fills each tenant's slice of one buffer in
+//! parallel, and a step's two cut sums run on a second worker beside the
 //! detector's window fold, reading the step's pair list only. So the
 //! timeline and final mapping are bit-identical at any worker count.
 //!
-//! A traffic step stays a pair list (`(a, b, weight)`, `a < b`, ascending)
-//! unless it needs rows: the detector and the two cut sums walk the list
-//! in place, and only a step where the detector fires builds a
-//! [`CorrelationMatrix`] from it, for the candidate, the plan and the
-//! gate. On static traffic no step does.
+//! The loop keeps one pair list (`(a, b, weight)`, `a < b`, ascending) and
+//! builds it only when the traffic changes: when the list is empty or
+//! [`TrafficDriver::repeats`] says the step differs from the one before,
+//! the driver refills it in place. The detector walks the list at every
+//! step. The two cut sums walk it only when it was refilled, and a
+//! repeated step charges the previous step's sums again; that is exact,
+//! because the mapping changes only on a firing step, and a firing step
+//! hands the list over. The list stays a list unless a step needs rows:
+//! only a step where the detector fires builds a [`CorrelationMatrix`]
+//! from it, for the candidate, the plan and the gate. On static traffic
+//! no step does.
 //!
 //! [`Workbench::serve_app`] runs the same decision core against a live
 //! DSM engine instead of synthetic traffic, re-mapping threads through
@@ -345,6 +351,11 @@ impl Workbench {
     /// workbench's seed feeds the driver, its worker count generates
     /// tenant edges in parallel, and the full decision timeline plus
     /// final mapping are bit-identical for every worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workbench has fewer than two threads, the least the
+    /// traffic driver can pair.
     pub fn serve_traffic(&self, options: &ServeOptions) -> ServeReport {
         let threads = self.cluster.num_threads();
         let traffic = TrafficDriver::new(
@@ -360,20 +371,33 @@ impl Workbench {
         let mut current = initial.clone();
         let mut detector = PhaseDetector::new(threads, options.window);
         let mut report = ReportBuilder::new(options, handle);
+        // The step's pair list, kept while the traffic repeats, and its two
+        // cut sums.
+        let mut edges = Vec::new();
+        let (mut served, mut fixed) = (0, 0);
         for step in 0..options.steps as u64 {
-            let edges = traffic.step_edges(step, self.threads);
             // Cut is charged before the step's verdict applies, so an
-            // accepted re-map pays off from the next step on. The two sums
-            // only read the step's pair list, so the second worker takes
-            // them while the detector folds the same list.
-            let (fired, (served, fixed)) = par_join(
-                self.threads,
-                || detector.observe_pairs(&edges),
-                || {
-                    let cut = |mapping| pairs_cut_cost(&edges, mapping);
-                    (cut(&current), cut(&initial))
-                },
-            );
+            // accepted re-map pays off from the next step on. The mapping
+            // changes only on a firing step, which hands the list to the
+            // store below, so a list kept from the previous step still has
+            // that step's sums. A rebuilt list is summed again; the sums
+            // only read it, so the second worker takes them while the
+            // detector folds the same list.
+            let fired = if edges.is_empty() || !traffic.repeats(step) {
+                traffic.step_edges_into(step, self.threads, &mut edges);
+                let (fired, sums) = par_join(
+                    self.threads,
+                    || detector.observe_pairs(&edges),
+                    || {
+                        let cut = |mapping| pairs_cut_cost(&edges, mapping);
+                        (cut(&current), cut(&initial))
+                    },
+                );
+                (served, fixed) = sums;
+                fired
+            } else {
+                detector.observe_pairs(&edges)
+            };
             report.served_cut += served;
             report.static_cut += fixed;
             let at = SimTime::from_nanos(100_000 * (step + 1));
@@ -383,7 +407,7 @@ impl Workbench {
             report.shift(step, mark, at);
             // Only a firing step needs a store: candidate, plan and gate
             // read its rows.
-            let corr = CorrelationMatrix::from_edges(threads, edges);
+            let corr = CorrelationMatrix::from_edges(threads, std::mem::take(&mut edges));
             let verdict = evaluate_remap(options, &self.cluster, &corr, &current);
             report.remap(step, &verdict, at, &current);
             if verdict.accepted {
@@ -524,6 +548,64 @@ impl ReportBuilder {
             static_cut: self.static_cut,
             final_mapping,
             observation: self.handle.map(|h| h.finish()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The loop as it ran before it kept the pair list: a fresh list from
+    /// `step_edges` and both cut sums at every step.
+    fn serve_rebuilding_every_step(bench: &Workbench, options: &ServeOptions) -> ServeReport {
+        let threads = bench.cluster.num_threads();
+        let traffic = TrafficDriver::new(
+            TrafficConfig::new(threads, options.tenants, options.scenario, bench.seed)
+                .with_period(options.period),
+        );
+        let initial = Mapping::stretch(&bench.cluster);
+        let mut current = initial.clone();
+        let mut detector = PhaseDetector::new(threads, options.window);
+        let mut report = ReportBuilder::new(options, None);
+        for step in 0..options.steps as u64 {
+            let edges = traffic.step_edges(step, bench.threads);
+            report.served_cut += pairs_cut_cost(&edges, &current);
+            report.static_cut += pairs_cut_cost(&edges, &initial);
+            let Some(mark) = detector.observe_pairs(&edges) else {
+                continue;
+            };
+            let at = SimTime::from_nanos(100_000 * (step + 1));
+            report.shift(step, mark, at);
+            let corr = CorrelationMatrix::from_edges(threads, edges);
+            let verdict = evaluate_remap(options, &bench.cluster, &corr, &current);
+            report.remap(step, &verdict, at, &current);
+            if verdict.accepted {
+                current = verdict.planned;
+            }
+        }
+        report.finish(options.scenario.to_string(), current)
+    }
+
+    #[test]
+    fn the_kept_list_and_reused_cut_sums_match_rebuilding_every_step() {
+        for scenario in Scenario::ALL {
+            for (nodes, threads) in [(8, 64), (8, 600), (16, 2000)] {
+                for seed in [1, 42] {
+                    for jobs in [1, 2] {
+                        let bench = Workbench::new(nodes, threads)
+                            .expect("a valid shape")
+                            .with_seed(seed)
+                            .with_threads(jobs);
+                        let options = ServeOptions::new(scenario);
+                        assert_eq!(
+                            bench.serve_traffic(&options).snapshot(),
+                            serve_rebuilding_every_step(&bench, &options).snapshot(),
+                            "{scenario} at {threads} threads, seed {seed}, {jobs} worker(s)"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -23,11 +23,13 @@ pub struct NodeState {
     pub write_set: Vec<PageId>,
     /// Local threads (global thread indices) in scheduling order.
     pub threads: Vec<usize>,
-    /// Ready queue of local thread indices (positions in `threads`).
+    /// Ready queue of global thread indices (entries of `threads`, not
+    /// positions in it).
     pub ready: VecDeque<usize>,
     /// Active-tracking pin: only this local index may run, if set.
     pub pinned: Option<usize>,
-    /// The local index that ran last (for context-switch accounting).
+    /// The global index of the thread that ran last (for context-switch
+    /// accounting).
     pub last_ran: Option<usize>,
 }
 

@@ -10,13 +10,19 @@
 //! (this crate sits below `acorr-track` and therefore speaks edge
 //! lists, not stores).
 //!
-//! Everything is a pure function of `(config, step)`: per-tenant edges
-//! come from an [`DetRng`] forked on `(tenant, generation)`, tenants are
-//! generated in parallel with [`par_map_range`] and concatenated in
-//! tenant order, so any `jobs` count produces byte-identical output.
+//! Everything is a pure function of `(config, step)`. Each tenant's pair
+//! count is known before generation, so [`TrafficDriver::step_edges_into`]
+//! sizes the caller's buffer once, splits it into per-tenant slices, and
+//! fills the slices in parallel with [`par_map_indexed`]; every tenant
+//! writes its pairs already in order, and its random draws come from a
+//! [`DetRng`] forked on `(tenant, generation)`. So any `jobs` count
+//! produces byte-identical output. [`TrafficDriver::repeats`] tells a
+//! caller when a step's list equals the previous one, so it need not be
+//! built again.
 
-use crate::pool::{par_map_range, resolve_threads};
+use crate::pool::{par_map_indexed, resolve_threads};
 use crate::rng::DetRng;
+use std::cell::RefCell;
 use std::fmt;
 
 /// A scripted traffic scenario: how tenant affinity evolves over steps.
@@ -164,38 +170,72 @@ impl TrafficDriver {
         }
     }
 
+    /// Whether `step`'s edge list equals `step - 1`'s, so a caller that
+    /// kept the previous list may reuse it. Static traffic repeats at every
+    /// step after the first; hotspot and churn repeat within a generation,
+    /// because their offsets, matchings and weights depend on the generation
+    /// alone; diurnal weights move every step, so it never repeats. The
+    /// answer may be `false` for equal lists, never `true` for different
+    /// ones.
+    pub fn repeats(&self, step: u64) -> bool {
+        step > 0
+            && match self.config.scenario {
+                Scenario::Static => true,
+                Scenario::Hotspot | Scenario::Churn => {
+                    self.generation(step) == self.generation(step - 1)
+                }
+                Scenario::Diurnal => false,
+            }
+    }
+
     /// The edge list for `step`, generated with up to `jobs` workers
     /// (0 = all cores). Edges are `(a, b, weight)` with `a < b`, sorted
     /// ascending, disjoint across tenants — byte-identical for every
     /// `jobs` value.
     pub fn step_edges(&self, step: u64, jobs: usize) -> Vec<(u32, u32, u64)> {
-        let workers = resolve_threads(jobs);
-        let per_tenant = par_map_range(workers, self.shards.len(), |k| self.tenant_edges(k, step));
-        let mut edges = Vec::with_capacity(per_tenant.iter().map(Vec::len).sum());
-        for mut tenant in per_tenant {
-            edges.append(&mut tenant);
-        }
+        let mut edges = Vec::new();
+        self.step_edges_into(step, jobs, &mut edges);
         edges
     }
 
-    /// One tenant's sorted, coalesced edges for `step`.
-    fn tenant_edges(&self, k: usize, step: u64) -> Vec<(u32, u32, u64)> {
-        let (lo, len) = self.shards[k];
+    /// [`TrafficDriver::step_edges`] written into `edges`, whose previous
+    /// contents are replaced and whose allocation is kept when it is large
+    /// enough. The buffer is sized once from the tenants' pair counts and
+    /// split into one slice per tenant, which the workers fill in place.
+    pub fn step_edges_into(&self, step: u64, jobs: usize, edges: &mut Vec<(u32, u32, u64)>) {
         let g = self.generation(step);
-        let weight = self.intensity(k, step);
-        match self.config.scenario {
-            Scenario::Static | Scenario::Diurnal => ring_edges(lo, len, 1, weight),
-            Scenario::Hotspot => {
-                let offset = if k == 0 && len >= 3 {
-                    1 + (g as usize * 5) % (len - 1)
-                } else {
-                    1
-                };
-                ring_edges(lo, len, offset, weight)
+        let pairs_of = |k: usize| self.shape(k, g).pairs(self.shards[k].1);
+        edges.clear();
+        edges.resize((0..self.shards.len()).map(pairs_of).sum(), (0, 0, 0));
+        let mut rest = edges.as_mut_slice();
+        let mut parts = Vec::with_capacity(self.shards.len());
+        for k in 0..self.shards.len() {
+            let (part, tail) = std::mem::take(&mut rest).split_at_mut(pairs_of(k));
+            parts.push(part);
+            rest = tail;
+        }
+        par_map_indexed(resolve_threads(jobs), parts, |k, out| {
+            let (lo, len) = self.shards[k];
+            let weight = self.intensity(k, step);
+            match self.shape(k, g) {
+                Shape::Ring(offset) => fill_ring(out, lo, len, offset, weight),
+                Shape::Matching(r) => self.fill_matching(out, k, r, weight),
             }
+        });
+    }
+
+    /// How tenant `k` shares in generation `g`.
+    fn shape(&self, k: usize, g: u64) -> Shape {
+        let len = self.shards[k].1;
+        match self.config.scenario {
+            Scenario::Static | Scenario::Diurnal => Shape::Ring(1),
+            Scenario::Hotspot if k == 0 && len >= 3 => {
+                Shape::Ring(1 + (g as usize * 5) % (len - 1))
+            }
+            Scenario::Hotspot => Shape::Ring(1),
             Scenario::Churn => match self.last_rematch(k, g) {
-                None => ring_edges(lo, len, 1, weight),
-                Some(r) => self.matched_edges(k, r, weight),
+                None => Shape::Ring(1),
+                Some(r) => Shape::Matching(r),
             },
         }
     }
@@ -248,36 +288,82 @@ impl TrafficDriver {
         Some(g - ((g - k) % tenants))
     }
 
-    /// A seeded random perfect matching of tenant `k`'s shard, keyed by
-    /// the generation `r` that introduced it, sorted (a matching names no
-    /// pair twice).
-    fn matched_edges(&self, k: usize, r: u64, weight: u64) -> Vec<(u32, u32, u64)> {
+    /// Writes a seeded random perfect matching of tenant `k`'s shard, keyed
+    /// by the generation `r` that introduced it, into `out` in ascending
+    /// order. The shuffle pairs neighbours of a permutation; the partner
+    /// array built from it names each thread's partner (itself when an odd
+    /// shard leaves it unmatched), so walking the threads in order writes
+    /// each pair once, at its lower thread, with no sort.
+    fn fill_matching(&self, out: &mut [(u32, u32, u64)], k: usize, r: u64, weight: u64) {
         let (lo, len) = self.shards[k];
-        let mut perm: Vec<usize> = (0..len).collect();
         let mut rng = DetRng::new(self.config.seed)
             .fork(0x7E_0000 ^ k as u64)
             .fork(r);
-        rng.shuffle(&mut perm);
-        let mut edges = Vec::with_capacity(len / 2);
-        for pair in perm.chunks_exact(2) {
-            let (a, b) = ((lo + pair[0]) as u32, (lo + pair[1]) as u32);
-            edges.push((a.min(b), a.max(b), weight));
-        }
-        edges.sort_unstable();
-        edges
+        MATCHING_SCRATCH.with_borrow_mut(|scratch| {
+            scratch.clear();
+            scratch.extend(0..len as u32);
+            rng.shuffle(scratch);
+            scratch.extend(0..len as u32);
+            let (perm, partner) = scratch.split_at_mut(len);
+            for pair in perm.chunks_exact(2) {
+                partner[pair[0] as usize] = pair[1];
+                partner[pair[1] as usize] = pair[0];
+            }
+            let mut slots = out.iter_mut();
+            for (a, &b) in (0u32..).zip(partner.iter()) {
+                if a < b {
+                    let slot = slots.next().expect("a matching names len / 2 pairs");
+                    *slot = (lo as u32 + a, lo as u32 + b, weight);
+                }
+            }
+        });
     }
 }
 
-/// Ring edges `(i, i + offset mod len)` over a contiguous shard, each
-/// pair normalized to `a < b`, sorted and coalesced, for `0 < offset <
-/// len`. They come out in order without a sort: the pairs at `a` are the
-/// main edge `(a, a + offset)` when `a + offset < len` and the wrap edge
-/// `(a, a + len - offset)` when `a < offset`, and the nearer partner goes
-/// first. At `offset = len / 2` the two are one pair, which `coalesce`
-/// sums.
-fn ring_edges(lo: usize, len: usize, offset: usize, weight: u64) -> Vec<(u32, u32, u64)> {
+thread_local! {
+    /// A worker's permutation and partner arrays for [`TrafficDriver`]'s
+    /// matchings, reused across the tenants it fills.
+    static MATCHING_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// How one tenant's threads share during a generation.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// Each thread shares with the one `offset` places ahead, wrapping.
+    Ring(usize),
+    /// The seeded random matching churn introduced at this generation.
+    Matching(u64),
+}
+
+impl Shape {
+    /// The distinct pairs this shape names over a shard of `len` threads: a
+    /// ring names one per thread, except at `offset = len / 2`, where the
+    /// two directions name each pair once between them; a matching pairs
+    /// all but one thread of an odd shard.
+    fn pairs(self, len: usize) -> usize {
+        match self {
+            Shape::Ring(offset) if 2 * offset == len => len / 2,
+            Shape::Ring(_) => len,
+            Shape::Matching(_) => len / 2,
+        }
+    }
+}
+
+/// Writes the ring `(i, i + offset mod len)` over a contiguous shard into
+/// `out`, each pair normalized to `a < b` and in ascending order, for `0 <
+/// offset < len`. No sort is needed: the pairs at `a` are the main edge `(a,
+/// a + offset)` when `a + offset < len` and the wrap edge `(a, a + len -
+/// offset)` when `a < offset`, and the nearer partner goes first. At `offset
+/// = len / 2` the two are one pair, written once with both weights.
+fn fill_ring(out: &mut [(u32, u32, u64)], lo: usize, len: usize, offset: usize, weight: u64) {
     debug_assert!(0 < offset && offset < len, "ring offset {offset} of {len}");
-    let mut edges = Vec::with_capacity(len);
+    if 2 * offset == len {
+        for (a, slot) in (lo..).zip(out.iter_mut()) {
+            *slot = (a as u32, (a + offset) as u32, 2 * weight);
+        }
+        return;
+    }
+    let mut slots = out.iter_mut();
     for a in 0..len {
         let mut partners = [
             (a + offset < len).then_some(a + offset),
@@ -287,26 +373,10 @@ fn ring_edges(lo: usize, len: usize, offset: usize, weight: u64) -> Vec<(u32, u3
             partners.swap(0, 1);
         }
         for b in partners.into_iter().flatten() {
-            edges.push(((lo + a) as u32, (lo + b) as u32, weight));
+            let slot = slots.next().expect("a ring names len pairs");
+            *slot = ((lo + a) as u32, (lo + b) as u32, weight);
         }
     }
-    coalesce(&mut edges);
-    edges
-}
-
-/// Sums the weights of adjacent duplicate `(a, b)` entries in a sorted
-/// edge list (an offset of `len / 2` names each pair twice).
-fn coalesce(edges: &mut Vec<(u32, u32, u64)>) {
-    let mut out = 0;
-    for i in 0..edges.len() {
-        if out > 0 && edges[out - 1].0 == edges[i].0 && edges[out - 1].1 == edges[i].1 {
-            edges[out - 1].2 += edges[i].2;
-        } else {
-            edges[out] = edges[i];
-            out += 1;
-        }
-    }
-    edges.truncate(out);
 }
 
 #[cfg(test)]
@@ -480,31 +550,154 @@ mod tests {
         assert!(d.shift_steps(48).is_empty());
     }
 
+    /// The reference normalizer: orders each pair `a < b`, sorts the list
+    /// and sums the weights of duplicate pairs.
+    fn sort_coalesce(named: impl IntoIterator<Item = (usize, usize, u64)>) -> Vec<(u32, u32, u64)> {
+        let mut edges: Vec<_> = named
+            .into_iter()
+            .map(|(i, j, w)| (i.min(j) as u32, i.max(j) as u32, w))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup_by(|next, kept| {
+            let same = (next.0, next.1) == (kept.0, kept.1);
+            if same {
+                kept.2 += next.2;
+            }
+            same
+        });
+        edges
+    }
+
+    /// The pairs a ring over `lo..lo + len` names, one per thread:
+    /// `(i, i + offset mod len)`.
+    fn ring_named(lo: usize, len: usize, offset: usize, w: u64) -> Vec<(usize, usize, u64)> {
+        (0..len)
+            .map(|i| (lo + i, lo + (i + offset) % len, w))
+            .collect()
+    }
+
+    /// The pairs tenant `k`'s matching from generation `r` names:
+    /// neighbours of the seeded shuffle.
+    fn matching_named(d: &TrafficDriver, k: usize, r: u64, w: u64) -> Vec<(usize, usize, u64)> {
+        let (lo, len) = d.shards[k];
+        let mut perm: Vec<usize> = (lo..lo + len).collect();
+        DetRng::new(d.config.seed)
+            .fork(0x7E_0000 ^ k as u64)
+            .fork(r)
+            .shuffle(&mut perm);
+        perm.chunks_exact(2).map(|p| (p[0], p[1], w)).collect()
+    }
+
+    /// The reference generator: every tenant names its pairs in the order
+    /// it draws them, then the step's whole list is sorted and coalesced.
+    fn generate_sort_coalesce(d: &TrafficDriver, step: u64) -> Vec<(u32, u32, u64)> {
+        sort_coalesce((0..d.shards.len()).flat_map(|k| {
+            let (lo, len) = d.shards[k];
+            let w = d.intensity(k, step);
+            match d.shape(k, d.generation(step)) {
+                Shape::Ring(offset) => ring_named(lo, len, offset, w),
+                Shape::Matching(r) => matching_named(d, k, r, w),
+            }
+        }))
+    }
+
     #[test]
     fn ring_edges_match_generate_sort_coalesce() {
-        // The reference: each thread names its pair, then sort and coalesce.
-        let oracle = |lo: usize, len: usize, offset: usize, weight: u64| {
-            let mut edges = Vec::new();
-            for i in 0..len {
-                let j = (i + offset) % len;
-                if i != j {
-                    let (a, b) = ((lo + i) as u32, (lo + j) as u32);
-                    edges.push((a.min(b), a.max(b), weight));
-                }
-            }
-            edges.sort_unstable();
-            coalesce(&mut edges);
-            edges
-        };
-        for len in 1..=40 {
+        for len in 2..=40 {
             for offset in 1..len {
-                assert_eq!(
-                    ring_edges(5, len, offset, 3),
-                    oracle(5, len, offset, 3),
-                    "len {len} offset {offset}"
-                );
+                let mut out = vec![(0, 0, 0); Shape::Ring(offset).pairs(len)];
+                fill_ring(&mut out, 5, len, offset, 3);
+                let oracle = sort_coalesce(ring_named(5, len, offset, 3));
+                assert_eq!(out, oracle, "len {len} offset {offset}");
             }
         }
+    }
+
+    #[test]
+    fn matching_fill_matches_the_sorted_shuffle_on_odd_and_even_shards() {
+        for threads in [2, 3, 9, 10, 33, 64] {
+            for tenants in [1, 2, 3] {
+                let d =
+                    TrafficDriver::new(TrafficConfig::new(threads, tenants, Scenario::Churn, 11));
+                for k in 0..d.shards.len() {
+                    for r in [0, 1, 7] {
+                        let mut out = vec![(0, 0, 0); Shape::Matching(r).pairs(d.shards[k].1)];
+                        d.fill_matching(&mut out, k, r, 5);
+                        let oracle = sort_coalesce(matching_named(&d, k, r, 5));
+                        assert_eq!(out, oracle, "{threads} threads, tenant {k}, r {r}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A random traffic shape and a step to generate.
+    #[derive(Debug)]
+    struct Case {
+        config: TrafficConfig,
+        step: u64,
+        /// Another shape and step, whose list leaves the buffer dirty.
+        before: (TrafficConfig, u64),
+    }
+
+    fn random_config(rng: &mut DetRng) -> TrafficConfig {
+        let scenario = Scenario::ALL[rng.index(Scenario::ALL.len())];
+        TrafficConfig::new(
+            rng.range(2, 301) as usize,
+            rng.range(1, 13) as usize,
+            scenario,
+            rng.next_u64(),
+        )
+        .with_period(rng.range(1, 16))
+    }
+
+    fn random_case(rng: &mut DetRng) -> Case {
+        Case {
+            config: random_config(rng),
+            step: rng.range(0, 41),
+            before: (random_config(rng), rng.range(0, 41)),
+        }
+    }
+
+    #[test]
+    fn a_repeated_step_names_the_previous_steps_list() {
+        crate::forall(256, 0, random_case, |case| {
+            let d = TrafficDriver::new(case.config);
+            if d.repeats(case.step) {
+                assert_eq!(d.step_edges(case.step, 1), d.step_edges(case.step - 1, 1));
+            }
+        });
+    }
+
+    #[test]
+    fn the_in_place_fill_matches_generate_sort_coalesce_in_a_dirty_buffer() {
+        crate::forall(128, 0, random_case, |case| {
+            let d = TrafficDriver::new(case.config);
+            let oracle = generate_sort_coalesce(&d, case.step);
+            for jobs in [1, 2, 4] {
+                let mut edges = Vec::new();
+                let (config, step) = case.before;
+                TrafficDriver::new(config).step_edges_into(step, jobs, &mut edges);
+                d.step_edges_into(case.step, jobs, &mut edges);
+                assert_eq!(edges, oracle, "jobs {jobs}");
+            }
+        });
+    }
+
+    #[test]
+    fn every_scenario_repeats_as_its_script_says() {
+        let repeated = |scenario| {
+            let d = driver(scenario);
+            (0..30).filter(|&s| d.repeats(s)).count()
+        };
+        assert_eq!(repeated(Scenario::Static), 29);
+        assert_eq!(
+            repeated(Scenario::Hotspot),
+            27,
+            "steps 0, 12 and 24 start generations"
+        );
+        assert_eq!(repeated(Scenario::Churn), 27);
+        assert_eq!(repeated(Scenario::Diurnal), 0);
     }
 
     #[test]

@@ -181,13 +181,24 @@ echo "$serve_out" | grep -q "timeline digest: fnv1a:c1f8ea0555e529bd" &&
     exit 1
 }
 # The 100k-thread static run is the quiet step alone: the detector never
-# fires, so no step builds a store, and the cut totals come only from the
-# pair-list sums beside the detector's fold.
+# fires, so no step builds a store. Its pair list is built and summed once,
+# at step 0, and every later step repeats that list and its two cut sums.
 serve_out="$(timeout 120 ./target/release/acorr serve --scenario static \
     --threads 100000 --nodes 256 --steps 60 --seed 42)"
 echo "$serve_out" | grep -q "cut served 122880 vs never-remap 122880" &&
     echo "$serve_out" | grep -q "final mapping digest: fnv1a:30301386387f5925" || {
     echo "error: 100000x256 static serve cuts or mapping drifted from the pinned values:" >&2
+    echo "$serve_out" >&2
+    exit 1
+}
+# The 100k-thread diurnal run is the one scenario whose pair list is built
+# and summed at every step: its weights move each step while its rings stay
+# put, so the detector stays quiet and the cut totals sum 60 fresh lists.
+serve_out="$(timeout 120 ./target/release/acorr serve --scenario diurnal \
+    --threads 100000 --nodes 256 --steps 60 --seed 42)"
+echo "$serve_out" | grep -q "cut served 143360 vs never-remap 143360" &&
+    echo "$serve_out" | grep -q "final mapping digest: fnv1a:30301386387f5925" || {
+    echo "error: 100000x256 diurnal serve cuts or mapping drifted from the pinned values:" >&2
     echo "$serve_out" >&2
     exit 1
 }
