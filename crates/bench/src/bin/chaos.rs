@@ -112,9 +112,10 @@ fn main() {
         );
         std::process::exit(2);
     }
+    eprintln!("{jobs} worker thread(s)");
     println!(
         "Chaos study: {threads} threads on {nodes} nodes, {iters} iterations, \
-         fault seed {seed} ({jobs} worker thread(s))\nplans:\n{}\n",
+         fault seed {seed}\nplans:\n{}\n",
         preset_legend()
     );
 

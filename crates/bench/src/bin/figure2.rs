@@ -24,10 +24,8 @@ const FIGURE2_APPS: [&str; 6] = ["Barnes", "FFT7", "LU2k", "Ocean", "SOR", "Wate
 fn main() {
     let rounds = arg_usize("--rounds", 10);
     let threads = resolve_threads(arg_usize("--threads", 0));
-    println!(
-        "Figure 2: passive information-gathering ({rounds} migration rounds, \
-         {threads} worker thread(s))\n"
-    );
+    eprintln!("{threads} worker thread(s)");
+    println!("Figure 2: passive information-gathering ({rounds} migration rounds)\n");
 
     let mut header: Vec<String> = vec!["App".to_string()];
     header.extend((1..=rounds).map(|r| format!("r{r}")));

@@ -28,10 +28,10 @@ fn main() {
     let iters = arg_usize("--iters", 1);
     let threads = resolve_threads(arg_usize("--threads", 0));
 
+    eprintln!("{threads} worker thread(s)");
     println!(
         "Table 2: remote misses as a function of cut cost\n\
-         ({samples} random configurations per application, {iters} measured iteration(s) each,\n\
-         {threads} worker thread(s))\n"
+         ({samples} random configurations per application, {iters} measured iteration(s) each)\n"
     );
     let mut table = Table::new(&[
         "App",

@@ -35,9 +35,8 @@ fn paper_row(name: &str) -> (f64, f64, u64, u64, f64) {
 
 fn main() {
     let threads = resolve_threads(arg_usize("--threads", 0));
-    println!(
-        "Table 5: 64-thread tracking overhead (8 threads per node, {threads} worker thread(s))\n"
-    );
+    eprintln!("{threads} worker thread(s)");
+    println!("Table 5: 64-thread tracking overhead (8 threads per node)\n");
     let mut table = Table::new(&[
         "App",
         "Off (s)",

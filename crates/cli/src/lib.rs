@@ -1491,4 +1491,13 @@ mod tests {
         .unwrap();
         assert!(out.contains("Drift"), "{out}");
     }
+
+    #[test]
+    fn serve_reports_the_window_that_ran() {
+        let out = cli(&["serve", "--scenario", "churn", "--window", "0"]).unwrap();
+        assert!(
+            out.starts_with("serve churn: policy greedy, 48 step(s), window 1\n"),
+            "{out}"
+        );
+    }
 }

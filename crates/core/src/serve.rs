@@ -57,7 +57,7 @@ pub struct ServeOptions {
     pub steps: usize,
     /// Tenants sharing the thread range (traffic mode only).
     pub tenants: usize,
-    /// Detector window length, in steps.
+    /// Detector window length, in steps; 0 runs as 1.
     pub window: usize,
     /// Traffic generation/cycle period, in steps (traffic mode only).
     pub period: u64,
@@ -175,7 +175,7 @@ pub struct ServeReport {
     pub policy: MigrationPolicy,
     /// Steps served.
     pub steps: usize,
-    /// Detector window length.
+    /// Detector window length the run used (at least 1).
     pub window: usize,
     /// Every decision, in step order.
     pub timeline: Vec<ServeDecision>,
@@ -370,7 +370,7 @@ impl Workbench {
         let initial = Mapping::stretch(&self.cluster);
         let mut current = initial.clone();
         let mut detector = PhaseDetector::new(threads, options.window);
-        let mut report = ReportBuilder::new(options, handle);
+        let mut report = ReportBuilder::new(options, &detector, handle);
         // The step's pair list, kept while the traffic repeats, and its two
         // cut sums.
         let mut edges = Vec::new();
@@ -442,7 +442,7 @@ impl Workbench {
         let label = format!("{} (engine)", dsm.program().name());
         let mut current = initial.clone();
         let mut detector = PhaseDetector::new(threads, options.window);
-        let mut report = ReportBuilder::new(options, handle);
+        let mut report = ReportBuilder::new(options, &detector, handle);
         for step in 0..options.steps as u64 {
             let (_stats, access) = dsm.run_tracked_iteration()?;
             let corr = CorrelationMatrix::from_access(&access);
@@ -483,10 +483,16 @@ struct ReportBuilder {
 }
 
 impl ReportBuilder {
-    fn new(options: &ServeOptions, handle: Option<ObsHandle>) -> ReportBuilder {
+    /// A report on `options` run through `detector`, whose window length
+    /// (the asked-for one, clamped) is the one recorded.
+    fn new(
+        options: &ServeOptions,
+        detector: &PhaseDetector,
+        handle: Option<ObsHandle>,
+    ) -> ReportBuilder {
         ReportBuilder {
             steps: options.steps,
-            window: options.window,
+            window: detector.window(),
             policy: options.policy,
             timeline: Vec::new(),
             shifts: 0,
@@ -567,7 +573,7 @@ mod tests {
         let initial = Mapping::stretch(&bench.cluster);
         let mut current = initial.clone();
         let mut detector = PhaseDetector::new(threads, options.window);
-        let mut report = ReportBuilder::new(options, None);
+        let mut report = ReportBuilder::new(options, &detector, None);
         for step in 0..options.steps as u64 {
             let edges = traffic.step_edges(step, bench.threads);
             report.served_cut += pairs_cut_cost(&edges, &current);
@@ -607,5 +613,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_zero_window_reports_the_one_step_window_it_ran() {
+        let bench = Workbench::new(8, 64).expect("a valid shape");
+        let run = |window| {
+            bench.serve_traffic(&ServeOptions {
+                window,
+                ..ServeOptions::new(Scenario::Churn)
+            })
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(zero.window, 1);
+        assert_eq!(zero.snapshot(), one.snapshot());
     }
 }

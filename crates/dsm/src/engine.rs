@@ -618,7 +618,10 @@ impl<P: Program> Dsm<P> {
             pages.set_twin(p, false);
             pages.set_prot(p, Protection::None);
             pages.set_applied_version(p, 0);
-            pages.dirty_mut(p).clear();
+            // A crash lands on a barrier boundary, after every write set
+            // was finalized; the take still drops whatever a page held.
+            let (dirty_len, _) = pages.take_dirty(p);
+            debug_assert_eq!(dirty_len, 0, "page {p} dirty at a crash");
         }
         self.nodes[victim].write_set.clear();
         self.cur.crashes += 1;
@@ -1115,8 +1118,7 @@ impl<P: Program> Dsm<P> {
             }
             self.nodes[i]
                 .pages
-                .dirty_mut(page.idx())
-                .insert(span.start, span.end);
+                .mark_dirty(page.idx(), span.start, span.end);
             if let Some(o) = self.oracle.as_mut() {
                 o.on_write(i, t, span);
             }
@@ -1468,12 +1470,11 @@ impl<P: Program> Dsm<P> {
         if matches!(self.config.write_mode, WriteMode::SingleWriter { .. }) {
             return; // single-writer invalidations are eager
         }
-        let pages = &self.nodes[i].pages;
-        if !pages.twin(page.idx()) && pages.dirty(page.idx()).is_empty() {
+        let pages = &mut self.nodes[i].pages;
+        if !pages.twin(page.idx()) && !pages.is_dirty(page.idx()) {
             return; // already finalized (e.g. at an earlier unlock)
         }
-        let dirty_len = pages.dirty(page.idx()).total_len();
-        let fragments = pages.dirty(page.idx()).fragment_count();
+        let (dirty_len, fragments) = pages.take_dirty(page.idx());
         let bytes = dirty_len + DIFF_RANGE_BYTES * fragments as u64 + DIFF_HEADER_BYTES;
         let build = self.config.cost.diff_create(bytes);
         let build_start = self.nodes[i].time;
@@ -1494,7 +1495,6 @@ impl<P: Program> Dsm<P> {
         self.nodes[i].time += extra;
         let pages = &mut self.nodes[i].pages;
         pages.set_twin(page.idx(), false);
-        pages.dirty_mut(page.idx()).clear();
         if pages.prot(page.idx()) == Protection::ReadWrite {
             pages.set_prot(page.idx(), Protection::Read);
         }

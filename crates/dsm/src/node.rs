@@ -8,9 +8,9 @@ use std::collections::VecDeque;
 /// scheduler bookkeeping.
 ///
 /// Page state lives in an SoA [`PageTable`]: the boolean flags are packed
-/// bitset masks (whole-table sweeps are word fills) and the dirty state is
-/// a dense array of word-chunked masks — see `acorr_mem::page` for the
-/// field semantics.
+/// bitset masks (whole-table sweeps are word fills), and a page written
+/// since its last diff holds a word-chunked dirty mask from the table's
+/// pool — see `acorr_mem::page` for the field semantics.
 #[derive(Debug, Clone)]
 pub struct NodeState {
     /// This node's identity.

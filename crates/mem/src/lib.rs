@@ -12,8 +12,10 @@
 //! * [`bitset`] — fixed-width bitsets; one per thread serves as the paper's
 //!   *access bitmap*.
 //! * [`ranges`] — the word-chunked [`DirtyMask`] of dirty bytes within a
-//!   page, the representation behind multi-writer *diffs*, pinned
-//!   byte-for-byte against a merged-range reference in its tests.
+//!   page, the representation behind multi-writer *diffs*, sized and
+//!   cleared in one pass and pinned byte-for-byte against a merged-range
+//!   reference in its tests. A [`PageTable`] holds one only for each page
+//!   written since its last diff.
 //! * [`arena`] — a bump arena for per-interval protocol records, reset once
 //!   per barrier interval.
 //! * [`layout`] — a page-aligned bump allocator laying out an application's

@@ -6,8 +6,9 @@
 //! per-page subranges the engine needs for fault checks and dirty-range
 //! recording. [`PageTable`] holds one node's per-page protocol state in
 //! struct-of-arrays layout: the boolean flags live in [`FixedBitset`]
-//! masks (so whole-table sweeps are word fills) and the dirty state in a
-//! dense [`DirtyMask`] array.
+//! masks (so whole-table sweeps are word fills), and the dirty state is a
+//! 4-byte slot per page into a pool holding a [`DirtyMask`] only for each
+//! page written since its last take.
 
 use crate::bitset::FixedBitset;
 use crate::prot::Protection;
@@ -134,7 +135,11 @@ pub const fn pages_for(bytes: u64) -> u64 {
 /// * **prot** — current virtual-memory protection.
 /// * **applied_version** — the page version the local copy reflects.
 /// * **twin** — a twin exists: the page has been written this interval.
-/// * **dirty** — bytes written this interval (the future diff).
+/// * **dirty** — bytes written this interval (the future diff): the slot
+///   of the page's mask in the table's pool, or none while the page is
+///   clean. A page takes a slot on its first non-empty write and gives it
+///   back when [`PageTable::take_dirty`] sizes its diff, so the pool holds
+///   no more masks than the most pages dirty at once, not one per page.
 /// * **corr_armed** — correlation bit armed by active tracking; the next
 ///   access by the pinned thread takes a correlation fault.
 #[derive(Debug, Clone)]
@@ -145,8 +150,16 @@ pub struct PageTable {
     corr_armed: FixedBitset,
     prot: Vec<Protection>,
     applied_version: Vec<u64>,
-    dirty: Vec<DirtyMask>,
+    /// Each page's slot in `masks`, or [`CLEAN`].
+    dirty: Vec<u32>,
+    /// The mask pool; a free slot's mask is clean.
+    masks: Vec<DirtyMask>,
+    /// Slots of `masks` no page holds.
+    free: Vec<u32>,
 }
+
+/// The `dirty` slot of a page with nothing written since its last take.
+const CLEAN: u32 = u32::MAX;
 
 impl PageTable {
     /// Creates a table of `num_pages` pages: all invalid, or (for the
@@ -159,7 +172,9 @@ impl PageTable {
             corr_armed: FixedBitset::new(num_pages),
             prot: vec![Protection::None; num_pages],
             applied_version: vec![0; num_pages],
-            dirty: vec![DirtyMask::new(); num_pages],
+            dirty: vec![CLEAN; num_pages],
+            masks: Vec::new(),
+            free: Vec::new(),
         };
         if is_initial_owner {
             table.valid.insert_all();
@@ -241,14 +256,46 @@ impl PageTable {
         self.applied_version[p] = v;
     }
 
-    /// Page `p`'s dirty mask.
-    pub fn dirty(&self, p: usize) -> &DirtyMask {
-        &self.dirty[p]
+    /// Records bytes `[start, end)` of page `p` as written. The page's
+    /// first non-empty span takes a mask from the pool; an empty span
+    /// takes none.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`DirtyMask::insert`] does on an inverted span or one
+    /// past the page.
+    pub fn mark_dirty(&mut self, p: usize, start: u16, end: u16) {
+        let slot = match self.dirty[p] {
+            CLEAN if start == end => return,
+            CLEAN => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.masks.push(DirtyMask::new());
+                    (self.masks.len() - 1) as u32
+                });
+                self.dirty[p] = slot;
+                slot
+            }
+            slot => slot,
+        };
+        self.masks[slot as usize].insert(start, end);
     }
 
-    /// Mutable access to page `p`'s dirty mask.
-    pub fn dirty_mut(&mut self, p: usize) -> &mut DirtyMask {
-        &mut self.dirty[p]
+    /// Whether any byte of page `p` was written since its last take.
+    pub fn is_dirty(&self, p: usize) -> bool {
+        self.dirty[p] != CLEAN
+    }
+
+    /// Page `p`'s dirty bytes and dirty runs, as
+    /// [`DirtyMask::take_extent`] counts them, leaving the page clean and
+    /// its mask back in the pool. A clean page answers `(0, 0)`.
+    pub fn take_dirty(&mut self, p: usize) -> (u64, usize) {
+        match std::mem::replace(&mut self.dirty[p], CLEAN) {
+            CLEAN => (0, 0),
+            slot => {
+                self.free.push(slot);
+                self.masks[slot as usize].take_extent()
+            }
+        }
     }
 
     /// Whether page `p`'s correlation bit is armed.
@@ -276,6 +323,8 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranges::RangeSet;
+    use acorr_sim::{forall, DetRng};
 
     #[test]
     fn page_of_boundaries() {
@@ -354,11 +403,12 @@ mod tests {
         t.set_twin(69, true);
         t.set_prot(69, Protection::ReadWrite);
         t.set_applied_version(69, 7);
-        t.dirty_mut(69).insert(100, 200);
-        assert!(t.valid(69) && t.has_copy(69) && t.twin(69));
+        t.mark_dirty(69, 100, 200);
+        assert!(t.valid(69) && t.has_copy(69) && t.twin(69) && t.is_dirty(69));
         assert_eq!(t.prot(69), Protection::ReadWrite);
         assert_eq!(t.applied_version(69), 7);
-        assert_eq!(t.dirty(69).total_len(), 100);
+        assert_eq!(t.take_dirty(69), (100, 1));
+        assert!(!t.is_dirty(69));
         assert_eq!(t.valid.count(), 1);
         assert_eq!(
             t.prot
@@ -383,5 +433,70 @@ mod tests {
         assert!(!t.corr_armed(64) && t.corr_armed(65));
         t.disarm_all();
         assert!(t.corr_armed.is_empty());
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum DirtyOp {
+        Mark(usize, u16, u16),
+        Take(usize),
+    }
+
+    /// A table of 1–130 pages and up to 399 marks (a quarter of them
+    /// empty spans) and takes on it.
+    fn dirty_ops(rng: &mut DetRng) -> (usize, Vec<DirtyOp>) {
+        let pages = 1 + rng.index(130);
+        let ops = (0..rng.index(400))
+            .map(|_| {
+                let p = rng.index(pages);
+                let (a, b) = (rng.next_below(4097) as u16, rng.next_below(4097) as u16);
+                match rng.index(4) {
+                    0 => DirtyOp::Take(p),
+                    1 => DirtyOp::Mark(p, a, a),
+                    _ => DirtyOp::Mark(p, a.min(b), a.max(b)),
+                }
+            })
+            .collect();
+        (pages, ops)
+    }
+
+    /// The slot pool answers as a dense reference with one range set per
+    /// page, and holds exactly as many masks as the most pages dirty at
+    /// once.
+    #[test]
+    fn pooled_dirty_masks_match_a_dense_reference() {
+        forall(256, 0, dirty_ops, |(pages, ops)| {
+            let mut table = PageTable::new(*pages, false);
+            let mut reference = vec![RangeSet::new(); *pages];
+            let mut most_dirty = 0;
+            let take = |table: &mut PageTable, set: &mut RangeSet, p| {
+                let want = (set.total_len(), set.fragment_count());
+                assert_eq!(table.take_dirty(p), want, "take of page {p} holding {set}");
+                set.clear();
+            };
+            for &op in ops {
+                match op {
+                    DirtyOp::Mark(p, start, end) => {
+                        table.mark_dirty(p, start, end);
+                        reference[p].insert(start, end);
+                    }
+                    DirtyOp::Take(p) => take(&mut table, &mut reference[p], p),
+                }
+                let dirty = reference.iter().filter(|set| !set.is_empty()).count();
+                most_dirty = most_dirty.max(dirty);
+                for (p, set) in reference.iter().enumerate() {
+                    assert_eq!(table.is_dirty(p), !set.is_empty(), "page {p} after {op:?}");
+                }
+                assert_eq!(table.masks.len(), most_dirty, "pool after {op:?}");
+                assert!(table
+                    .free
+                    .iter()
+                    .all(|&s| table.masks[s as usize].is_empty()));
+            }
+            for (p, set) in reference.iter_mut().enumerate() {
+                take(&mut table, set, p);
+                assert_eq!(table.take_dirty(p), (0, 0), "second take of page {p}");
+            }
+            assert_eq!(table.free.len(), table.masks.len());
+        });
     }
 }

@@ -10,9 +10,11 @@
 //! Two representations share that contract:
 //!
 //! * [`DirtyMask`] — one bit per page byte, packed into 64 `u64` words.
-//!   Inserting a span is a handful of word-masked ORs, the diff length is
-//!   64 popcounts, and the fragment count is a rising-edge scan — the
-//!   engine's hot path.
+//!   Inserting a span is a handful of word-masked ORs, and
+//!   [`DirtyMask::take_extent`] sizes the diff and clears the mask in one
+//!   walk of the words: a clean word or a full one costs a compare, and
+//!   only a partly written word takes the popcount and the rising-edge
+//!   count — the engine's hot path.
 //! * `RangeSet` (test builds only) — sorted disjoint `(start, end)` pairs,
 //!   the byte-wise *reference* the equivalence tests below pin the mask
 //!   against: both must report **byte-identical** lengths and fragment
@@ -123,11 +125,12 @@ const MASK_WORDS: usize = PAGE_SIZE / 64;
 
 /// A page-wide dirty-byte mask: one bit per byte, packed into `u64` words.
 ///
-/// The engine's twin/diff hot-loop representation of a diff.
-/// [`DirtyMask::total_len`] and [`DirtyMask::fragment_count`] are byte-exact
-/// matches for the reference range set's answers on the same inserts —
-/// the diff-size formula (`dirty_len + 8 * fragments + 16`) is golden-table
-/// load-bearing, so the representations must never diverge.
+/// The engine's twin/diff hot-loop representation of a diff. The
+/// `(dirty bytes, dirty runs)` pair [`DirtyMask::take_extent`] returns is a
+/// byte-exact match for the reference range set's total length and
+/// fragment count on the same inserts — the diff-size formula
+/// (`dirty_len + 8 * fragments + 16`) is golden-table load-bearing, so the
+/// representations must never diverge.
 ///
 /// ```
 /// use acorr_mem::DirtyMask;
@@ -135,8 +138,10 @@ const MASK_WORDS: usize = PAGE_SIZE / 64;
 /// m.insert(0, 8);
 /// m.insert(16, 24);
 /// m.insert(8, 16); // bridges the gap
-/// assert_eq!(m.total_len(), 24);
-/// assert_eq!(m.fragment_count(), 1);
+/// m.insert(64, 4096);
+/// assert_eq!(m.take_extent(), (24 + 4032, 2));
+/// assert!(m.is_empty());
+/// assert_eq!(m.take_extent(), (0, 0));
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct DirtyMask {
@@ -186,21 +191,30 @@ impl DirtyMask {
         self.words[we] |= hi_mask;
     }
 
-    /// Total dirty bytes (64 popcounts).
-    pub fn total_len(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
-    /// Number of disjoint dirty runs: rising edges of the bit stream,
-    /// carrying the previous word's top bit across word boundaries.
-    pub fn fragment_count(&self) -> usize {
-        let mut carry = 0u64;
-        let mut rises = 0usize;
-        for &w in &self.words {
-            rises += (w & !((w << 1) | carry)).count_ones() as usize;
-            carry = w >> 63;
+    /// Returns the dirty bytes and the number of disjoint dirty runs, and
+    /// leaves the mask clean — one walk of the words.
+    ///
+    /// A run is a rising edge of the bit stream, with the previous word's
+    /// top bit carried across the word boundary. A clean word ends any run
+    /// and a full word adds 64 bytes, opening a run only when none is
+    /// open; any other word takes a popcount and a rising-edge count.
+    pub fn take_extent(&mut self) -> (u64, usize) {
+        let (mut len, mut runs, mut carry) = (0u64, 0usize, 0u64);
+        for w in &mut self.words {
+            let word = std::mem::take(w);
+            if word == 0 {
+                carry = 0;
+            } else if word == !0 {
+                len += 64;
+                runs += (carry ^ 1) as usize;
+                carry = 1;
+            } else {
+                len += word.count_ones() as u64;
+                runs += (word & !((word << 1) | carry)).count_ones() as usize;
+                carry = word >> 63;
+            }
         }
-        rises
+        (len, runs)
     }
 
     /// True when no byte is dirty.
@@ -216,11 +230,6 @@ impl DirtyMask {
     pub fn contains(&self, b: u16) -> bool {
         assert!((b as usize) < PAGE_SIZE, "byte {b} beyond page size");
         self.words[b as usize / 64] >> (b % 64) & 1 != 0
-    }
-
-    /// Resets to all-clean (a word fill, the per-interval reset).
-    pub fn clear(&mut self) {
-        self.words.fill(0);
     }
 
     /// Iterates over the disjoint dirty `(start, end)` runs, ascending —
@@ -371,20 +380,14 @@ mod tests {
     }
 
     /// Asserts the mask and the byte-wise reference agree on every
-    /// observable after the same inserts.
-    fn assert_equivalent(ops: &[(u16, u16)]) {
+    /// observable after the same inserts, and that `take_extent` answers
+    /// the reference's length and fragment count and leaves `mask` clean.
+    fn assert_equivalent(mask: &mut DirtyMask, ops: &[(u16, u16)]) {
         let mut set = RangeSet::new();
-        let mut mask = DirtyMask::new();
         for &(s, e) in ops {
             set.insert(s, e);
             mask.insert(s, e);
         }
-        assert_eq!(mask.total_len(), set.total_len(), "len after {ops:?}");
-        assert_eq!(
-            mask.fragment_count(),
-            set.fragment_count(),
-            "fragments after {ops:?}"
-        );
         assert_eq!(mask.is_empty(), set.is_empty());
         assert_eq!(
             mask.iter().collect::<Vec<_>>(),
@@ -394,6 +397,13 @@ mod tests {
         for b in 0..PAGE_SIZE as u16 {
             assert_eq!(mask.contains(b), set.contains(b), "byte {b} after {ops:?}");
         }
+        assert_eq!(
+            mask.take_extent(),
+            (set.total_len(), set.fragment_count()),
+            "extent after {ops:?}"
+        );
+        assert!(mask.is_empty(), "a take leaves {mask} after {ops:?}");
+        assert_eq!(mask.take_extent(), (0, 0), "second take after {ops:?}");
     }
 
     #[test]
@@ -416,8 +426,12 @@ mod tests {
             &[(127, 129), (191, 193), (128, 192)],
             &[(5, 5), (4096, 4096)],
         ];
+        // Each case on a fresh mask, then all of them in turn on one
+        // reused mask: a take must leave nothing behind for the next.
+        let mut reused = DirtyMask::new();
         for ops in cases {
-            assert_equivalent(ops);
+            assert_equivalent(&mut DirtyMask::new(), ops);
+            assert_equivalent(&mut reused, ops);
         }
     }
 
@@ -425,15 +439,29 @@ mod tests {
     fn mask_clear_and_reinsert() {
         let mut m = DirtyMask::new();
         m.insert(0, 4096);
-        assert_eq!(m.total_len(), 4096);
-        assert_eq!(m.fragment_count(), 1);
-        m.clear();
+        assert_eq!(m.take_extent(), (4096, 1));
         assert!(m.is_empty());
-        assert_eq!(m.fragment_count(), 0);
+        assert_eq!(m.take_extent(), (0, 0));
         m.insert(10, 20);
         m.insert(10, 20);
-        assert_eq!(m.total_len(), 10);
         assert_eq!(m.to_string(), "[10..20]");
+        assert_eq!(m.take_extent(), (10, 1));
+    }
+
+    /// Full words on either side of a partial one, and full words after a
+    /// clean one: a run opens only where no run is open.
+    #[test]
+    fn take_extent_counts_runs_across_full_and_partial_words() {
+        let mut m = DirtyMask::new();
+        m.insert(0, 128);
+        m.insert(128, 130);
+        m.insert(191, 320);
+        m.insert(384, 448);
+        assert_eq!(m.take_extent(), (128 + 2 + 129 + 64, 3));
+        m.insert(63, 64);
+        m.insert(64, 192);
+        m.insert(192, 193);
+        assert_eq!(m.take_extent(), (130, 1));
     }
 
     #[test]
@@ -496,9 +524,24 @@ mod tests {
     }
 
     /// The word-chunked mask is observationally identical to the
-    /// byte-wise reference on arbitrary insert sequences.
+    /// byte-wise reference on arbitrary insert sequences, and `take_extent`
+    /// returns the reference's length and fragment count and clears it.
     #[test]
     fn mask_equivalent_to_range_set() {
-        forall(256, 0, inserts, |ops| assert_equivalent(ops));
+        forall(256, 0, inserts, |ops| {
+            assert_equivalent(&mut DirtyMask::new(), ops);
+        });
+    }
+
+    /// A mask reused after a take answers a second insert sequence as a
+    /// fresh mask does.
+    #[test]
+    fn a_taken_mask_answers_as_a_fresh_one() {
+        let pair = |rng: &mut DetRng| (inserts(rng), inserts(rng));
+        forall(256, 0, pair, |(first, second)| {
+            let mut mask = DirtyMask::new();
+            assert_equivalent(&mut mask, first);
+            assert_equivalent(&mut mask, second);
+        });
     }
 }

@@ -105,6 +105,12 @@ impl PhaseDetector {
         }
     }
 
+    /// Observation units per window: the length asked for, clamped to
+    /// at least 1.
+    pub fn window(&self) -> usize {
+        self.window
+    }
+
     /// Observation units folded into the currently open window so far.
     pub fn pending(&self) -> usize {
         self.in_window

@@ -222,6 +222,38 @@ cat "$adaptive_dir/err.txt"
 [ "$status" -eq 2 ] && grep -q "^error:" "$adaptive_dir/err.txt" || {
     echo "error: adaptive --phases 0 exited $status" >&2; exit 1; }
 
+echo "==> study determinism smoke (table5 and table6 stdout identical at 1 and 2 workers)"
+# The study bins print their worker count on stderr, so stdout is the same
+# bytes at every --threads value. Neither bin writes an artifact.
+study_dir="$scratch/study"
+mkdir -p "$study_dir"
+for bin in table5 table6; do
+    for workers in 1 2; do
+        ./target/release/$bin --threads "$workers" > "$study_dir/$bin-$workers.txt"
+    done
+    cmp "$study_dir/$bin-1.txt" "$study_dir/$bin-2.txt" || {
+        echo "error: $bin stdout differs between 1 and 2 workers" >&2
+        exit 1
+    }
+done
+
+echo "==> wide-cluster smoke (SOR at 1024 threads on 1024 nodes under a 1 GiB address-space cap)"
+# A node keeps a dirty mask only for a page written since its last
+# finalize, so 1024 nodes over SOR's 4097 pages fit under the cap; one
+# 512-byte mask per page per node would need about 2 GiB per engine.
+# `ulimit -v` acts on the subshell alone; the timeout catches a hang.
+status=0
+wide_out="$( (ulimit -v 1048576 && timeout 60 ./target/release/acorr run --app SOR \
+    --threads 1024 --nodes 1024 --iters 2 --jobs 2) )" || status=$?
+echo "$wide_out"
+[ "$status" -eq 0 ] &&
+    echo "$wide_out" | grep -q "16368 misses" &&
+    echo "$wide_out" | grep -q "50.6 MB diff" &&
+    echo "$wide_out" | grep -q "cut *8184" || {
+    echo "error: capped 1024-node SOR run exited $status or drifted from the pinned stats" >&2
+    exit 1
+}
+
 echo "==> bad-shape smoke (protocols and chaos reject a shape they cannot run)"
 # Fewer threads than protocols' 8 nodes, and chaos with no node: each is a
 # flag error (exit 2, an `error:` line) before any run; the timeout catches
